@@ -41,12 +41,10 @@ from .rules import PARAM_FORMULA, PARAM_VARIABLE, InferenceRule, RuleSystem
 from .syntax import (
     Alphabet,
     Atom,
-    Binary,
     Formula,
-    Negation,
     PROPOSITIONAL,
-    Quantified,
     Schema,
+    atom_occurrences,
     canonical_key,
     enumerate_wffs,
     formula_atoms,
@@ -269,30 +267,9 @@ def instantiation_pool(calculus: Calculus, bounds: Bounds,
     restricted = replace(calculus.alphabet, variables=calculus.pool_variables)
     pool = set(enumerate_wffs(restricted, bounds.instantiation_pool_size,
                               limit=bounds.node_budget))
-    for f in extra:
-        if f.size <= bounds.instantiation_pool_size:
-            pool.add(f)
-        else:
-            pool.add(f)  # goal subformulas stay usable even when oversized
+    # Goal subformulas stay usable even when larger than the pool size bound.
+    pool.update(extra)
     return sorted(pool, key=canonical_key)
-
-
-def _count_atom_occurrences(formula: Formula) -> dict:
-    counts = {}
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        kind = type(f)
-        if kind is Atom:
-            counts[f.name] = counts.get(f.name, 0) + 1
-        elif kind is Negation:
-            stack.append(f.operand)
-        elif kind is Binary:
-            stack.append(f.left)
-            stack.append(f.right)
-        elif kind is Quantified:
-            stack.append(f.body)
-    return counts
 
 
 _META_PRIORITY = {"phi": 0, "chi": 1, "psi": 2}
@@ -349,7 +326,7 @@ def schema_instances(schemata: Sequence[Schema], pool: Sequence[Formula],
     available_sizes = sorted(pool_by_size)
     prepared = []
     for schema in schemata:
-        occurrences = _count_atom_occurrences(schema.pattern)
+        occurrences = atom_occurrences(schema.pattern)
         metas = list(schema.metavariables)
         weights = [occurrences[m] for m in metas]
         prepared.append((schema, metas, weights))
@@ -680,7 +657,8 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
             if not contexts:
                 continue
             for premises, context in rule.candidate_applications(
-                    order, members_set, frontier, contexts):
+                    order, members_set, frontier, contexts,
+                    bounds.max_formula_size):
                 for conclusion in rule.conclusions(premises, context):
                     if conclusion.size > bounds.max_formula_size:
                         continue

@@ -33,11 +33,13 @@ encodes bound parameters and combinator structure.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .errors import ArityError, RuleParameterError, UnknownRuleError
 from .syntax import (
+    Atom,
     Binary,
     EXISTS,
     Formula,
@@ -46,6 +48,7 @@ from .syntax import (
     Negation,
     OR,
     Quantified,
+    atom_occurrences,
     free_variables,
     print_formula,
     substitute_prop,
@@ -80,10 +83,20 @@ class InferenceRule:
     ``conclude(premises, context)`` returns an iterable of conclusions.
     ``parameter_kinds`` lists (name, kind) slots the context must fill, with
     kind one of "formula" (drawn from the instantiation pool) or "variable"
-    (drawn from the alphabet's propositional variables). ``strategy``, when
-    present, enumerates candidate (premises, context) pairs against a
-    universe/frontier split so saturation runs avoid the all-tuples scan;
-    it must cover every tuple containing at least one frontier formula.
+    (drawn from the alphabet's propositional variables).
+
+    ``strategy``, when present, is called as ``strategy(universe,
+    universe_set, frontier, contexts, size_cap)`` and enumerates candidate
+    (premises, context) pairs against a universe/frontier split, so
+    saturation runs avoid the all-tuples scan. It must cover every tuple
+    that contains at least one frontier formula and has a conclusion that
+    fits under ``size_cap`` and differs from its premises. It may skip a
+    tuple whose conclusions are all larger than ``size_cap`` or equal to a
+    premise, since saturation drops those anyway; ``size_cap=None`` means
+    no cap and no skipping. A composite never inherits a strategy's size
+    pruning: ``compose`` runs its first rule's strategy with
+    ``size_cap=None``, because its second rule can shrink an oversized
+    conclusion or turn one equal to the premise into something new.
     """
 
     __slots__ = ("identifier", "arity", "parameter_kinds", "kind",
@@ -130,27 +143,30 @@ class InferenceRule:
         return frozenset(self._conclude(premises, context))
 
     def candidate_applications(self, universe: list, universe_set: set,
-                               frontier: list, contexts) -> Iterator[tuple]:
+                               frontier: list, contexts,
+                               size_cap: Optional[int] = None) -> Iterator[tuple]:
         """Yield (premises, context) pairs worth trying this pass.
 
         ``universe`` holds every formula known so far (frontier included, in
         first-seen order); ``frontier`` holds the formulas new since the last
         pass. Completeness contract: together with earlier passes over the
-        same growing universe, every premise tuple over the final universe is
-        eventually yielded. The generic fallback scans all tuples touching
-        the frontier; arity-2 built-ins install indexed strategies.
+        same growing universe, every premise tuple over the final universe
+        whose conclusions fit under ``size_cap`` is eventually yielded (see
+        the class docstring for what may be skipped). The generic fallback
+        scans all tuples touching the frontier and ignores the cap; modus
+        ponens and cut install indexed strategies, and substitution and
+        unbound extension prune their parameters by the conclusion's size.
         """
         if self._strategy is not None:
-            yield from self._strategy(universe, universe_set, frontier, contexts)
+            yield from self._strategy(universe, universe_set, frontier, contexts,
+                                      size_cap)
             return
         if self.arity == 0:
             for ctx in contexts:
                 yield ((), ctx)
             return
         if self.arity == 1:
-            for f in frontier:
-                for ctx in contexts:
-                    yield ((f,), ctx)
+            yield from _every_pair(frontier, contexts)
             return
         frontier_set = set(frontier)
         for combo in itertools.product(universe, repeat=self.arity):
@@ -203,13 +219,15 @@ def apply_rule(rule: InferenceRule, premises, context: Optional[dict] = None) ->
 
 
 # --------------------------------------------------------------------------
-# Indexed application strategies for the binary built-ins. Both honor the
+# Application strategies. The binary ones index the universe and honor the
 # frontier contract: every (old, new), (new, old), (new, new) pair that the
 # rule could fire on is yielded; (old, old) pairs were yielded when their
-# younger member was itself new.
+# younger member was itself new. They ignore the size cap. The parametric
+# unary ones know the size of a conclusion before building it and skip the
+# parameters that would take it over the cap.
 # --------------------------------------------------------------------------
 
-def _mp_strategy(universe, universe_set, frontier, contexts):
+def _mp_strategy(universe, universe_set, frontier, contexts, size_cap):
     by_antecedent = {}
     for f in universe:
         if type(f) is Binary and f.op == IMPLIES:
@@ -222,7 +240,7 @@ def _mp_strategy(universe, universe_set, frontier, contexts):
                 yield ((f.left, f), ctx)
 
 
-def _cut_strategy(universe, universe_set, frontier, contexts):
+def _cut_strategy(universe, universe_set, frontier, contexts, size_cap):
     or_by_left = {}
     or_by_negated_left = {}
     for f in universe:
@@ -238,6 +256,53 @@ def _cut_strategy(universe, universe_set, frontier, contexts):
                 if type(f.left) is Negation:
                     for first in or_by_left.get(f.left.operand, ()):
                         yield ((first, f), ctx)
+
+
+def _by_formula_size(contexts, name):
+    """Contexts sorted by the size of formula parameter ``name``, and the sizes."""
+    ordered = sorted(contexts, key=lambda ctx: ctx[name].size)
+    return ordered, [ctx[name].size for ctx in ordered]
+
+
+def _every_pair(frontier, contexts):
+    for f in frontier:
+        for ctx in contexts:
+            yield ((f,), ctx)
+
+
+def _substitution_strategy(universe, universe_set, frontier, contexts, size_cap):
+    # Replacing the k occurrences of x in phi by q gives a formula of size
+    # |phi| + k * (|q| - 1), so the usable q are a prefix of the size order.
+    # With k = 0, or with q the atom x itself, the conclusion is phi again.
+    if size_cap is None:
+        yield from _every_pair(frontier, contexts)
+        return
+    by_variable = {}
+    for ctx in contexts:
+        by_variable.setdefault(ctx["variable"], []).append(ctx)
+    groups = [(x, Atom(x)) + _by_formula_size(group, "formula")
+              for x, group in by_variable.items()]
+    for f in frontier:
+        occurrences = atom_occurrences(f)
+        room = size_cap - f.size
+        for x, identity, ordered, sizes in groups:
+            k = occurrences.get(x, 0)
+            if k == 0:
+                continue
+            for ctx in ordered[:bisect_right(sizes, room // k + 1)]:
+                if ctx["formula"] != identity:
+                    yield ((f,), ctx)
+
+
+def _extension_strategy(universe, universe_set, frontier, contexts, size_cap):
+    # (phi | psi) has size |phi| + |psi| + 1.
+    if size_cap is None:
+        yield from _every_pair(frontier, contexts)
+        return
+    ordered, sizes = _by_formula_size(contexts, "psi")
+    for f in frontier:
+        for ctx in ordered[:bisect_right(sizes, size_cap - f.size - 1)]:
+            yield ((f,), ctx)
 
 
 # --------------------------------------------------------------------------
@@ -340,7 +405,7 @@ def _make_substitution(**params):
     return _plain(
         "substitution", 1, _substitution_conclude,
         parameter_kinds=(("variable", PARAM_VARIABLE), ("formula", PARAM_FORMULA)),
-        kind=CONSTRUCTING, basically_closed=True,
+        kind=CONSTRUCTING, basically_closed=True, strategy=_substitution_strategy,
     )
 
 
@@ -352,7 +417,7 @@ def _make_extension(**params):
         return _plain("extension", 1, _extension_conclude,
                       parameter_kinds=(("psi", PARAM_FORMULA),),
                       kind=CONSTRUCTING, basically_closed=True,
-                      requires_connectives=(OR,))
+                      requires_connectives=(OR,), strategy=_extension_strategy)
     if not isinstance(psi, Formula):
         raise RuleParameterError("extension parameter psi must be a formula")
     bound = {"psi": psi}
@@ -459,12 +524,26 @@ def builtin_rule_names() -> tuple:
 # Combinators
 # --------------------------------------------------------------------------
 
+def _with_cap(strategy, inner_cap):
+    """``strategy`` with the size cap passed through ``inner_cap``."""
+    if strategy is None:
+        return None
+
+    def wrapped(universe, universe_set, frontier, contexts, size_cap):
+        return strategy(universe, universe_set, frontier, contexts,
+                        inner_cap(size_cap))
+
+    return wrapped
+
+
 def compose(first: InferenceRule, second: InferenceRule) -> InferenceRule:
     """Pipe every conclusion of ``first`` through ``second``.
 
     The second rule must take exactly one premise and carry no unbound
     parameters, otherwise the composite's conclusions would not be a
-    deterministic function of the first rule's inputs.
+    deterministic function of the first rule's inputs. The first rule's
+    strategy runs without a size cap: the second rule can shrink an
+    oversized conclusion, or turn one equal to its premise into a new one.
     """
     if second.arity != 1:
         raise RuleParameterError(
@@ -491,7 +570,7 @@ def compose(first: InferenceRule, second: InferenceRule) -> InferenceRule:
         decidable_applicability=(first.decidable_applicability
                                  and second.decidable_applicability),
         requires_connectives=first.requires_connectives | second.requires_connectives,
-        strategy=first._strategy,
+        strategy=_with_cap(first._strategy, lambda size_cap: None),
     )
 
 
@@ -510,7 +589,8 @@ def length_filtered(rule: InferenceRule, cap: int) -> InferenceRule:
         basically_closed=rule.basically_closed,
         decidable_applicability=rule.decidable_applicability,
         requires_connectives=rule.requires_connectives,
-        strategy=rule._strategy,
+        strategy=_with_cap(rule._strategy, lambda size_cap: (
+            None if size_cap is None else min(size_cap, cap - 1))),
     )
 
 

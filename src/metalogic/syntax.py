@@ -555,6 +555,29 @@ def formula_atoms(formula: Formula) -> frozenset:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def atom_occurrences(formula: Formula) -> dict:
+    """How often each propositional atom occurs, by name.
+
+    Replacing every occurrence of atom ``x`` by ``q`` gives a formula of
+    size ``formula.size + atom_occurrences(formula)[x] * (q.size - 1)``.
+    """
+    counts = {}
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        kind = type(f)
+        if kind is Atom:
+            counts[f.name] = counts.get(f.name, 0) + 1
+        elif kind is Negation:
+            stack.append(f.operand)
+        elif kind is Binary:
+            stack.append(f.left)
+            stack.append(f.right)
+        elif kind is Quantified:
+            stack.append(f.body)
+    return counts
+
+
 def subformulas(formula: Formula) -> set:
     """All formula-level subtrees, the formula itself included."""
     out = set()

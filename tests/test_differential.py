@@ -1,0 +1,188 @@
+"""Differential oracle: the engine against a naive reference saturator.
+
+The reference builds each stage from every premise tuple over the whole
+body, every parameter context and every rule, with no strategies and no
+pruning: stage n + 1 adds every conclusion within the size cap that is not
+already a member, each with its least justification. The engine must give
+the same members, stages, canonical justifications and status.
+"""
+
+import itertools
+from dataclasses import replace
+
+import pytest
+
+from metalogic import (
+    BUDGET_EXCEEDED,
+    IMPLIES,
+    NOT,
+    OR,
+    SATURATED,
+    STAGE_CAP_HIT,
+    Bounds,
+    Calculus,
+    Formula,
+    PremiseJustification,
+    RuleJustification,
+    builtin_calculus,
+    compose,
+    enumerate_body,
+    inference_closure,
+    instantiation_pool,
+    length_filtered,
+    make_rule,
+    parse_formula,
+    print_formula,
+    propositional_alphabet,
+    realized_axiom_stream,
+    rule_system,
+)
+
+
+def _printed(value):
+    return print_formula(value) if isinstance(value, Formula) else str(value)
+
+
+def _reference_key(justification):
+    return (justification.rule_id,
+            tuple(print_formula(p) for p in justification.premises),
+            tuple((name, _printed(v)) for name, v in justification.context))
+
+
+def _contexts(rule, pool, variables):
+    if not rule.parameter_kinds:
+        return [None]
+    slots = [[(name, value) for value in (pool if kind == "formula" else variables)]
+             for name, kind in rule.parameter_kinds]
+    return [dict(combo) for combo in itertools.product(*slots)]
+
+
+def reference_saturate(seeds, rules, pool, variables, bounds):
+    """Returns (members, status, stage count); members maps a formula to
+    (first stage, justification)."""
+    members = {}
+    for formula, justification in seeds:
+        if formula in members:
+            continue
+        if len(members) >= bounds.node_budget:
+            return members, BUDGET_EXCEEDED, 1
+        members[formula] = (1, justification)
+    stage = 1
+    while True:
+        universe = list(members)
+        best = {}
+        for rule in rules:
+            contexts = _contexts(rule, pool, variables)
+            for premises in itertools.product(universe, repeat=rule.arity):
+                for context in contexts:
+                    items = tuple(sorted(context.items())) if context else ()
+                    for conclusion in rule.conclusions(premises, context):
+                        if conclusion.size > bounds.max_formula_size or conclusion in members:
+                            continue
+                        justification = RuleJustification(rule.identifier, premises, items)
+                        key = _reference_key(justification)
+                        if conclusion not in best or key < best[conclusion][0]:
+                            best[conclusion] = (key, justification)
+        if not best:
+            return members, SATURATED, stage
+        if stage >= bounds.max_stage:
+            return members, STAGE_CAP_HIT, stage
+        stage += 1
+        for conclusion in sorted(best, key=lambda f: (f.size, print_formula(f))):
+            if len(members) >= bounds.node_budget:
+                return members, BUDGET_EXCEEDED, stage
+            members[conclusion] = (stage, best[conclusion][1])
+
+
+def reference_body(calculus, bounds):
+    pool = instantiation_pool(calculus, bounds)
+    return reference_saturate(realized_axiom_stream(calculus, bounds, pool),
+                              calculus.rules, pool, calculus.alphabet.variables, bounds)
+
+
+def reference_closure(rules, premises, bounds, variables=()):
+    ordered = sorted(set(premises), key=lambda f: (f.size, print_formula(f)))
+    seeds = ((f, PremiseJustification()) for f in ordered
+             if f.size <= bounds.max_formula_size)
+    return reference_saturate(seeds, rules, ordered, variables, bounds)
+
+
+def assert_same(body, expected):
+    members, status, stages = expected
+    got = {f: (body.stage_of(f), body.justification_of(f)) for f in body}
+    assert got == members
+    assert body.status == status
+    assert body.stage_count == stages
+
+
+def pooled(name, variables, **params):
+    return replace(builtin_calculus(name, **params), pool_variables=variables)
+
+
+# (calculus, bounds) pairs: every built-in at small bounds, chosen so the
+# size cap, the stage cap and the budget each end some run.
+BUILTIN_CASES = {
+    "kleene-saturated": (lambda: pooled("kleene", ("P",)), Bounds(3, 11, 2000, 3)),
+    "kleene-budget": (lambda: pooled("kleene", ("P", "Q")), Bounds(3, 11, 300, 3)),
+    "church_p1-saturated": (lambda: pooled("church_p1", ("p",)), Bounds(3, 9, 5000, 5)),
+    "church_p1-stage-cap": (lambda: pooled("church_p1", ("p", "q")), Bounds(3, 11, 5000, 3)),
+    "church_p2-stage-cap": (lambda: pooled("church_p2", ("p", "q")), Bounds(3, 9, 5000, 3)),
+    "church_p2-budget": (lambda: pooled("church_p2", ("p",)), Bounds(4, 11, 30, 4)),
+    "shoenfield-saturated": (lambda: builtin_calculus("shoenfield_fragment"), Bounds(3, 8, 5000, 3)),
+    "shoenfield-stage-cap": (lambda: builtin_calculus("shoenfield_fragment"), Bounds(3, 10, 5000, 4)),
+    "lv-kleene": (lambda: pooled("lv", ("P",)), Bounds(3, 11, 2000, 3)),
+    "lv-church_p1": (lambda: pooled("lv", ("p",), base="church_p1"), Bounds(3, 9, 5000, 5)),
+    "free-3": (lambda: builtin_calculus("free", size_cap=3), Bounds(3, 5, 2000, 2)),
+    "free-3-over-cap": (lambda: builtin_calculus("free", size_cap=3), Bounds(3, 2, 2000, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILTIN_CASES))
+def test_builtin_bodies_match_the_reference(case):
+    make, bounds = BUILTIN_CASES[case]
+    calculus = make()
+    assert_same(enumerate_body(calculus, bounds), reference_body(calculus, bounds))
+
+
+PQ_OR = propositional_alphabet(("P", "Q"), connectives=(NOT, OR, IMPLIES))
+
+
+def _wffs(*texts):
+    return [parse_formula(t, PQ_OR) for t in texts]
+
+
+PREMISES = _wffs("(P | P)", "(P | Q)", "(Q | ~P)", "(~Q | (P | P))", "(P -> (Q | Q))")
+
+
+def _composite_calculus(rule):
+    return Calculus(alphabet=PQ_OR, axioms=tuple(PREMISES),
+                    rules=rule_system(rule, make_rule("modus_ponens")),
+                    pool_variables=("P", "Q"))
+
+
+@pytest.mark.parametrize("cap", [4, 7])
+def test_length_filtered_substitution_matches_the_reference(cap):
+    calculus = _composite_calculus(length_filtered(make_rule("substitution"), cap))
+    for bounds in (Bounds(3, 9, 2000, 2), Bounds(4, 6, 2000, 3)):
+        assert_same(enumerate_body(calculus, bounds), reference_body(calculus, bounds))
+
+
+def test_composed_substitution_matches_the_reference():
+    rule = compose(make_rule("substitution"), make_rule("cancellation"))
+    calculus = _composite_calculus(rule)
+    for bounds in (Bounds(3, 9, 2000, 2), Bounds(4, 5, 2000, 3)):
+        assert_same(enumerate_body(calculus, bounds), reference_body(calculus, bounds))
+
+
+@pytest.mark.parametrize("rules", [
+    (make_rule("substitution"),),
+    (make_rule("extension"), make_rule("cancellation")),
+    (compose(make_rule("substitution"), make_rule("cancellation")),),
+    (compose(make_rule("extension"), make_rule("associativity_left")),),
+    (length_filtered(make_rule("extension"), 6), make_rule("cut")),
+], ids=lambda rules: " + ".join(r.identifier for r in rules))
+def test_closures_match_the_reference(rules):
+    system = rule_system(*rules)
+    for bounds in (Bounds(3, 7, 2000, 3), Bounds(2, 9, 150, 3)):
+        body = inference_closure(system, PREMISES, bounds, variables=("P", "Q"))
+        assert_same(body, reference_closure(system, PREMISES, bounds, ("P", "Q")))

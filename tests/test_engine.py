@@ -22,6 +22,7 @@ from metalogic import (
     SchemaJustification,
     StagedAxioms,
     church_p1_calculus,
+    compose,
     consequence_step,
     derive,
     enumerate_body,
@@ -35,6 +36,7 @@ from metalogic import (
     propositional_alphabet,
     realized_axioms,
     render_derivation,
+    render_justification,
     rule_system,
     schema_instances,
     staged_run,
@@ -308,6 +310,19 @@ class TestClosureOperators:
         with pytest.raises(BudgetExceededError):
             consequence_step(rules, premises,
                              parameter_pool=premises * 1, node_budget=0)
+
+    def test_composite_keeps_candidates_its_first_rule_would_skip(self):
+        # Q does not occur in (P | P), so the substitution alone is a no-op
+        # that a size-pruning strategy skips; cancellation then yields P.
+        alphabet = propositional_alphabet(("P", "Q"))
+        rules = rule_system(compose(make_rule("substitution"), make_rule("cancellation")))
+        closed = inference_closure(rules, [parse_formula("(P | P)", alphabet)],
+                                   Bounds(3, 9, 1000, 3), variables=("Q",))
+        target = parse_formula("P", alphabet)
+        assert closed.stage_of(target) == 2
+        assert render_justification(closed.justification_of(target)) == (
+            "compose(substitution, cancellation): (P | P) with formula=(P | P), variable=Q"
+        )
 
     def test_parameter_pool_defaults_to_premises(self):
         rules = rule_system(make_rule("extension"))

@@ -1,5 +1,7 @@
 """Inference rules: built-ins, parameters, combinators, frontier strategies."""
 
+import itertools
+
 import pytest
 
 from metalogic import (
@@ -181,3 +183,31 @@ class TestFrontierStrategies:
                     continue
                 expected.update(apply_rule(rule, (minor, major)))
         assert fired == expected
+
+    @pytest.mark.parametrize("cap", [None, 2, 4, 7])
+    @pytest.mark.parametrize("name", ["substitution", "extension"])
+    def test_size_pruned_strategy_yields_exactly_the_fitting_candidates(self, name, cap):
+        rule = make_rule(name)
+        universe = [wff(t) for t in (
+            "(P | P)", "P", "~P", "Q", "((P & Q) -> ~P)", "(P -> Q)", "(R | (Q -> R))",
+        )]
+        frontier = universe[2:]
+        slots = [[(slot, value) for value in (universe if kind == "formula" else "PQR")]
+                 for slot, kind in rule.parameter_kinds]
+        contexts = [dict(combo) for combo in itertools.product(*slots)]
+
+        def key(premises, context):
+            return premises, tuple(sorted(context.items()))
+
+        yielded = [key(premises, context) for premises, context in
+                   rule.candidate_applications(universe, set(universe), frontier,
+                                               contexts, cap)]
+        # Without a cap nothing is skipped; with one, exactly the tuples with
+        # a conclusion that fits and differs from the premise are yielded.
+        expected = {
+            key((f,), context) for f in frontier for context in contexts
+            if cap is None or any(c.size <= cap and c != f
+                                  for c in apply_rule(rule, (f,), context))
+        }
+        assert len(yielded) == len(set(yielded))
+        assert set(yielded) == expected
