@@ -154,8 +154,8 @@ class InferenceRule:
         whose conclusions fit under ``size_cap`` is eventually yielded (see
         the class docstring for what may be skipped). The generic fallback
         scans all tuples touching the frontier and ignores the cap; modus
-        ponens and cut install indexed strategies, and substitution and
-        unbound extension prune their parameters by the conclusion's size.
+        ponens and cut install indexed strategies, and substitution prunes
+        its parameters by the conclusion's size.
         """
         if self._strategy is not None:
             yield from self._strategy(universe, universe_set, frontier, contexts,
@@ -222,8 +222,8 @@ def apply_rule(rule: InferenceRule, premises, context: Optional[dict] = None) ->
 # Application strategies. The binary ones index the universe and honor the
 # frontier contract: every (old, new), (new, old), (new, new) pair that the
 # rule could fire on is yielded; (old, old) pairs were yielded when their
-# younger member was itself new. They ignore the size cap. The parametric
-# unary ones know the size of a conclusion before building it and skip the
+# younger member was itself new. They ignore the size cap. The substitution
+# strategy knows the size of a conclusion before building it and skips the
 # parameters that would take it over the cap.
 # --------------------------------------------------------------------------
 
@@ -258,12 +258,6 @@ def _cut_strategy(universe, universe_set, frontier, contexts, size_cap):
                         yield ((first, f), ctx)
 
 
-def _by_formula_size(contexts, name):
-    """Contexts sorted by the size of formula parameter ``name``, and the sizes."""
-    ordered = sorted(contexts, key=lambda ctx: ctx[name].size)
-    return ordered, [ctx[name].size for ctx in ordered]
-
-
 def _every_pair(frontier, contexts):
     for f in frontier:
         for ctx in contexts:
@@ -280,8 +274,10 @@ def _substitution_strategy(universe, universe_set, frontier, contexts, size_cap)
     by_variable = {}
     for ctx in contexts:
         by_variable.setdefault(ctx["variable"], []).append(ctx)
-    groups = [(x, Atom(x)) + _by_formula_size(group, "formula")
-              for x, group in by_variable.items()]
+    groups = []
+    for x, group in by_variable.items():
+        group.sort(key=lambda ctx: ctx["formula"].size)
+        groups.append((x, Atom(x), group, [ctx["formula"].size for ctx in group]))
     for f in frontier:
         occurrences = atom_occurrences(f)
         room = size_cap - f.size
@@ -292,17 +288,6 @@ def _substitution_strategy(universe, universe_set, frontier, contexts, size_cap)
             for ctx in ordered[:bisect_right(sizes, room // k + 1)]:
                 if ctx["formula"] != identity:
                     yield ((f,), ctx)
-
-
-def _extension_strategy(universe, universe_set, frontier, contexts, size_cap):
-    # (phi | psi) has size |phi| + |psi| + 1.
-    if size_cap is None:
-        yield from _every_pair(frontier, contexts)
-        return
-    ordered, sizes = _by_formula_size(contexts, "psi")
-    for f in frontier:
-        for ctx in ordered[:bisect_right(sizes, size_cap - f.size - 1)]:
-            yield ((f,), ctx)
 
 
 # --------------------------------------------------------------------------
@@ -417,7 +402,7 @@ def _make_extension(**params):
         return _plain("extension", 1, _extension_conclude,
                       parameter_kinds=(("psi", PARAM_FORMULA),),
                       kind=CONSTRUCTING, basically_closed=True,
-                      requires_connectives=(OR,), strategy=_extension_strategy)
+                      requires_connectives=(OR,))
     if not isinstance(psi, Formula):
         raise RuleParameterError("extension parameter psi must be a formula")
     bound = {"psi": psi}

@@ -184,9 +184,9 @@ class TestFrontierStrategies:
                 expected.update(apply_rule(rule, (minor, major)))
         assert fired == expected
 
-    @pytest.mark.parametrize("cap", [None, 2, 4, 7])
-    @pytest.mark.parametrize("name", ["substitution", "extension"])
-    def test_size_pruned_strategy_yields_exactly_the_fitting_candidates(self, name, cap):
+    @staticmethod
+    def _candidates(name, cap):
+        """(yielded, all, fitting) candidate keys of a unary parametric rule."""
         rule = make_rule(name)
         universe = [wff(t) for t in (
             "(P | P)", "P", "~P", "Q", "((P & Q) -> ~P)", "(P -> Q)", "(R | (Q -> R))",
@@ -202,12 +202,26 @@ class TestFrontierStrategies:
         yielded = [key(premises, context) for premises, context in
                    rule.candidate_applications(universe, set(universe), frontier,
                                                contexts, cap)]
-        # Without a cap nothing is skipped; with one, exactly the tuples with
-        # a conclusion that fits and differs from the premise are yielded.
-        expected = {
+        every = {key((f,), context) for f in frontier for context in contexts}
+        fitting = {
             key((f,), context) for f in frontier for context in contexts
-            if cap is None or any(c.size <= cap and c != f
-                                  for c in apply_rule(rule, (f,), context))
+            if any((cap is None or c.size <= cap) and c != f
+                   for c in apply_rule(rule, (f,), context))
         }
+        return yielded, every, fitting
+
+    @pytest.mark.parametrize("cap", [None, 2, 4, 7])
+    @pytest.mark.parametrize("name", ["substitution", "extension"])
+    def test_parametric_strategy_covers_every_fitting_conclusion(self, name, cap):
+        yielded, every, fitting = self._candidates(name, cap)
         assert len(yielded) == len(set(yielded))
-        assert set(yielded) == expected
+        assert fitting <= set(yielded)
+        if cap is None:
+            assert set(yielded) == every
+
+    @pytest.mark.parametrize("cap", [2, 4, 7])
+    def test_substitution_strategy_skips_what_saturation_drops(self, cap):
+        # Over the cap, an absent variable and the identity binding q = x
+        # all lead to conclusions that saturation would throw away.
+        yielded, every, fitting = self._candidates("substitution", cap)
+        assert set(yielded) == fitting < every
