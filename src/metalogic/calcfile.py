@@ -54,7 +54,7 @@ from .engine import (
 )
 from .errors import CalculusFileError, MetalogicError
 from .library import builtin_calculus, make_validator
-from .rules import InferenceRule, RuleSystem, make_rule, rule_system
+from .rules import InferenceRule, make_rule, rule_system
 from .syntax import (
     Alphabet,
     Schema,
@@ -87,6 +87,19 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _names(mapping: dict, key: str, where: str, default=None) -> tuple:
+    """``mapping[key]`` as a tuple; it must be a JSON list of strings.
+
+    A missing key gives ``default``, or is an error when ``default`` is None.
+    """
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise CalculusFileError(
+            f"{where}: {key!r} must be a list of strings, got {value!r}"
+        )
+    return tuple(value)
+
+
 def _arity_pairs(raw, where: str) -> tuple:
     out = []
     for item in raw:
@@ -97,6 +110,9 @@ def _arity_pairs(raw, where: str) -> tuple:
             )
         out.append((item[0], item[1]))
     return tuple(out)
+
+
+_CONNECTIVES = ("not", "and", "or", "implies")
 
 
 def _parse_language(raw: dict) -> Alphabet:
@@ -117,10 +133,9 @@ def _parse_language(raw: dict) -> Alphabet:
                     f"{where}: {key!r} needs kind 'first-order'"
                 )
         return propositional_alphabet(
-            tuple(_require(raw, "variables", where)),
-            connectives=tuple(raw.get("connectives",
-                                      ("not", "and", "or", "implies"))),
-            constants=tuple(raw.get("constants", ())),
+            _names(raw, "variables", where),
+            connectives=_names(raw, "connectives", where, _CONNECTIVES),
+            constants=_names(raw, "constants", where, ()),
             punctuation=punctuation,
         )
     if kind == "first-order":
@@ -130,13 +145,12 @@ def _parse_language(raw: dict) -> Alphabet:
                 f"symbols (propositional or individual)"
             )
         return first_order_alphabet(
-            tuple(_require(raw, "individual_variables", where)),
-            variables=tuple(raw.get("variables", ())),
-            connectives=tuple(raw.get("connectives",
-                                      ("not", "and", "or", "implies"))),
+            _names(raw, "individual_variables", where),
+            variables=_names(raw, "variables", where, ()),
+            connectives=_names(raw, "connectives", where, _CONNECTIVES),
             functions=_arity_pairs(raw.get("functions", ()), where),
             predicates=_arity_pairs(raw.get("predicates", ()), where),
-            quantifiers=tuple(raw.get("quantifiers", ("exists",))),
+            quantifiers=_names(raw, "quantifiers", where, ("exists",)),
             punctuation=punctuation,
         )
     raise CalculusFileError(
@@ -159,7 +173,7 @@ def _parse_schema(raw, alphabet: Alphabet, index: int) -> Schema:
         raise CalculusFileError(f"{where}: expected an object")
     _reject_unknown(raw, ("id", "pattern", "metavariables"), where)
     schema_id = _require(raw, "id", where)
-    metavariables = tuple(_require(raw, "metavariables", where))
+    metavariables = _names(raw, "metavariables", where)
     try:
         meta_alphabet = replace(
             alphabet, variables=tuple(alphabet.variables) + metavariables
@@ -264,7 +278,7 @@ def parse_calculus_data(data: dict) -> CalculusFile:
             schemata=schemata,
             rules=rule_system(*rules),
             schema_mode=data.get("schema_mode", ON_DEMAND_MODE),
-            pool_variables=tuple(data.get("pool_variables", ())),
+            pool_variables=_names(data, "pool_variables", "top level", ()),
             name=str(data.get("name", "")),
         )
     except MetalogicError as exc:

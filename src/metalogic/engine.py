@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     AlphabetError,
@@ -42,12 +42,10 @@ from .syntax import (
     Alphabet,
     Atom,
     Formula,
-    PROPOSITIONAL,
     Schema,
     atom_occurrences,
     canonical_key,
     enumerate_wffs,
-    formula_atoms,
     instantiate_schema,
     print_formula,
     subformulas,
@@ -75,7 +73,7 @@ class Bounds:
         for name in ("max_stage", "max_formula_size", "node_budget",
                      "instantiation_pool_size"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise RuleParameterError(f"bound {name} must be an integer >= 1, got {value!r}")
 
 
@@ -395,23 +393,28 @@ def realized_axioms(calculus: Calculus, bounds: Bounds,
 class BoundedBody:
     """The staged theorem set of one bounded run.
 
-    ``theorems`` is canonically ordered; ``stage_sets[n-1]`` is the
-    cumulative stage T_n; per-theorem first stages and justifications are
-    queryable, and ``derivation_of`` reconstructs a full proof DAG.
+    ``theorems`` is canonically ordered; per-theorem first stages and
+    justifications are queryable, and ``derivation_of`` reconstructs a full
+    proof DAG. ``stage_sets[n-1]`` is the cumulative stage T_n; it is
+    rebuilt from the first stages on each access rather than stored.
     """
 
-    __slots__ = ("status", "bounds", "_members", "_order", "stage_sets",
-                 "theorems", "stage_count")
+    __slots__ = ("status", "bounds", "_members", "theorems", "stage_count")
 
-    def __init__(self, members: dict, order: list, stage_sets: list,
-                 status: str, bounds: Bounds):
+    def __init__(self, members: dict, stage_count: int, status: str,
+                 bounds: Bounds):
         self._members = members
-        self._order = tuple(order)
-        self.stage_sets = tuple(stage_sets)
+        self.stage_count = stage_count
         self.status = status
         self.bounds = bounds
         self.theorems = tuple(sorted(members, key=canonical_key))
-        self.stage_count = len(stage_sets)
+
+    @property
+    def stage_sets(self) -> tuple:
+        return tuple(
+            frozenset(f for f, (stage, _) in self._members.items() if stage <= n)
+            for n in range(1, self.stage_count + 1)
+        )
 
     def __contains__(self, formula) -> bool:
         return formula in self._members
@@ -607,13 +610,31 @@ def _rule_contexts(rule: InferenceRule, pool: Sequence[Formula],
     return tuple(dict(combo) for combo in itertools.product(*slots))
 
 
+def _layer(rules_with_contexts, universe: Mapping, frontier: Sequence[Formula],
+           size_cap: Optional[int]) -> Iterator[tuple]:
+    """One application layer: yield (rule, premises, context, conclusion).
+
+    Every rule runs through its candidate strategy against the universe and
+    frontier (see ``InferenceRule.candidate_applications``); conclusions
+    larger than ``size_cap`` are dropped, and ``None`` drops nothing and
+    lets no strategy skip a tuple by size.
+    """
+    for rule, contexts in rules_with_contexts:
+        if not contexts:
+            continue
+        for premises, context in rule.candidate_applications(
+                universe, frontier, contexts, size_cap):
+            for conclusion in rule.conclusions(premises, context):
+                if size_cap is None or conclusion.size <= size_cap:
+                    yield rule, premises, context, conclusion
+
+
 class _Run:
-    __slots__ = ("members", "order", "stage_sets", "status", "found")
+    __slots__ = ("members", "stages", "status", "found")
 
     def __init__(self):
         self.members = {}
-        self.stage_sets = []
-        self.order = []
+        self.stages = 1
         self.status = None
         self.found = False
 
@@ -623,7 +644,6 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
               stop_goal: Optional[Formula] = None) -> _Run:
     run = _Run()
     members = run.members
-    order = run.order
 
     # Stage 1: the realized axioms (or seeded premises).
     for formula, justification in seed_stream:
@@ -633,65 +653,51 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
             run.status = BUDGET_EXCEEDED
             break
         members[formula] = (1, justification)
-        order.append(formula)
         if stop_goal is not None and formula == stop_goal:
             run.found = True
             break
-    run.stage_sets.append(frozenset(members))
     if run.found or run.status is not None:
         return run
 
     contexts_by_rule = tuple(
         (rule, _rule_contexts(rule, pool, variables)) for rule in rules
     )
-    members_set = set(members)
-    frontier = list(order)
-    stage = 1
+    frontier = list(members)
 
     while True:
         # Gather the next layer before looking at the stage cap: an empty
         # layer means saturation even when this was the last allowed stage.
         candidates = {}
         candidate_keys = {}
-        for rule, contexts in contexts_by_rule:
-            if not contexts:
+        for rule, premises, context, conclusion in _layer(
+                contexts_by_rule, members, frontier, bounds.max_formula_size):
+            if conclusion in members:
                 continue
-            for premises, context in rule.candidate_applications(
-                    order, members_set, frontier, contexts,
-                    bounds.max_formula_size):
-                for conclusion in rule.conclusions(premises, context):
-                    if conclusion.size > bounds.max_formula_size:
-                        continue
-                    if conclusion in members:
-                        continue
-                    justification = RuleJustification(
-                        rule.identifier, premises, _context_items(context)
-                    )
-                    key = _justification_key(justification)
-                    held = candidate_keys.get(conclusion)
-                    if held is None or key < held:
-                        candidate_keys[conclusion] = key
-                        candidates[conclusion] = justification
+            justification = RuleJustification(
+                rule.identifier, premises, _context_items(context)
+            )
+            key = _justification_key(justification)
+            held = candidate_keys.get(conclusion)
+            if held is None or key < held:
+                candidate_keys[conclusion] = key
+                candidates[conclusion] = justification
         if not candidates:
             run.status = SATURATED
             break
-        if stage >= bounds.max_stage:
+        if run.stages >= bounds.max_stage:
             run.status = STAGE_CAP_HIT
             break
-        stage += 1
+        run.stages += 1
         frontier = []
         for formula in sorted(candidates, key=canonical_key):
             if len(members) >= bounds.node_budget:
                 run.status = BUDGET_EXCEEDED
                 break
-            members[formula] = (stage, candidates[formula])
-            order.append(formula)
-            members_set.add(formula)
+            members[formula] = (run.stages, candidates[formula])
             frontier.append(formula)
             if stop_goal is not None and formula == stop_goal:
                 run.found = True
                 break
-        run.stage_sets.append(frozenset(members))
         if run.found or run.status is not None:
             break
     return run
@@ -709,7 +715,7 @@ def enumerate_body(calculus: Calculus, bounds: Bounds = DEFAULT_BOUNDS,
         realized_axiom_stream(calculus, bounds, pool),
         calculus.rules, pool, calculus.alphabet.variables, bounds,
     )
-    return BoundedBody(run.members, run.order, run.stage_sets, run.status, bounds)
+    return BoundedBody(run.members, run.stages, run.status, bounds)
 
 
 def consequence_step(rules: RuleSystem, premises: Iterable[Formula], *,
@@ -727,21 +733,22 @@ def consequence_step(rules: RuleSystem, premises: Iterable[Formula], *,
     premise_list = sorted(set(premises), key=canonical_key)
     pool = (sorted(set(parameter_pool), key=canonical_key)
             if parameter_pool is not None else premise_list)
+    rules_with_contexts = tuple(
+        (rule, _rule_contexts(rule, pool, variables)) for rule in rules
+    )
+    # The whole premise set is the frontier. No cap goes into the layer,
+    # so no strategy skips a tuple whose conclusion equals a premise.
     out = set()
-    for rule in rules:
-        contexts = _rule_contexts(rule, pool, variables)
-        if not contexts:
+    for _, _, _, conclusion in _layer(rules_with_contexts,
+                                      dict.fromkeys(premise_list),
+                                      premise_list, None):
+        if size_cap is not None and conclusion.size > size_cap:
             continue
-        for combo in itertools.product(premise_list, repeat=rule.arity):
-            for context in contexts:
-                for conclusion in rule.conclusions(combo, context):
-                    if size_cap is not None and conclusion.size > size_cap:
-                        continue
-                    out.add(conclusion)
-                    if node_budget is not None and len(out) > node_budget:
-                        raise BudgetExceededError(
-                            f"consequence step produced more than {node_budget} formulas"
-                        )
+        out.add(conclusion)
+        if node_budget is not None and len(out) > node_budget:
+            raise BudgetExceededError(
+                f"consequence step produced more than {node_budget} formulas"
+            )
     return frozenset(out)
 
 
@@ -762,7 +769,7 @@ def inference_closure(rules: RuleSystem, premises: Iterable[Formula],
         for f in premise_list if f.size <= bounds.max_formula_size
     )
     run = _saturate(seeds, rules, pool, variables, bounds)
-    return BoundedBody(run.members, run.order, run.stage_sets, run.status, bounds)
+    return BoundedBody(run.members, run.stages, run.status, bounds)
 
 
 @dataclass(frozen=True)
@@ -805,9 +812,9 @@ def derive(calculus: Calculus, goal: Formula,
     if run.found:
         return DeriveOutcome(
             _build_derivation(run.members, goal), GOAL_FOUND,
-            len(run.members), len(run.stage_sets),
+            len(run.members), run.stages,
         )
-    return DeriveOutcome(None, run.status, len(run.members), len(run.stage_sets))
+    return DeriveOutcome(None, run.status, len(run.members), run.stages)
 
 
 def staged_run(calculus: Calculus, staged: StagedAxioms,

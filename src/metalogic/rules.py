@@ -3,9 +3,9 @@
 A rule maps a fixed-arity tuple of premise formulas (plus, for parametric
 rules, a parameter context) to a finite set of conclusions. The empty set
 means the rule is inapplicable to that tuple; applicability is always
-decided, never an error. Rules carry declared metadata (constructing vs
-transforming, basic closure, decidable applicability) that downstream
-analysis reports but does not verify.
+decided, never an error. A rule may also carry a strategy that lists the
+premise tuples worth trying against a universe/frontier split, so that an
+application layer need not scan every tuple.
 
 Built-in rules:
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .errors import ArityError, RuleParameterError, UnknownRuleError
 from .syntax import (
@@ -53,9 +53,6 @@ from .syntax import (
     print_formula,
     substitute_prop,
 )
-
-CONSTRUCTING = "constructing"
-TRANSFORMING = "transforming"
 
 PARAM_FORMULA = "formula"
 PARAM_VARIABLE = "variable"
@@ -85,10 +82,12 @@ class InferenceRule:
     kind one of "formula" (drawn from the instantiation pool) or "variable"
     (drawn from the alphabet's propositional variables).
 
-    ``strategy``, when present, is called as ``strategy(universe,
-    universe_set, frontier, contexts, size_cap)`` and enumerates candidate
-    (premises, context) pairs against a universe/frontier split, so
-    saturation runs avoid the all-tuples scan. It must cover every tuple
+    ``strategy``, when present, is called as ``strategy(universe, frontier,
+    contexts, size_cap)`` and enumerates candidate (premises, context) pairs
+    against a universe/frontier split, so application layers avoid the
+    all-tuples scan. ``universe`` is an insertion-ordered mapping whose keys
+    are every formula known so far; strategies iterate it and test
+    membership in it. It must cover every tuple
     that contains at least one frontier formula and has a conclusion that
     fits under ``size_cap`` and differs from its premises. It may skip a
     tuple whose conclusions are all larger than ``size_cap`` or equal to a
@@ -99,25 +98,16 @@ class InferenceRule:
     conclusion or turn one equal to the premise into something new.
     """
 
-    __slots__ = ("identifier", "arity", "parameter_kinds", "kind",
-                 "basically_closed", "decidable_applicability",
+    __slots__ = ("identifier", "arity", "parameter_kinds",
                  "requires_connectives", "_conclude", "_strategy")
 
     def __init__(self, identifier: str, arity: int, conclude,
-                 parameter_kinds=(), kind: str = TRANSFORMING,
-                 basically_closed: bool = False,
-                 decidable_applicability: bool = True,
-                 requires_connectives=(), strategy=None):
+                 parameter_kinds=(), requires_connectives=(), strategy=None):
         if arity < 0:
             raise RuleParameterError(f"rule arity must be >= 0, got {arity}")
-        if kind not in (CONSTRUCTING, TRANSFORMING):
-            raise RuleParameterError(f"unknown rule kind: {kind!r}")
         self.identifier = identifier
         self.arity = arity
         self.parameter_kinds = tuple(parameter_kinds)
-        self.kind = kind
-        self.basically_closed = basically_closed
-        self.decidable_applicability = decidable_applicability
         self.requires_connectives = frozenset(requires_connectives)
         self._conclude = conclude
         self._strategy = strategy
@@ -142,24 +132,23 @@ class InferenceRule:
                 )
         return frozenset(self._conclude(premises, context))
 
-    def candidate_applications(self, universe: list, universe_set: set,
-                               frontier: list, contexts,
+    def candidate_applications(self, universe: Mapping, frontier: list, contexts,
                                size_cap: Optional[int] = None) -> Iterator[tuple]:
         """Yield (premises, context) pairs worth trying this pass.
 
-        ``universe`` holds every formula known so far (frontier included, in
-        first-seen order); ``frontier`` holds the formulas new since the last
-        pass. Completeness contract: together with earlier passes over the
-        same growing universe, every premise tuple over the final universe
-        whose conclusions fit under ``size_cap`` is eventually yielded (see
-        the class docstring for what may be skipped). The generic fallback
-        scans all tuples touching the frontier and ignores the cap; modus
-        ponens and cut install indexed strategies, and substitution prunes
-        its parameters by the conclusion's size.
+        ``universe`` is keyed by every formula known so far (frontier
+        included, in first-seen order); ``frontier`` holds the formulas new
+        since the last pass. Completeness contract: together with earlier
+        passes over the same growing universe, every premise tuple over the
+        final universe whose conclusions fit under ``size_cap`` is
+        eventually yielded (see the class docstring for what may be
+        skipped). The generic fallback scans all tuples touching the
+        frontier and ignores the cap; modus ponens and cut install indexed
+        strategies, and substitution prunes its parameters by the
+        conclusion's size.
         """
         if self._strategy is not None:
-            yield from self._strategy(universe, universe_set, frontier, contexts,
-                                      size_cap)
+            yield from self._strategy(universe, frontier, contexts, size_cap)
             return
         if self.arity == 0:
             for ctx in contexts:
@@ -189,7 +178,6 @@ class RuleSystem:
     """An ordered collection of rules with unique identifiers."""
 
     rules: tuple = ()
-    closed_under_composition: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -209,8 +197,8 @@ class RuleSystem:
         return len(self.rules)
 
 
-def rule_system(*rules, closed_under_composition: bool = False) -> RuleSystem:
-    return RuleSystem(tuple(rules), closed_under_composition)
+def rule_system(*rules) -> RuleSystem:
+    return RuleSystem(tuple(rules))
 
 
 def apply_rule(rule: InferenceRule, premises, context: Optional[dict] = None) -> frozenset:
@@ -227,7 +215,7 @@ def apply_rule(rule: InferenceRule, premises, context: Optional[dict] = None) ->
 # parameters that would take it over the cap.
 # --------------------------------------------------------------------------
 
-def _mp_strategy(universe, universe_set, frontier, contexts, size_cap):
+def _mp_strategy(universe, frontier, contexts, size_cap):
     by_antecedent = {}
     for f in universe:
         if type(f) is Binary and f.op == IMPLIES:
@@ -236,11 +224,11 @@ def _mp_strategy(universe, universe_set, frontier, contexts, size_cap):
         for f in frontier:
             for major in by_antecedent.get(f, ()):
                 yield ((f, major), ctx)
-            if type(f) is Binary and f.op == IMPLIES and f.left in universe_set:
+            if type(f) is Binary and f.op == IMPLIES and f.left in universe:
                 yield ((f.left, f), ctx)
 
 
-def _cut_strategy(universe, universe_set, frontier, contexts, size_cap):
+def _cut_strategy(universe, frontier, contexts, size_cap):
     or_by_left = {}
     or_by_negated_left = {}
     for f in universe:
@@ -264,7 +252,7 @@ def _every_pair(frontier, contexts):
             yield ((f,), ctx)
 
 
-def _substitution_strategy(universe, universe_set, frontier, contexts, size_cap):
+def _substitution_strategy(universe, frontier, contexts, size_cap):
     # Replacing the k occurrences of x in phi by q gives a formula of size
     # |phi| + k * (|q| - 1), so the usable q are a prefix of the size order.
     # With k = 0, or with q the atom x itself, the conclusion is phi again.
@@ -363,10 +351,6 @@ def _identity_conclude(premises, context):
     return (premises[0],)
 
 
-def _plain(identifier, arity, conclude, **kw) -> InferenceRule:
-    return InferenceRule(identifier, arity, conclude, **kw)
-
-
 _BUILTIN_FACTORIES = {}
 
 
@@ -380,17 +364,17 @@ def _register(name):
 @_register("modus_ponens")
 def _make_modus_ponens(**params):
     _reject_params("modus_ponens", params)
-    return _plain("modus_ponens", 2, _mp_conclude,
-                  requires_connectives=(IMPLIES,), strategy=_mp_strategy)
+    return InferenceRule("modus_ponens", 2, _mp_conclude,
+                         requires_connectives=(IMPLIES,), strategy=_mp_strategy)
 
 
 @_register("substitution")
 def _make_substitution(**params):
     _reject_params("substitution", params)
-    return _plain(
+    return InferenceRule(
         "substitution", 1, _substitution_conclude,
         parameter_kinds=(("variable", PARAM_VARIABLE), ("formula", PARAM_FORMULA)),
-        kind=CONSTRUCTING, basically_closed=True, strategy=_substitution_strategy,
+        strategy=_substitution_strategy,
     )
 
 
@@ -399,58 +383,56 @@ def _make_extension(**params):
     psi = params.pop("psi", None)
     _reject_params("extension", params)
     if psi is None:
-        return _plain("extension", 1, _extension_conclude,
-                      parameter_kinds=(("psi", PARAM_FORMULA),),
-                      kind=CONSTRUCTING, basically_closed=True,
-                      requires_connectives=(OR,))
+        return InferenceRule("extension", 1, _extension_conclude,
+                             parameter_kinds=(("psi", PARAM_FORMULA),),
+                             requires_connectives=(OR,))
     if not isinstance(psi, Formula):
         raise RuleParameterError("extension parameter psi must be a formula")
     bound = {"psi": psi}
-    return _plain(f"extension(psi={print_formula(psi)})", 1,
-                  lambda premises, context: _extension_conclude(premises, bound),
-                  kind=CONSTRUCTING, basically_closed=True,
-                  requires_connectives=(OR,))
+    return InferenceRule(f"extension(psi={print_formula(psi)})", 1,
+                         lambda premises, context: _extension_conclude(premises, bound),
+                         requires_connectives=(OR,))
 
 
 @_register("cancellation")
 def _make_cancellation(**params):
     _reject_params("cancellation", params)
-    return _plain("cancellation", 1, _cancellation_conclude,
-                  requires_connectives=(OR,))
+    return InferenceRule("cancellation", 1, _cancellation_conclude,
+                         requires_connectives=(OR,))
 
 
 @_register("associativity_left")
 def _make_assoc_left(**params):
     _reject_params("associativity_left", params)
-    return _plain("associativity_left", 1, _assoc_left_conclude,
-                  requires_connectives=(OR,))
+    return InferenceRule("associativity_left", 1, _assoc_left_conclude,
+                         requires_connectives=(OR,))
 
 
 @_register("associativity_right")
 def _make_assoc_right(**params):
     _reject_params("associativity_right", params)
-    return _plain("associativity_right", 1, _assoc_right_conclude,
-                  requires_connectives=(OR,))
+    return InferenceRule("associativity_right", 1, _assoc_right_conclude,
+                         requires_connectives=(OR,))
 
 
 @_register("cut")
 def _make_cut(**params):
     _reject_params("cut", params)
-    return _plain("cut", 2, _cut_conclude,
-                  requires_connectives=(OR, NOT), strategy=_cut_strategy)
+    return InferenceRule("cut", 2, _cut_conclude,
+                         requires_connectives=(OR, NOT), strategy=_cut_strategy)
 
 
 @_register("exists_introduction")
 def _make_exists_intro(**params):
     _reject_params("exists_introduction", params)
-    return _plain("exists_introduction", 1, _exists_intro_conclude,
-                  kind=CONSTRUCTING, requires_connectives=(IMPLIES,))
+    return InferenceRule("exists_introduction", 1, _exists_intro_conclude,
+                         requires_connectives=(IMPLIES,))
 
 
 @_register("identity")
 def _make_identity(**params):
     _reject_params("identity", params)
-    return _plain("identity", 1, _identity_conclude, basically_closed=True)
+    return InferenceRule("identity", 1, _identity_conclude)
 
 
 @_register("compose")
@@ -514,9 +496,8 @@ def _with_cap(strategy, inner_cap):
     if strategy is None:
         return None
 
-    def wrapped(universe, universe_set, frontier, contexts, size_cap):
-        return strategy(universe, universe_set, frontier, contexts,
-                        inner_cap(size_cap))
+    def wrapped(universe, frontier, contexts, size_cap):
+        return strategy(universe, frontier, contexts, inner_cap(size_cap))
 
     return wrapped
 
@@ -550,10 +531,6 @@ def compose(first: InferenceRule, second: InferenceRule) -> InferenceRule:
         first.arity,
         conclude,
         parameter_kinds=first.parameter_kinds,
-        kind=first.kind if first.kind == second.kind else CONSTRUCTING,
-        basically_closed=first.basically_closed,
-        decidable_applicability=(first.decidable_applicability
-                                 and second.decidable_applicability),
         requires_connectives=first.requires_connectives | second.requires_connectives,
         strategy=_with_cap(first._strategy, lambda size_cap: None),
     )
@@ -570,9 +547,6 @@ def length_filtered(rule: InferenceRule, cap: int) -> InferenceRule:
         rule.arity,
         conclude,
         parameter_kinds=rule.parameter_kinds,
-        kind=rule.kind,
-        basically_closed=rule.basically_closed,
-        decidable_applicability=rule.decidable_applicability,
         requires_connectives=rule.requires_connectives,
         strategy=_with_cap(rule._strategy, lambda size_cap: (
             None if size_cap is None else min(size_cap, cap - 1))),

@@ -28,6 +28,13 @@ variables that occur free in their body (vacuous quantification is not well
 formed). Individual variables may carry trailing apostrophes; the namespace of
 a declared variable x includes x', x'' and so on, which is what fresh renaming
 during capture-avoiding substitution produces.
+
+Input may nest at most 100 levels deep. Each open bracket counts one level,
+and so does each connective or quantifier whose operand is still being read:
+a negation, a quantifier, the right operand of -> and <->, and every further
+operand of an & or | chain. Deeper input is a ParseError, so the recursive
+parser and the recursive tree walkers that later visit the formula stay
+within Python's stack.
 """
 
 from __future__ import annotations
@@ -307,10 +314,6 @@ def equality(left: Term, right: Term) -> Equality:
     return Equality(left, right)
 
 
-def formula_size(formula: Formula) -> int:
-    return formula.size
-
-
 # ==========================================================================
 # Printing
 # ==========================================================================
@@ -363,10 +366,6 @@ def print_formula(formula: Formula) -> str:
 def canonical_key(formula: Formula):
     """Sort key for the canonical size-lexicographic order."""
     return (formula.size, print_formula(formula))
-
-
-def sorted_formulas(formulas: Iterable[Formula]) -> list:
-    return sorted(formulas, key=canonical_key)
 
 
 # ==========================================================================
@@ -756,11 +755,17 @@ _CLOSER = {"LPAREN": ("RPAREN", ")"), "LBRACKET": ("RBRACKET", "]")}
 
 
 class _Parser:
+    """Recursive descent, bounded to MAX_NESTING levels (see the module
+    docstring); ``depth`` counts the levels open at the current token."""
+
+    MAX_NESTING = 100
+
     def __init__(self, text: str, alphabet: Alphabet):
         self.text = text
         self.alphabet = alphabet
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -773,6 +778,12 @@ class _Parser:
     def fail(self, message, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, tok.pos)
+
+    def descend(self, tok):
+        """Open one nesting level; callers close it by decrementing depth."""
+        self.depth += 1
+        if self.depth > self.MAX_NESTING:
+            self.fail(f"formula nests deeper than {self.MAX_NESTING} levels", tok)
 
     def require_connective(self, name, tok):
         if not self.alphabet.has_connective(name):
@@ -793,7 +804,9 @@ class _Parser:
         if tok.kind == "IFF":
             self.advance()
             self.require_connective(IFF, tok)
+            self.descend(tok)
             right = self.parse_iff()
+            self.depth -= 1
             return Binary(IFF, left, right)
         return left
 
@@ -803,24 +816,32 @@ class _Parser:
         if tok.kind == "IMPLIES":
             self.advance()
             self.require_connective(IMPLIES, tok)
+            self.descend(tok)
             right = self.parse_implies()
+            self.depth -= 1
             return Binary(IMPLIES, left, right)
         return left
 
     def parse_or(self) -> Formula:
         left = self.parse_and()
+        entered = self.depth
         while self.peek().kind == "OR":
             tok = self.advance()
             self.require_connective(OR, tok)
+            self.descend(tok)
             left = Binary(OR, left, self.parse_and())
+        self.depth = entered
         return left
 
     def parse_and(self) -> Formula:
         left = self.parse_unary()
+        entered = self.depth
         while self.peek().kind == "AND":
             tok = self.advance()
             self.require_connective(AND, tok)
+            self.descend(tok)
             left = Binary(AND, left, self.parse_unary())
+        self.depth = entered
         return left
 
     def parse_unary(self) -> Formula:
@@ -828,7 +849,10 @@ class _Parser:
         if tok.kind == "NOT":
             self.advance()
             self.require_connective(NOT, tok)
-            return Negation(self.parse_unary())
+            self.descend(tok)
+            operand = self.parse_unary()
+            self.depth -= 1
+            return Negation(operand)
         if tok.kind in ("FORALL", "EXISTS"):
             return self.parse_quantifier()
         return self.parse_primary()
@@ -844,7 +868,9 @@ class _Parser:
         if name_tok.kind != "IDENT" or not self.alphabet.is_individual_variable(name_tok.value):
             self.fail("expected an individual variable after the quantifier", name_tok)
         self.advance()
+        self.descend(tok)
         body = self.parse_unary()
+        self.depth -= 1
         if name_tok.value not in free_variables(body):
             self.fail(
                 f"bound variable {name_tok.value!r} does not occur free in the quantifier body",
@@ -856,12 +882,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind in ("LPAREN", "LBRACKET"):
             self.advance()
+            self.descend(tok)
             inner = self.parse_iff()
             closer_kind, closer_text = _CLOSER[tok.kind]
             end = self.peek()
             if end.kind != closer_kind:
                 self.fail(f"expected {closer_text!r}", end)
             self.advance()
+            self.depth -= 1
             return inner
         if tok.kind == "IDENT":
             return self.parse_ident()
@@ -897,6 +925,7 @@ class _Parser:
         if open_tok.kind not in ("LPAREN", "LBRACKET"):
             self.fail(f"expected an argument list for {owner!r}", open_tok)
         self.advance()
+        self.descend(open_tok)
         closer_kind, closer_text = _CLOSER[open_tok.kind]
         args = [self.parse_term()]
         while self.peek().kind == "COMMA":
@@ -906,6 +935,7 @@ class _Parser:
         if end.kind != closer_kind:
             self.fail(f"expected {closer_text!r}", end)
         self.advance()
+        self.depth -= 1
         if len(args) != arity:
             self.fail(f"{owner!r} expects {arity} argument(s), got {len(args)}", owner_tok)
         return tuple(args)
@@ -930,7 +960,11 @@ class _Parser:
 
 
 def parse_formula(text: str, alphabet: Alphabet) -> Formula:
-    """Read the surface syntax into a formula, or raise ParseError."""
+    """Read the surface syntax into a formula, or raise ParseError.
+
+    Input nested deeper than 100 levels is a ParseError (see the module
+    docstring for what counts as a level).
+    """
     return _Parser(text, alphabet).parse()
 
 
@@ -1216,52 +1250,3 @@ def instantiate_schema(schema: Schema, assignment: Mapping) -> Formula:
         raise TypeError(f"not a formula: {pat!r}")
 
     return walk(schema.pattern)
-
-
-# ==========================================================================
-# Language definitions
-# ==========================================================================
-
-@dataclass(frozen=True)
-class LanguageDefinition:
-    """A language given either by listing its words or by construction rules.
-
-    Demonstrative mode carries the explicit finite word list. Constructive
-    mode carries an alphabet; the words are the printed well-formed formulas,
-    realized lazily up to a requested size.
-    """
-
-    mode: str
-    words: tuple = ()
-    alphabet: Optional[Alphabet] = None
-
-    def __post_init__(self):
-        if self.mode not in ("demonstrative", "constructive"):
-            raise AlphabetError(f"unknown language mode: {self.mode!r}")
-        object.__setattr__(self, "words", tuple(self.words))
-        if self.mode == "demonstrative":
-            if len(set(self.words)) != len(self.words):
-                raise AlphabetError("demonstrative language lists a word twice")
-            if self.alphabet is not None:
-                raise AlphabetError("demonstrative language takes no alphabet")
-        else:
-            if self.alphabet is None:
-                raise AlphabetError("constructive language requires an alphabet")
-            if self.words:
-                raise AlphabetError("constructive language takes no word list")
-
-    def produce(self, max_size: Optional[int] = None, limit: Optional[int] = None) -> tuple:
-        if self.mode == "demonstrative":
-            return self.words
-        if max_size is None:
-            raise BudgetExceededError("constructive language production needs a size bound")
-        return tuple(print_formula(w) for w in enumerate_wffs(self.alphabet, max_size, limit))
-
-    def accepts(self, word: str) -> bool:
-        if self.mode == "demonstrative":
-            return word in self.words
-        try:
-            parse_formula(word, self.alphabet)
-        except ParseError:
-            return False
-        return True

@@ -13,6 +13,7 @@ from metalogic import (
     parse_formula,
     read_calculus_file,
 )
+from metalogic.cli import main
 
 
 def full_data():
@@ -138,6 +139,35 @@ class TestLanguage:
         with pytest.raises(CalculusFileError, match="expected an object"):
             load({"language": "kleene"})
 
+    @pytest.mark.parametrize("key,value", [
+        ("variables", "PQ"),
+        ("variables", ["P", 1]),
+        ("connectives", "implies"),
+        ("constants", "c"),
+    ])
+    def test_propositional_name_lists_must_be_lists_of_strings(self, key, value):
+        language = {"variables": ["P", "Q"], key: value}
+        with pytest.raises(CalculusFileError, match=f"{key!r} must be a list of strings"):
+            load({"language": language})
+
+    @pytest.mark.parametrize("key,value", [
+        ("individual_variables", "xy"),
+        ("variables", "P"),
+        ("quantifiers", "exists"),
+        ("quantifiers", [None]),
+    ])
+    def test_first_order_name_lists_must_be_lists_of_strings(self, key, value):
+        language = {"kind": "first-order", "individual_variables": ["x"], key: value}
+        with pytest.raises(CalculusFileError, match=f"{key!r} must be a list of strings"):
+            load({"language": language})
+
+    @pytest.mark.parametrize("value", ["PQ", ["P", ["Q"]], {"P": 1}])
+    def test_pool_variables_must_be_a_list_of_strings(self, value):
+        data = full_data()
+        data["pool_variables"] = value
+        with pytest.raises(CalculusFileError, match="'pool_variables' must be a list"):
+            load(data)
+
 
 class TestFormulasAndSchemata:
     def test_axiom_parse_errors_carry_their_index(self):
@@ -163,6 +193,13 @@ class TestFormulasAndSchemata:
         data = full_data()
         data["schemata"] = [{"id": "s1", "pattern": "phi"}]
         with pytest.raises(CalculusFileError, match="metavariables"):
+            load(data)
+
+    def test_metavariables_must_be_a_list_of_strings(self):
+        data = full_data()
+        data["schemata"] = [{"id": "s1", "pattern": "(p -> (h -> i))",
+                             "metavariables": "phi"}]
+        with pytest.raises(CalculusFileError, match="'metavariables' must be a list"):
             load(data)
 
     def test_unknown_schema_key(self):
@@ -277,6 +314,24 @@ class TestBounds:
         data["bounds"] = {"max_stage": 0}
         with pytest.raises(CalculusFileError, match="bounds"):
             load(data)
+
+    @pytest.mark.parametrize("key", ["max_stage", "max_formula_size",
+                                     "node_budget", "instantiation_pool_size"])
+    def test_boolean_bounds_are_rejected(self, key):
+        data = full_data()
+        data["bounds"] = {key: True}
+        with pytest.raises(CalculusFileError, match=f"bound {key} must be an integer"):
+            load(data)
+
+    def test_boolean_bound_exits_3(self, tmp_path, capsys):
+        data = full_data()
+        data["bounds"] = {"max_stage": True}
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["enum-body", "--json", "--calc", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_stage must be an integer" in captured.err
 
     def test_unknown_bounds_key(self):
         data = full_data()

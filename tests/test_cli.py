@@ -62,6 +62,30 @@ class TestParse:
         assert report["timing_ms"] is None
 
 
+def _implication_chain(depth):
+    text = "P"
+    for _ in range(depth):
+        text = f"(P -> {text})"
+    return text
+
+
+class TestDeepInput:
+    """Input nested past the parser's bound is a parse error, exit 3."""
+
+    @pytest.mark.parametrize("text", [
+        "~" * 3000 + "P",
+        "(" * 1200 + "P" + ")" * 1200,
+        _implication_chain(150),
+    ], ids=["negations", "parentheses", "implication-chain"])
+    def test_deep_formula_exits_3(self, capsys, text):
+        assert main(["parse", "--calc", "builtin:kleene", text]) == 3
+        assert "nests deeper than" in capsys.readouterr().err
+
+    def test_formula_at_the_bound_parses(self, capsys):
+        assert main(["parse", "--calc", "builtin:kleene", "~" * 100 + "P"]) == 0
+        assert "size: 101" in capsys.readouterr().out
+
+
 class TestEnumLang:
     def test_kleene_language_up_to_three(self, capsys):
         assert main(["enum-lang", "--calc", "builtin:kleene",

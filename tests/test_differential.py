@@ -1,10 +1,13 @@
-"""Differential oracle: the engine against a naive reference saturator.
+"""Differential oracle: the engine against naive references.
 
-The reference builds each stage from every premise tuple over the whole
-body, every parameter context and every rule, with no strategies and no
-pruning: stage n + 1 adds every conclusion within the size cap that is not
-already a member, each with its least justification. The engine must give
-the same members, stages, canonical justifications and status.
+The reference saturator builds each stage from every premise tuple over
+the whole body, every parameter context and every rule, with no strategies
+and no pruning: stage n + 1 adds every conclusion within the size cap that
+is not already a member, each with its least justification. The engine must
+give the same members, stages, canonical justifications and status.
+
+``reference_layer`` is the all-tuples application layer that
+``consequence_step`` must reproduce, budget error included.
 """
 
 import itertools
@@ -20,12 +23,14 @@ from metalogic import (
     SATURATED,
     STAGE_CAP_HIT,
     Bounds,
+    BudgetExceededError,
     Calculus,
     Formula,
     PremiseJustification,
     RuleJustification,
     builtin_calculus,
     compose,
+    consequence_step,
     enumerate_body,
     inference_closure,
     instantiation_pool,
@@ -186,3 +191,71 @@ def test_closures_match_the_reference(rules):
     for bounds in (Bounds(3, 7, 2000, 3), Bounds(2, 9, 150, 3)):
         body = inference_closure(system, PREMISES, bounds, variables=("P", "Q"))
         assert_same(body, reference_closure(system, PREMISES, bounds, ("P", "Q")))
+
+
+def reference_layer(rules, premises, *, parameter_pool=None, variables=(),
+                    size_cap=None, node_budget=None):
+    """Every rule on every premise tuple and parameter context."""
+    premise_list = sorted(set(premises), key=lambda f: (f.size, print_formula(f)))
+    pool = (sorted(set(parameter_pool), key=lambda f: (f.size, print_formula(f)))
+            if parameter_pool is not None else premise_list)
+    out = set()
+    for rule in rules:
+        contexts = _contexts(rule, pool, variables)
+        for combo in itertools.product(premise_list, repeat=rule.arity):
+            for context in contexts:
+                for conclusion in rule.conclusions(combo, context):
+                    if size_cap is not None and conclusion.size > size_cap:
+                        continue
+                    out.add(conclusion)
+                    if node_budget is not None and len(out) > node_budget:
+                        raise BudgetExceededError(
+                            f"consequence step produced more than {node_budget} formulas"
+                        )
+    return frozenset(out)
+
+
+LAYER_PREMISES = PREMISES + _wffs("P", "(P -> Q)", "(P | ~Q)", "(~P | Q)", "((P | P) | Q)")
+LAYER_POOL = _wffs("Q", "~P", "(P | Q)")
+RULE_POOL = ("modus_ponens", "cut", "identity", "cancellation")
+
+LAYER_RULES = [
+    tuple(make_rule(name) for name in names)
+    for k in range(1, len(RULE_POOL) + 1)
+    for names in itertools.combinations(RULE_POOL, k)
+] + [
+    (make_rule("substitution"),),
+    (make_rule("extension"),),
+    (compose(make_rule("substitution"), make_rule("cancellation")),),
+    (compose(make_rule("extension"), make_rule("associativity_left")),),
+    (length_filtered(make_rule("substitution"), 5),),
+    (length_filtered(make_rule("extension"), 6), make_rule("cut")),
+]
+
+
+def _layer_id(rules):
+    return " + ".join(r.identifier for r in rules)
+
+
+@pytest.mark.parametrize("parameter_pool", [None, LAYER_POOL], ids=["premises", "pool"])
+@pytest.mark.parametrize("size_cap", [None, 3, 5])
+@pytest.mark.parametrize("rules", LAYER_RULES, ids=_layer_id)
+def test_consequence_step_matches_the_reference(rules, size_cap, parameter_pool):
+    system = rule_system(*rules)
+    kwargs = dict(parameter_pool=parameter_pool, variables=("P", "Q"), size_cap=size_cap)
+    expected = reference_layer(system, LAYER_PREMISES, **kwargs)
+    assert consequence_step(system, LAYER_PREMISES, **kwargs) == expected
+
+
+@pytest.mark.parametrize("rules", LAYER_RULES, ids=_layer_id)
+def test_consequence_step_budget_matches_the_reference(rules):
+    system = rule_system(*rules)
+    kwargs = dict(variables=("P", "Q"), size_cap=5)
+    full = reference_layer(system, LAYER_PREMISES, **kwargs)
+    assert consequence_step(system, LAYER_PREMISES, node_budget=len(full),
+                            **kwargs) == full
+    if full:
+        with pytest.raises(BudgetExceededError):
+            reference_layer(system, LAYER_PREMISES, node_budget=len(full) - 1, **kwargs)
+        with pytest.raises(BudgetExceededError):
+            consequence_step(system, LAYER_PREMISES, node_budget=len(full) - 1, **kwargs)

@@ -174,7 +174,7 @@ class TestFrontierStrategies:
         old = universe[:4]
         fired = set()
         for premises, _ in rule.candidate_applications(
-                universe, set(universe), frontier, (None,)):
+                universe, frontier, (None,)):
             fired.update(apply_rule(rule, premises))
         expected = set()
         for minor in universe:
@@ -200,7 +200,7 @@ class TestFrontierStrategies:
             return premises, tuple(sorted(context.items()))
 
         yielded = [key(premises, context) for premises, context in
-                   rule.candidate_applications(universe, set(universe), frontier,
+                   rule.candidate_applications(universe, frontier,
                                                contexts, cap)]
         every = {key((f,), context) for f in frontier for context in contexts}
         fitting = {
