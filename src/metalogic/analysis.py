@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .engine import (
     BoundedBody,
@@ -29,6 +29,7 @@ from .engine import (
     DEFAULT_BOUNDS,
     RuleJustification,
     SATURATED,
+    _value_key,
     consequence_step,
     enumerate_body,
     instantiation_pool,
@@ -36,7 +37,6 @@ from .engine import (
 )
 from .errors import BudgetExceededError, MetalogicError, RuleParameterError
 from .library import TranslationMap, identity_map
-from .rules import RuleSystem
 from .semantics import MAX_TAUTOLOGY_ATOMS, is_tautology
 from .syntax import (
     Binary,
@@ -564,14 +564,10 @@ def check_property(calculus: Calculus, property_name: str,
 # Finitely based relations
 # ==========================================================================
 
-def _token_text(token) -> str:
-    return print_formula(token) if isinstance(token, Formula) else str(token)
-
-
 def _pair_key(pair) -> tuple:
     premises, conclusion = pair
-    return (len(premises), tuple(sorted(map(_token_text, premises))),
-            _token_text(conclusion))
+    return (len(premises), tuple(sorted(map(_value_key, premises))),
+            _value_key(conclusion))
 
 
 @dataclass(frozen=True)
@@ -616,7 +612,7 @@ def decompose_relation(relation: FiniteRelation) -> dict:
     components = {}
     for premises, conclusion in relation.sorted_pairs():
         arity = len(premises) + 1
-        row = tuple(sorted(premises, key=_token_text)) + (conclusion,)
+        row = tuple(sorted(premises, key=_value_key)) + (conclusion,)
         components.setdefault(arity, set()).add(row)
     return {arity: frozenset(rows) for arity, rows in components.items()}
 
@@ -661,7 +657,7 @@ def check_boundedness(relation: FiniteRelation, m: int, kind: str) -> Verdict:
             if not any(len(s) <= m for s in by_conclusion[conclusion]):
                 return fails(
                     (premises, conclusion),
-                    f"conclusion {_token_text(conclusion)} needs more than "
+                    f"conclusion {_value_key(conclusion)} needs more than "
                     f"{m} premises in every pair",
                 )
         return holds(
@@ -673,7 +669,7 @@ def check_boundedness(relation: FiniteRelation, m: int, kind: str) -> Verdict:
         if not any(len(s) == m for s in by_conclusion[conclusion]):
             return fails(
                 (premises, conclusion),
-                f"conclusion {_token_text(conclusion)} has no pair with "
+                f"conclusion {_value_key(conclusion)} has no pair with "
                 f"exactly {m} premises",
             )
     return holds(
@@ -736,8 +732,8 @@ def relation_to_lines(relation: FiniteRelation) -> str:
     lines = []
     for premises, conclusion in relation.sorted_pairs():
         lines.append(json.dumps(
-            {"premises": sorted(map(_token_text, premises)),
-             "conclusion": _token_text(conclusion)},
+            {"premises": sorted(map(_value_key, premises)),
+             "conclusion": _value_key(conclusion)},
             sort_keys=True,
         ))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -26,7 +26,7 @@ collides with a real symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import MetalogicError, RuleParameterError
 from .syntax import Formula, canonical_key, print_formula

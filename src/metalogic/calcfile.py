@@ -173,6 +173,8 @@ def _parse_schema(raw, alphabet: Alphabet, index: int) -> Schema:
         raise CalculusFileError(f"{where}: expected an object")
     _reject_unknown(raw, ("id", "pattern", "metavariables"), where)
     schema_id = _require(raw, "id", where)
+    if not isinstance(schema_id, str):
+        raise CalculusFileError(f"{where}.id: expected a string, got {schema_id!r}")
     metavariables = _names(raw, "metavariables", where)
     try:
         meta_alphabet = replace(

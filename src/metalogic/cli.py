@@ -53,12 +53,11 @@ from .automaton import (
     nfa_accepts,
     nfa_language_upto,
 )
-from .calcfile import CalculusFile, read_calculus_file
+from .calcfile import read_calculus_file
 from .engine import (
     BUDGET_EXCEEDED,
     BoundedBody,
     Bounds,
-    GOAL_FOUND,
     SATURATED,
     STAGE_CAP_HIT,
     derive,
@@ -68,13 +67,10 @@ from .engine import (
     staged_run,
 )
 from .errors import BudgetExceededError, CalculusFileError, MetalogicError
-from .library import translation_map
-from .rules import RuleSystem
+from .library import _schema, translation_map
 from .syntax import (
     Formula,
-    Schema,
     enumerate_wffs,
-    formula_atoms,
     parse_formula,
     print_formula,
 )
@@ -373,16 +369,6 @@ def _cmd_compare(args) -> int:
     return _VERDICT_EXIT[verdict.outcome]
 
 
-def _meta_schema(pattern_text: str, alphabet) -> Schema:
-    metas = ("phi", "chi", "psi")
-    meta_alphabet = replace(
-        alphabet, variables=tuple(alphabet.variables) + metas
-    )
-    pattern = parse_formula(pattern_text, meta_alphabet)
-    used = tuple(m for m in metas if m in formula_atoms(pattern))
-    return Schema("pattern", pattern, used)
-
-
 def _cmd_check(args) -> int:
     loaded, calculus = _load_calculus(args)
     bounds = _resolve_bounds(args, loaded.bounds)
@@ -391,7 +377,7 @@ def _cmd_check(args) -> int:
         params["members"] = [parse_formula(text, calculus.alphabet)
                              for text in args.member]
     if args.pattern:
-        params["pattern"] = _meta_schema(args.pattern, calculus.alphabet)
+        params["pattern"] = _schema("pattern", args.pattern, calculus.alphabet)
     if args.strict:
         params["strict"] = True
     if args.target:

@@ -135,18 +135,11 @@ def _value_key(value) -> str:
     return print_formula(value) if isinstance(value, Formula) else str(value)
 
 
-def _justification_key(justification) -> tuple:
-    """Total order on justifications; the canonical first derivation is the minimum."""
-    if isinstance(justification, AxiomJustification):
-        return (0,)
-    if isinstance(justification, PremiseJustification):
-        return (1,)
-    if isinstance(justification, SchemaJustification):
-        return (2, justification.schema_id,
-                tuple((name, print_formula(f)) for name, f in justification.assignment))
-    return (3, justification.rule_id,
-            tuple(print_formula(p) for p in justification.premises),
-            tuple((name, _value_key(v)) for name, v in justification.context))
+def _justification_key(rule_id: str, premises: tuple, context: tuple) -> tuple:
+    """Order on the rule justifications of one conclusion; the canonical first
+    derivation is the minimum."""
+    return (rule_id, tuple(print_formula(p) for p in premises),
+            tuple((name, _value_key(v)) for name, v in context))
 
 
 def justification_premises(justification) -> tuple:
@@ -667,21 +660,18 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
     while True:
         # Gather the next layer before looking at the stage cap: an empty
         # layer means saturation even when this was the last allowed stage.
-        candidates = {}
-        candidate_keys = {}
+        # conclusion -> (key, premises, context) of its least justification
+        best = {}
         for rule, premises, context, conclusion in _layer(
                 contexts_by_rule, members, frontier, bounds.max_formula_size):
             if conclusion in members:
                 continue
-            justification = RuleJustification(
-                rule.identifier, premises, _context_items(context)
-            )
-            key = _justification_key(justification)
-            held = candidate_keys.get(conclusion)
-            if held is None or key < held:
-                candidate_keys[conclusion] = key
-                candidates[conclusion] = justification
-        if not candidates:
+            items = _context_items(context)
+            key = _justification_key(rule.identifier, premises, items)
+            held = best.get(conclusion)
+            if held is None or key < held[0]:
+                best[conclusion] = (key, premises, items)
+        if not best:
             run.status = SATURATED
             break
         if run.stages >= bounds.max_stage:
@@ -689,11 +679,12 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
             break
         run.stages += 1
         frontier = []
-        for formula in sorted(candidates, key=canonical_key):
+        for formula in sorted(best, key=canonical_key):
             if len(members) >= bounds.node_budget:
                 run.status = BUDGET_EXCEEDED
                 break
-            members[formula] = (run.stages, candidates[formula])
+            key, premises, items = best[formula]
+            members[formula] = (run.stages, RuleJustification(key[0], premises, items))
             frontier.append(formula)
             if stop_goal is not None and formula == stop_goal:
                 run.found = True

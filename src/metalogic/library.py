@@ -30,7 +30,6 @@ from typing import Callable, Optional
 from .engine import Calculus, ON_DEMAND_MODE, SUBSTITUTION_RULE_MODE
 from .errors import AlphabetError, RuleParameterError, UnknownCalculusError
 from .rules import (
-    InferenceRule,
     RuleSystem,
     Validator,
     always_true_validator,
@@ -53,7 +52,6 @@ from .syntax import (
     Negation,
     OR,
     PredApp,
-    Quantified,
     Schema,
     Var,
     enumerate_wffs,

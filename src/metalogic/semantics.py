@@ -25,29 +25,42 @@ from .syntax import (
 MAX_TAUTOLOGY_ATOMS = 20
 
 
+def _truth_column(formula: Formula, columns: Mapping[str, int], full: int) -> int:
+    """The formula's column of a truth table: bit i is its value in row i.
+
+    ``columns`` holds each atom's column and ``full`` has a bit set for
+    every row. The connectives act on whole columns at once.
+    """
+    kind = type(formula)
+    if kind is Binary:
+        left = _truth_column(formula.left, columns, full)
+        right = _truth_column(formula.right, columns, full)
+        op = formula.op
+        if op == IMPLIES:
+            return (full & ~left) | right
+        if op == AND:
+            return left & right
+        if op == OR:
+            return left | right
+        if op == IFF:
+            return full & ~(left ^ right)
+    elif kind is Atom:
+        column = columns.get(formula.name)
+        if column is None:
+            raise EvaluationError(f"unassigned atom: {formula.name!r}")
+        return column
+    elif kind is Negation:
+        return full & ~_truth_column(formula.operand, columns, full)
+    raise EvaluationError(f"not a propositional formula: {formula!r}")
+
+
 def evaluate_prop(formula: Formula, assignment: Mapping[str, bool],
                   constants: frozenset = frozenset()) -> bool:
-    kind = type(formula)
-    if kind is Atom:
-        if formula.name in assignment:
-            return bool(assignment[formula.name])
-        if formula.name in constants:
-            return False
-        raise EvaluationError(f"unassigned atom: {formula.name!r}")
-    if kind is Negation:
-        return not evaluate_prop(formula.operand, assignment, constants)
-    if kind is Binary:
-        left = evaluate_prop(formula.left, assignment, constants)
-        right = evaluate_prop(formula.right, assignment, constants)
-        if formula.op == AND:
-            return left and right
-        if formula.op == OR:
-            return left or right
-        if formula.op == IMPLIES:
-            return (not left) or right
-        if formula.op == IFF:
-            return left == right
-    raise EvaluationError(f"not a propositional formula: {formula!r}")
+    """The formula's value in one row; the assignment overrides constants."""
+    columns = dict.fromkeys(constants, 0)
+    for name, value in assignment.items():
+        columns[name] = 1 if value else 0
+    return _truth_column(formula, columns, 1) == 1
 
 
 def is_tautology(formula: Formula, constants: frozenset = frozenset()) -> bool:
@@ -66,7 +79,7 @@ def is_tautology(formula: Formula, constants: frozenset = frozenset()) -> bool:
         )
     rows = 1 << len(atoms)
     full = (1 << rows) - 1
-    columns = {}
+    columns = dict.fromkeys(constants, 0)
     for i, name in enumerate(atoms):
         # Atom i alternates in blocks of 2^i rows: 0101... for i = 0.
         block = 1 << i
@@ -75,28 +88,4 @@ def is_tautology(formula: Formula, constants: frozenset = frozenset()) -> bool:
             if (row // block) % 2:
                 column |= 1 << row
         columns[name] = column
-
-    def walk(f: Formula) -> int:
-        kind = type(f)
-        if kind is Atom:
-            if f.name in columns:
-                return columns[f.name]
-            if f.name in constants:
-                return 0
-            raise EvaluationError(f"unassigned atom: {f.name!r}")
-        if kind is Negation:
-            return full & ~walk(f.operand)
-        if kind is Binary:
-            left = walk(f.left)
-            right = walk(f.right)
-            if f.op == AND:
-                return left & right
-            if f.op == OR:
-                return left | right
-            if f.op == IMPLIES:
-                return (full & ~left) | right
-            if f.op == IFF:
-                return full & ~(left ^ right)
-        raise EvaluationError(f"not a propositional formula: {f!r}")
-
-    return walk(formula) == full
+    return _truth_column(formula, columns, full) == full

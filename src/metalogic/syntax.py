@@ -25,9 +25,8 @@ canonical form; round-tripping print then parse is the identity.
 A formula's size is its node count: one per atom, predicate application,
 equality, connective, quantifier, and term node. Quantifiers only bind
 variables that occur free in their body (vacuous quantification is not well
-formed). Individual variables may carry trailing apostrophes; the namespace of
-a declared variable x includes x', x'' and so on, which is what fresh renaming
-during capture-avoiding substitution produces.
+formed). Individual variables may carry trailing apostrophes: declaring x
+also declares x', x'' and so on.
 
 Input may nest at most 100 levels deep. Each open bracket counts one level,
 and so does each connective or quantifier whose operand is still being read:
@@ -40,7 +39,7 @@ within Python's stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .errors import AlphabetError, BudgetExceededError, ParseError, SchemaError
 
@@ -270,50 +269,6 @@ class Quantified(Formula):
     __hash__ = Formula.__hash__
 
 
-def atom(name: str) -> Atom:
-    return Atom(name)
-
-
-def negation(operand: Formula) -> Negation:
-    return Negation(operand)
-
-
-def conjunction(left: Formula, right: Formula) -> Binary:
-    return Binary(AND, left, right)
-
-
-def disjunction(left: Formula, right: Formula) -> Binary:
-    return Binary(OR, left, right)
-
-
-def implication(left: Formula, right: Formula) -> Binary:
-    return Binary(IMPLIES, left, right)
-
-
-def biconditional(left: Formula, right: Formula) -> Binary:
-    return Binary(IFF, left, right)
-
-
-def universal(variable: str, body: Formula) -> Quantified:
-    return Quantified(FORALL, variable, body)
-
-
-def existential(variable: str, body: Formula) -> Quantified:
-    return Quantified(EXISTS, variable, body)
-
-
-def var(name: str) -> Var:
-    return Var(name)
-
-
-def func_app(name: str, args: Iterable[Term] = ()) -> FuncApp:
-    return FuncApp(name, tuple(args))
-
-
-def equality(left: Term, right: Term) -> Equality:
-    return Equality(left, right)
-
-
 # ==========================================================================
 # Printing
 # ==========================================================================
@@ -540,18 +495,7 @@ def free_variables(formula: Formula) -> frozenset:
 
 def formula_atoms(formula: Formula) -> frozenset:
     """Names of the propositional atoms occurring in the formula."""
-    kind = type(formula)
-    if kind is Atom:
-        return frozenset((formula.name,))
-    if kind in (PredApp, Equality):
-        return frozenset()
-    if kind is Negation:
-        return formula_atoms(formula.operand)
-    if kind is Binary:
-        return formula_atoms(formula.left) | formula_atoms(formula.right)
-    if kind is Quantified:
-        return formula_atoms(formula.body)
-    raise TypeError(f"not a formula: {formula!r}")
+    return frozenset(atom_occurrences(formula))
 
 
 def atom_occurrences(formula: Formula) -> dict:
@@ -601,82 +545,35 @@ def subformulas(formula: Formula) -> set:
 # Substitution
 # ==========================================================================
 
-def substitute_prop(formula: Formula, name: str, replacement: Formula) -> Formula:
-    """Replace every occurrence of the propositional atom ``name``."""
-    kind = type(formula)
-    if kind is Atom:
-        return replacement if formula.name == name else formula
-    if kind in (PredApp, Equality):
-        return formula
-    if kind is Negation:
-        inner = substitute_prop(formula.operand, name, replacement)
-        return formula if inner is formula.operand else Negation(inner)
-    if kind is Binary:
-        left = substitute_prop(formula.left, name, replacement)
-        right = substitute_prop(formula.right, name, replacement)
-        if left is formula.left and right is formula.right:
-            return formula
-        return Binary(formula.op, left, right)
-    if kind is Quantified:
-        body = substitute_prop(formula.body, name, replacement)
-        return formula if body is formula.body else Quantified(formula.quant, formula.variable, body)
-    raise TypeError(f"not a formula: {formula!r}")
+def _replace_atoms(formula: Formula, mapping: Mapping) -> Formula:
+    """Replace every atom whose name ``mapping`` holds by its formula.
 
-
-def _substitute_in_term(term: Term, name: str, replacement: Term) -> Term:
-    if type(term) is Var:
-        return replacement if term.name == name else term
-    if not term.args:
-        return term
-    return FuncApp(term.name, tuple(_substitute_in_term(a, name, replacement) for a in term.args))
-
-
-def fresh_variable(base: str, taken) -> str:
-    candidate = base + "'"
-    while candidate in taken:
-        candidate += "'"
-    return candidate
-
-
-def substitute_term(formula: Formula, name: str, term: Term) -> Formula:
-    """Replace free occurrences of the individual variable ``name`` by ``term``.
-
-    Capture is avoided by renaming bound variables to primed fresh ones when
-    the incoming term mentions them.
+    Subtrees without such an atom are kept as they are, so a formula in
+    which no mapped atom occurs comes back as the same object.
     """
     kind = type(formula)
     if kind is Atom:
-        return formula
-    if kind is PredApp:
-        return PredApp(formula.name, tuple(_substitute_in_term(a, name, term) for a in formula.args))
-    if kind is Equality:
-        return Equality(
-            _substitute_in_term(formula.left, name, term),
-            _substitute_in_term(formula.right, name, term),
-        )
-    if kind is Negation:
-        return Negation(substitute_term(formula.operand, name, term))
+        return mapping.get(formula.name, formula)
     if kind is Binary:
-        return Binary(
-            formula.op,
-            substitute_term(formula.left, name, term),
-            substitute_term(formula.right, name, term),
-        )
+        left = _replace_atoms(formula.left, mapping)
+        right = _replace_atoms(formula.right, mapping)
+        if left is formula.left and right is formula.right:
+            return formula
+        return Binary(formula.op, left, right)
+    if kind is Negation:
+        inner = _replace_atoms(formula.operand, mapping)
+        return formula if inner is formula.operand else Negation(inner)
     if kind is Quantified:
-        if formula.variable == name:
-            return formula
-        body_free = free_variables(formula.body)
-        if name not in body_free:
-            return formula
-        bound = formula.variable
-        body = formula.body
-        incoming = term_variables(term)
-        if bound in incoming:
-            renamed = fresh_variable(bound, body_free | incoming | {name})
-            body = substitute_term(body, bound, Var(renamed))
-            bound = renamed
-        return Quantified(formula.quant, bound, substitute_term(body, name, term))
+        body = _replace_atoms(formula.body, mapping)
+        return formula if body is formula.body else Quantified(formula.quant, formula.variable, body)
+    if kind in (PredApp, Equality):
+        return formula
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def substitute_prop(formula: Formula, name: str, replacement: Formula) -> Formula:
+    """Replace every occurrence of the propositional atom ``name``."""
+    return _replace_atoms(formula, {name: replacement})
 
 
 # ==========================================================================
@@ -1233,20 +1130,4 @@ def instantiate_schema(schema: Schema, assignment: Mapping) -> Formula:
     missing = [m for m in schema.metavariables if m not in assignment]
     if missing:
         raise SchemaError(f"schema {schema.schema_id!r} is missing assignments for {missing}")
-    metas = set(schema.metavariables)
-
-    def walk(pat):
-        pkind = type(pat)
-        if pkind is Atom:
-            return assignment[pat.name] if pat.name in metas else pat
-        if pkind in (PredApp, Equality):
-            return pat
-        if pkind is Negation:
-            return Negation(walk(pat.operand))
-        if pkind is Binary:
-            return Binary(pat.op, walk(pat.left), walk(pat.right))
-        if pkind is Quantified:
-            return Quantified(pat.quant, pat.variable, walk(pat.body))
-        raise TypeError(f"not a formula: {pat!r}")
-
-    return walk(schema.pattern)
+    return _replace_atoms(schema.pattern, {m: assignment[m] for m in schema.metavariables})

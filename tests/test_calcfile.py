@@ -202,6 +202,22 @@ class TestFormulasAndSchemata:
         with pytest.raises(CalculusFileError, match="'metavariables' must be a list"):
             load(data)
 
+    def test_schema_id_must_be_a_string(self):
+        data = full_data()
+        data["schemata"][0]["id"] = 7
+        with pytest.raises(CalculusFileError, match=r"schemata\[0\]\.id: expected a string"):
+            load(data)
+
+    def test_non_string_schema_id_exits_3(self, tmp_path, capsys):
+        data = full_data()
+        data["schemata"][0]["id"] = 7
+        path = tmp_path / "numeric-id.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["enum-body", "--json", "--calc", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "schemata[0].id: expected a string" in captured.err
+
     def test_unknown_schema_key(self):
         data = full_data()
         data["schemata"] = [{"id": "s1", "pattern": "phi",

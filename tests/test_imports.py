@@ -1,0 +1,44 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "metalogic"
+# __init__.py imports names to re-export them.
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports but never mentions, in sorted order."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_the_package_modules_are_found():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, os.path\n"
+        "from typing import Optional, Sequence as Seq\n"
+        "def f(x: Seq) -> str:\n"
+        "    return json.dumps(x)\n"
+    )
+    assert unused_imports(source) == ["Optional", "os"]

@@ -5,6 +5,9 @@ import pytest
 from metalogic import (
     EvaluationError,
     MAX_TAUTOLOGY_ATOMS,
+    Atom,
+    Negation,
+    enumerate_wffs,
     evaluate_prop,
     is_tautology,
     parse_formula,
@@ -76,3 +79,25 @@ def test_atom_cap_guards_blowup():
         conjunction = f"({conjunction} & {name})"
     with pytest.raises(EvaluationError):
         is_tautology(parse_formula(conjunction, wide))
+
+
+def test_assignment_overrides_a_constant():
+    constants = frozenset({"f"})
+    assert evaluate_prop(Atom("f"), {}, constants) is False
+    assert evaluate_prop(Atom("f"), {"f": True}, constants) is True
+    assert evaluate_prop(Negation(Atom("f")), {"f": 1}, constants) is False
+
+
+def test_evaluate_agrees_with_the_truth_table():
+    """A wff is a tautology iff every row makes it true, and its negation is
+    a tautology iff every row makes it false."""
+    alphabet = propositional_alphabet(("P", "Q"), constants=("f",))
+    constants = frozenset(alphabet.constants)
+    rows = [{"P": p, "Q": q} for p in (False, True) for q in (False, True)]
+    formulas = enumerate_wffs(alphabet, 5)
+    assert len(formulas) > 1000
+    for formula in formulas:
+        values = [evaluate_prop(formula, row, constants) for row in rows]
+        assert all(type(value) is bool for value in values)
+        assert is_tautology(formula, constants) is all(values), formula
+        assert is_tautology(Negation(formula), constants) is not any(values), formula

@@ -12,6 +12,8 @@ from metalogic import (
     Atom,
     Binary,
     BudgetExceededError,
+    Equality,
+    FuncApp,
     Negation,
     ParseError,
     PredApp,
@@ -21,11 +23,9 @@ from metalogic import (
     Var,
     canonical_key,
     enumerate_wffs,
-    equality,
     first_order_alphabet,
     formula_atoms,
     free_variables,
-    func_app,
     instantiate_schema,
     match_schema,
     parse_formula,
@@ -34,7 +34,6 @@ from metalogic import (
     subformulas,
     substitute_prop,
     validate_formula,
-    var,
 )
 
 
@@ -104,6 +103,36 @@ class TestFormulaStructure:
         one = parse_formula("(P & ~Q)", pq_alphabet)
         two = Binary(AND, Atom("P"), Negation(Atom("Q")))
         assert one == two and hash(one) == hash(two)
+
+    def test_substitute_prop_returns_the_formula_when_the_atom_is_absent(self, pq_alphabet):
+        formula = parse_formula("(P -> ~(P & P))", pq_alphabet)
+        assert substitute_prop(formula, "Q", Atom("R")) is formula
+
+    def test_substitute_prop_shares_unchanged_subtrees(self, pq_alphabet):
+        formula = parse_formula("(P -> ~(Q & Q))", pq_alphabet)
+        result = substitute_prop(formula, "P", Atom("Q"))
+        assert print_formula(result) == "(Q -> ~(Q & Q))"
+        assert result.right is formula.right
+
+
+def negation_chain(name, depth):
+    formula = Atom(name)
+    for _ in range(depth):
+        formula = Negation(formula)
+    return formula
+
+
+class TestDeepFormulasBuiltInCode:
+    """The parser's nesting limit does not bound formulas built in code."""
+
+    def test_formula_atoms(self):
+        assert formula_atoms(negation_chain("P", 3000)) == frozenset({"P"})
+
+    def test_schema(self):
+        schema = Schema("deep", negation_chain("phi", 3000), ("phi",))
+        assert schema.metavariables == ("phi",)
+        with pytest.raises(SchemaError):
+            Schema("deep", negation_chain("phi", 3000), ("chi",))
 
 
 class TestValidation:
@@ -192,6 +221,14 @@ class TestSchemas:
         instance = instantiate_schema(self.schema, assignment)
         assert match_schema(self.schema, instance) == assignment
 
+    def test_instantiate_ignores_keys_that_are_not_metavariables(self):
+        schema = Schema("k", parse_formula("(phi -> (P -> chi))", self.alphabet),
+                        ("phi", "chi"))
+        assignment = {"phi": Negation(Atom("Q")), "chi": Atom("Q"),
+                      "P": Atom("Q"), "psi": Atom("P")}
+        instance = instantiate_schema(schema, assignment)
+        assert print_formula(instance) == "(~Q -> (P -> Q))"
+
     def test_instantiate_missing_metavariable_rejected(self):
         with pytest.raises(SchemaError):
             instantiate_schema(self.schema, {"phi": Atom("P")})
@@ -212,7 +249,7 @@ class TestFirstOrder:
 
     def test_parse_equality_and_predicate(self):
         formula = parse_formula("(g(x) = y)", self.alphabet)
-        assert formula == equality(func_app("g", (var("x"),)), var("y"))
+        assert formula == Equality(FuncApp("g", (Var("x"),)), Var("y"))
         assert print_formula(parse_formula("R(x, g(y))", self.alphabet)) == "R(x, g(y))"
 
     def test_parse_quantifier(self):
