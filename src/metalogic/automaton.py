@@ -137,41 +137,44 @@ def build_deterministic_body_automaton(body: Iterable[Formula]) -> EpsilonNFA:
 # Simulation
 # ==========================================================================
 
-def _epsilon_closure(nfa: EpsilonNFA, states: frozenset) -> frozenset:
-    closure = set(states)
-    stack = list(states)
-    by_source = {}
+def _moves(nfa: EpsilonNFA) -> dict:
+    """(state, symbol) -> targets; epsilon edges sit under EPSILON.
+
+    Built once per simulation call and not kept on the automaton, which
+    would then hold every transition twice for as long as it lives."""
+    moves = {}
     for source, symbol, target in nfa.transitions:
-        if symbol is EPSILON:
-            by_source.setdefault(source, []).append(target)
+        moves.setdefault((source, symbol), []).append(target)
+    return moves
+
+
+def _epsilon_closure(moves: dict, states) -> frozenset:
+    closure = set(states)
+    stack = list(closure)
     while stack:
-        state = stack.pop()
-        for target in by_source.get(state, ()):
+        for target in moves.get((stack.pop(), EPSILON), ()):
             if target not in closure:
                 closure.add(target)
                 stack.append(target)
     return frozenset(closure)
 
 
-def _step_table(nfa: EpsilonNFA) -> dict:
-    table = {}
-    for source, symbol, target in nfa.transitions:
-        if symbol is not EPSILON:
-            table.setdefault((source, symbol), set()).add(target)
-    return table
+def _step(moves: dict, states, symbol: str) -> frozenset:
+    """The epsilon-closed successors of ``states`` on ``symbol``."""
+    moved = set()
+    for state in states:
+        moved.update(moves.get((state, symbol), ()))
+    return _epsilon_closure(moves, moved)
 
 
 def nfa_accepts(nfa: EpsilonNFA, word: str) -> bool:
     """Standard epsilon-closure simulation; unknown symbols simply fail."""
-    table = _step_table(nfa)
-    current = _epsilon_closure(nfa, frozenset({nfa.start}))
+    moves = _moves(nfa)
+    current = _epsilon_closure(moves, {nfa.start})
     for char in word:
-        moved = set()
-        for state in current:
-            moved.update(table.get((state, char), ()))
-        if not moved:
+        current = _step(moves, current, char)
+        if not current:
             return False
-        current = _epsilon_closure(nfa, frozenset(moved))
     return bool(current & nfa.accepting)
 
 
@@ -183,10 +186,10 @@ def nfa_language_upto(nfa: EpsilonNFA, max_length: int) -> frozenset:
     """
     if max_length < 0:
         raise RuleParameterError("max_length must be >= 0")
-    table = _step_table(nfa)
+    moves = _moves(nfa)
     ordered_symbols = sorted(nfa.symbols)
     accepted = set()
-    start = _epsilon_closure(nfa, frozenset({nfa.start}))
+    start = _epsilon_closure(moves, {nfa.start})
     frontier = {"": start}
     if start & nfa.accepting:
         accepted.add("")
@@ -194,12 +197,9 @@ def nfa_language_upto(nfa: EpsilonNFA, max_length: int) -> frozenset:
         next_frontier = {}
         for word, states in frontier.items():
             for symbol in ordered_symbols:
-                moved = set()
-                for state in states:
-                    moved.update(table.get((state, symbol), ()))
-                if not moved:
+                closed = _step(moves, states, symbol)
+                if not closed:
                     continue
-                closed = _epsilon_closure(nfa, frozenset(moved))
                 extended = word + symbol
                 next_frontier[extended] = closed
                 if closed & nfa.accepting:

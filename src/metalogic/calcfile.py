@@ -42,7 +42,7 @@ The path ``builtin:<name>`` bypasses files: ``builtin:kleene``,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .engine import (
@@ -233,18 +233,9 @@ def _parse_bounds(raw) -> Bounds:
     where = "bounds"
     if not isinstance(raw, dict):
         raise CalculusFileError(f"{where}: expected an object")
-    _reject_unknown(raw, ("max_stage", "max_formula_size", "node_budget",
-                          "instantiation_pool_size"), where)
-    defaults = Bounds()
+    _reject_unknown(raw, tuple(bound.name for bound in fields(Bounds)), where)
     try:
-        return Bounds(
-            max_stage=raw.get("max_stage", defaults.max_stage),
-            max_formula_size=raw.get("max_formula_size",
-                                     defaults.max_formula_size),
-            node_budget=raw.get("node_budget", defaults.node_budget),
-            instantiation_pool_size=raw.get(
-                "instantiation_pool_size", defaults.instantiation_pool_size),
-        )
+        return Bounds(**raw)
     except MetalogicError as exc:
         raise CalculusFileError(f"{where}: {exc}") from exc
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
-from typing import Optional
+from dataclasses import asdict, fields, replace
+from functools import cache
 
 from .analysis import (
     BOUNDEDNESS_KINDS,
@@ -56,6 +56,7 @@ from .automaton import (
 from .calcfile import read_calculus_file
 from .engine import (
     BUDGET_EXCEEDED,
+    DEFAULT_BOUNDS,
     BoundedBody,
     Bounds,
     SATURATED,
@@ -129,46 +130,21 @@ def _emit(report: dict, as_json: bool, text_lines: list):
             print(line)
 
 
-def _bounds_payload(bounds: Bounds) -> dict:
-    return {
-        "max_stage": bounds.max_stage,
-        "max_formula_size": bounds.max_formula_size,
-        "node_budget": bounds.node_budget,
-        "instantiation_pool_size": bounds.instantiation_pool_size,
-    }
-
-
-def _add_bounds_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--max-stage", type=int, default=None,
-                        help="stage cap (default 4, or the file's value)")
-    parser.add_argument("--max-size", type=int, default=None,
-                        help="formula size cap (default 25)")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="distinct-theorem budget (default 200000)")
-    parser.add_argument("--pool-size", type=int, default=None,
-                        help="instantiation pool size cap (default 7)")
-    parser.add_argument("--pool-vars", default=None,
-                        help="comma-separated variables spanning the "
-                             "instantiation pool, replacing the calculus's "
-                             "own pool list for this run")
-
-
-def _resolve_bounds(args, file_bounds: Optional[Bounds]) -> Bounds:
-    base = file_bounds if file_bounds is not None else Bounds()
-    return Bounds(
-        max_stage=(args.max_stage if args.max_stage is not None
-                   else base.max_stage),
-        max_formula_size=(args.max_size if args.max_size is not None
-                          else base.max_formula_size),
-        node_budget=(args.budget if args.budget is not None
-                     else base.node_budget),
-        instantiation_pool_size=(args.pool_size if args.pool_size is not None
-                                 else base.instantiation_pool_size),
-    )
+# Each bounds flag sets the Bounds field named by its dest.
+_BOUNDS_FLAGS = (
+    ("--max-stage", "max_stage", "stage cap"),
+    ("--max-size", "max_formula_size", "formula size cap"),
+    ("--budget", "node_budget", "distinct-theorem budget"),
+    ("--pool-size", "instantiation_pool_size", "instantiation pool size cap"),
+)
 
 
 def _load_calculus(args, path_attr: str = "calc"):
-    """Read a calculus spec and apply the --pool-vars override if given."""
+    """Read a calculus spec; apply --pool-vars and the bounds flags.
+
+    Returns (loaded file, calculus, bounds). A bounds flag that was given
+    overrides the file's value, which overrides the built-in default.
+    """
     loaded = read_calculus_file(getattr(args, path_attr))
     calculus = loaded.calculus
     pool_vars = getattr(args, "pool_vars", None)
@@ -180,7 +156,9 @@ def _load_calculus(args, path_attr: str = "calc"):
                 f"--pool-vars names unknown variables: {', '.join(unknown)}"
             )
         calculus = replace(calculus, pool_variables=names)
-    return loaded, calculus
+    given = {bound.name: getattr(args, bound.name) for bound in fields(Bounds)
+             if getattr(args, bound.name, None) is not None}
+    return loaded, calculus, replace(loaded.bounds or DEFAULT_BOUNDS, **given)
 
 
 def _body_payload(body: BoundedBody) -> dict:
@@ -251,8 +229,8 @@ def _verdict_text(verdict: Verdict) -> list:
 # ==========================================================================
 
 def _cmd_parse(args) -> int:
-    loaded = read_calculus_file(args.calc)
-    formula = parse_formula(args.formula, loaded.calculus.alphabet)
+    _, calculus, _ = _load_calculus(args)
+    formula = parse_formula(args.formula, calculus.alphabet)
     report = {
         "command": "parse",
         "formula": print_formula(formula),
@@ -264,9 +242,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_enum_lang(args) -> int:
-    loaded = read_calculus_file(args.calc)
-    bounds = _resolve_bounds(args, loaded.bounds)
-    formulas = enumerate_wffs(loaded.calculus.alphabet, args.size,
+    _, calculus, bounds = _load_calculus(args)
+    formulas = enumerate_wffs(calculus.alphabet, args.size,
                               limit=bounds.node_budget)
     printed = [print_formula(f) for f in formulas]
     report = {
@@ -280,13 +257,12 @@ def _cmd_enum_lang(args) -> int:
 
 
 def _cmd_enum_body(args) -> int:
-    loaded, calculus = _load_calculus(args)
-    bounds = _resolve_bounds(args, loaded.bounds)
+    _, calculus, bounds = _load_calculus(args)
     body = enumerate_body(calculus, bounds)
     report = {
         "command": "enum-body",
         "calculus": calculus.name,
-        "bounds": _bounds_payload(bounds),
+        "bounds": asdict(bounds),
         "body": _body_payload(body),
     }
     _emit(report, args.json, _body_text(body))
@@ -294,15 +270,14 @@ def _cmd_enum_body(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    loaded, calculus = _load_calculus(args)
-    bounds = _resolve_bounds(args, loaded.bounds)
+    _, calculus, bounds = _load_calculus(args)
     goal = parse_formula(args.goal, calculus.alphabet)
     outcome = derive(calculus, goal, bounds)
     report = {
         "command": "derive",
         "calculus": calculus.name,
         "goal": print_formula(goal),
-        "bounds": _bounds_payload(bounds),
+        "bounds": asdict(bounds),
         "status": outcome.status,
         "theorems_seen": outcome.theorems_seen,
         "stages_run": outcome.stages_run,
@@ -325,18 +300,17 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_stages(args) -> int:
-    loaded, calculus = _load_calculus(args)
+    loaded, calculus, bounds = _load_calculus(args)
     if loaded.staged is None:
         raise CalculusFileError(
             f"{args.calc} declares no stages; the stages command needs a "
             f"calculus file with a \"stages\" list"
         )
-    bounds = _resolve_bounds(args, loaded.bounds)
     bodies = staged_run(calculus, loaded.staged, bounds)
     report = {
         "command": "stages",
         "calculus": calculus.name,
-        "bounds": _bounds_payload(bounds),
+        "bounds": asdict(bounds),
         "stages": [_body_payload(body) for body in bodies],
     }
     text = []
@@ -350,9 +324,10 @@ def _cmd_stages(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    loaded_a, calculus_a = _load_calculus(args, "calc_a")
-    loaded_b, calculus_b = _load_calculus(args, "calc_b")
-    bounds = _resolve_bounds(args, loaded_a.bounds or loaded_b.bounds)
+    loaded_a, calculus_a, bounds = _load_calculus(args, "calc_a")
+    _, calculus_b, bounds_b = _load_calculus(args, "calc_b")
+    if loaded_a.bounds is None:
+        bounds = bounds_b
     translation = translation_map(args.map) if args.map else None
     verdict = compare_calculi(args.kind, calculus_a, calculus_b,
                               bounds, translation)
@@ -362,7 +337,7 @@ def _cmd_compare(args) -> int:
         "calculus_a": calculus_a.name,
         "calculus_b": calculus_b.name,
         "map": args.map,
-        "bounds": _bounds_payload(bounds),
+        "bounds": asdict(bounds),
     }
     report.update(_verdict_payload(verdict))
     _emit(report, args.json, _verdict_text(verdict))
@@ -370,8 +345,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    loaded, calculus = _load_calculus(args)
-    bounds = _resolve_bounds(args, loaded.bounds)
+    _, calculus, bounds = _load_calculus(args)
     params = {}
     if args.member:
         params["members"] = [parse_formula(text, calculus.alphabet)
@@ -392,7 +366,7 @@ def _cmd_check(args) -> int:
         "command": "check",
         "calculus": calculus.name,
         "property": args.property,
-        "bounds": _bounds_payload(bounds),
+        "bounds": asdict(bounds),
     }
     report.update(_verdict_payload(verdict))
     _emit(report, args.json, _verdict_text(verdict))
@@ -400,8 +374,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_relation(args) -> int:
-    loaded, calculus = _load_calculus(args)
-    bounds = _resolve_bounds(args, loaded.bounds)
+    _, calculus, bounds = _load_calculus(args)
     pool = [parse_formula(text, calculus.alphabet)
             for text in args.premise]
     sample = relation_from_calculus(calculus, pool,
@@ -418,7 +391,7 @@ def _cmd_relation(args) -> int:
     report = {
         "command": "relation",
         "calculus": calculus.name,
-        "bounds": _bounds_payload(bounds),
+        "bounds": asdict(bounds),
         "pair_count": len(sample.relation),
         "statuses": statuses,
         "relation": None if args.out else serialized,
@@ -452,8 +425,7 @@ def _cmd_relation_check(args) -> int:
 
 
 def _cmd_automaton(args) -> int:
-    loaded, calculus = _load_calculus(args)
-    bounds = _resolve_bounds(args, loaded.bounds)
+    _, calculus, bounds = _load_calculus(args)
     body = enumerate_body(calculus, bounds)
     build = (build_deterministic_body_automaton if args.deterministic
              else build_body_automaton)
@@ -461,7 +433,7 @@ def _cmd_automaton(args) -> int:
     report = {
         "command": "automaton",
         "calculus": calculus.name,
-        "bounds": _bounds_payload(bounds),
+        "bounds": asdict(bounds),
         "body_status": body.status,
         "deterministic": bool(args.deterministic),
         "state_count": len(nfa.states),
@@ -488,7 +460,9 @@ def _cmd_automaton(args) -> int:
 # Parser assembly
 # ==========================================================================
 
+@cache
 def _build_parser() -> _ArgumentParser:
+    """The one parser of the process, built on the first call, not at import."""
     parser = _ArgumentParser(
         prog="metalogic",
         description="bounded enumeration, derivation, and analysis of "
@@ -496,49 +470,52 @@ def _build_parser() -> _ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, *, bounds=True,
+            calc="calculus file or builtin:<name>"):
+        """A subcommand with --json, --calc unless calc is None, and the
+        bounds flags and --pool-vars unless bounds is False."""
         sub = subparsers.add_parser(name, help=help_text)
         sub.set_defaults(handler=handler)
         sub.add_argument("--json", action="store_true",
                          help="machine-readable report")
+        if calc is not None:
+            sub.add_argument("--calc", required=True, help=calc)
+        if bounds:
+            for flag, dest, text in _BOUNDS_FLAGS:
+                sub.add_argument(flag, dest=dest, type=int, metavar="N",
+                                 help=f"{text} (default "
+                                      f"{getattr(DEFAULT_BOUNDS, dest)})")
+            sub.add_argument("--pool-vars", default=None,
+                             help="comma-separated variables spanning the "
+                                  "instantiation pool, replacing the "
+                                  "calculus's own pool list for this run")
         return sub
 
-    sub = add("parse", _cmd_parse, "parse one formula")
-    sub.add_argument("--calc", required=True,
-                     help="calculus file or builtin:<name>")
+    sub = add("parse", _cmd_parse, "parse one formula", bounds=False)
     sub.add_argument("formula", help="formula text in the surface syntax")
 
     sub = add("enum-lang", _cmd_enum_lang, "enumerate the language")
-    sub.add_argument("--calc", required=True)
     sub.add_argument("--size", type=int, required=True,
                      help="maximum formula size")
-    _add_bounds_flags(sub)
 
-    sub = add("enum-body", _cmd_enum_body, "enumerate the bounded body")
-    sub.add_argument("--calc", required=True)
-    _add_bounds_flags(sub)
+    add("enum-body", _cmd_enum_body, "enumerate the bounded body")
 
     sub = add("derive", _cmd_derive, "search for a derivation")
-    sub.add_argument("--calc", required=True)
     sub.add_argument("--goal", required=True, help="goal formula text")
-    _add_bounds_flags(sub)
 
-    sub = add("stages", _cmd_stages, "run a changing axiom system")
-    sub.add_argument("--calc", required=True,
-                     help="calculus file with a stages list")
-    _add_bounds_flags(sub)
+    add("stages", _cmd_stages, "run a changing axiom system",
+        calc="calculus file with a stages list")
 
-    sub = add("compare", _cmd_compare, "bounded calculus equivalence")
+    sub = add("compare", _cmd_compare, "bounded calculus equivalence",
+              calc=None)
     sub.add_argument("--kind", required=True, choices=COMPARISON_KINDS)
     sub.add_argument("--calc-a", required=True)
     sub.add_argument("--calc-b", required=True)
     sub.add_argument("--map", default=None,
                      choices=("p2_to_p1", "p1_to_p2"),
                      help="translation map for differing alphabets")
-    _add_bounds_flags(sub)
 
     sub = add("check", _cmd_check, "check a body property")
-    sub.add_argument("--calc", required=True)
     sub.add_argument("--property", required=True, choices=PROPERTY_NAMES)
     sub.add_argument("--member", action="append", default=[],
                      help="forbidden-set member for consistent-with "
@@ -553,33 +530,28 @@ def _build_parser() -> _ArgumentParser:
     sub.add_argument("--rules-from", default=None,
                      help="calculus whose rules serve as the mapping system "
                           "for complete-wrt-rules (defaults to --calc's rules)")
-    _add_bounds_flags(sub)
 
     sub = add("relation", _cmd_relation, "sample the inference relation")
-    sub.add_argument("--calc", required=True)
     sub.add_argument("--premise", action="append", default=[], required=True,
                      help="premise-pool formula (repeatable)")
     sub.add_argument("--max-premises", type=int, required=True)
     sub.add_argument("--out", default=None,
                      help="write the relation records to a file")
-    _add_bounds_flags(sub)
 
     sub = add("relation-check", _cmd_relation_check,
-              "boundedness of a relation file")
+              "boundedness of a relation file", bounds=False, calc=None)
     sub.add_argument("--relation", required=True,
                      help="relation records file")
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--kind", required=True, choices=BOUNDEDNESS_KINDS)
 
     sub = add("automaton", _cmd_automaton, "body acceptor")
-    sub.add_argument("--calc", required=True)
     sub.add_argument("--deterministic", action="store_true",
                      help="build the shared-prefix deterministic acceptor")
     sub.add_argument("--accept", default=None,
                      help="test one word for acceptance")
     sub.add_argument("--language-upto", type=int, default=None,
                      help="list accepted words up to this length")
-    _add_bounds_flags(sub)
 
     return parser
 

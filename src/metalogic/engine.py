@@ -27,7 +27,7 @@ small instances of every schema rather than all instances of the first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -70,11 +70,10 @@ class Bounds:
     instantiation_pool_size: int = 7
 
     def __post_init__(self):
-        for name in ("max_stage", "max_formula_size", "node_budget",
-                     "instantiation_pool_size"):
-            value = getattr(self, name)
+        for bound in fields(self):
+            value = getattr(self, bound.name)
             if type(value) is not int or value < 1:
-                raise RuleParameterError(f"bound {name} must be an integer >= 1, got {value!r}")
+                raise RuleParameterError(f"bound {bound.name} must be an integer >= 1, got {value!r}")
 
 
 DEFAULT_BOUNDS = Bounds()

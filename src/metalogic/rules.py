@@ -559,10 +559,9 @@ def validated_mp(validator: Validator) -> InferenceRule:
         raise RuleParameterError("validated_mp needs a Validator")
 
     def conclude(premises, context):
-        minor, major = premises
-        if (type(major) is Binary and major.op == IMPLIES
-                and major.left == minor and validator(minor)):
-            return (major.right,)
+        conclusion = _mp_conclude(premises, context)
+        if conclusion and validator(premises[0]):
+            return conclusion
         return ()
 
     return InferenceRule(

@@ -1,5 +1,6 @@
 """Finite-body acceptors: construction, simulation, interchange."""
 
+import itertools
 import random
 
 import pytest
@@ -160,6 +161,57 @@ class TestTrieAutomaton:
             trie = build_deterministic_body_automaton(theorems)
             assert nfa_language_upto(chains, longest) == words
             assert nfa_language_upto(trie, longest) == words
+
+
+def _hand_built(transitions, accepting, symbols="xy"):
+    states = {"a"} | set(accepting)
+    for source, _, target in transitions:
+        states.update((source, target))
+    return EpsilonNFA(frozenset(states), frozenset(symbols),
+                      frozenset(transitions), "a", frozenset(accepting))
+
+
+# a -x-> b, then an epsilon chain b => c => d; d accepts
+EPSILON_TAIL = _hand_built(
+    {("a", "x", "b"), ("b", EPSILON, "c"), ("c", EPSILON, "d")}, {"d"})
+
+# epsilon cycles before and after the symbol: a <=> b -x-> c <=> d, d -y-> a
+EPSILON_CYCLES = _hand_built(
+    {("a", EPSILON, "b"), ("b", EPSILON, "a"), ("b", "x", "c"),
+     ("c", EPSILON, "d"), ("d", EPSILON, "c"), ("d", "y", "a")}, {"d"})
+
+# nondeterministic branches that rejoin, plus an epsilon edge to a dead end
+BRANCHING = _hand_built(
+    {("a", "x", "b"), ("a", "x", "c"), ("b", "y", "d"), ("c", "y", "d"),
+     ("c", EPSILON, "e"), ("d", EPSILON, "a")}, {"d", "e"})
+
+
+class TestSimulation:
+    def test_epsilon_chain_after_a_symbol_is_followed(self):
+        assert nfa_accepts(EPSILON_TAIL, "x")
+        assert not nfa_accepts(EPSILON_TAIL, "")
+        assert not nfa_accepts(EPSILON_TAIL, "xx")
+
+    def test_epsilon_cycles_terminate(self):
+        assert nfa_accepts(EPSILON_CYCLES, "x")
+        assert nfa_accepts(EPSILON_CYCLES, "xyx")
+        assert not nfa_accepts(EPSILON_CYCLES, "")
+        assert not nfa_accepts(EPSILON_CYCLES, "xy")
+        assert nfa_language_upto(EPSILON_CYCLES, 3) == frozenset({"x", "xyx"})
+
+    @pytest.mark.parametrize("nfa", [
+        build_body_automaton(body("P", "~Q", "~~P", "(P -> Q)")),
+        build_deterministic_body_automaton(body("P", "~P", "~~P", "~Q")),
+        EPSILON_TAIL, EPSILON_CYCLES, BRANCHING,
+    ], ids=["chain", "trie", "epsilon-tail", "epsilon-cycles", "branching"])
+    def test_language_agrees_with_acceptance_on_every_short_word(self, nfa):
+        n = 5
+        symbols = sorted(nfa.symbols)
+        language = nfa_language_upto(nfa, n)
+        for length in range(n + 1):
+            for letters in itertools.product(symbols, repeat=length):
+                word = "".join(letters)
+                assert (word in language) == nfa_accepts(nfa, word), word
 
 
 class TestLanguageEnumeration:

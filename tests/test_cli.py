@@ -5,9 +5,13 @@ codes and captured stdout/stderr without spawning a shell.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from metalogic import cli
 from metalogic.cli import main
 
 CHAIN = {
@@ -95,6 +99,11 @@ class TestEnumLang:
 
     def test_missing_size_is_a_usage_error(self, capsys):
         assert main(["enum-lang", "--calc", "builtin:kleene"]) == 3
+
+    def test_unknown_pool_variable_exits_3(self, capsys):
+        assert main(["enum-lang", "--calc", "builtin:kleene", "--size", "1",
+                     "--pool-vars", "Z"]) == 3
+        assert "unknown variables: Z" in capsys.readouterr().err
 
 
 class TestEnumBody:
@@ -306,7 +315,11 @@ class TestHarness:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out or True
+        out = capsys.readouterr().out
+        for name in ("parse", "enum-lang", "enum-body", "derive", "stages",
+                     "compare", "check", "relation", "relation-check",
+                     "automaton"):
+            assert f"    {name} " in out
 
     def test_machine_reports_are_byte_stable(self, capsys, chain_file):
         argv = ["enum-body", "--json", "--calc", chain_file]
@@ -325,3 +338,66 @@ class TestHarness:
         capsys.readouterr()
         assert main(["enum-body", "--calc", str(path),
                      "--max-stage", "4"]) == 0
+
+
+FILE_BOUNDS = {"max_stage": 3, "max_formula_size": 9, "node_budget": 1000,
+               "instantiation_pool_size": 2}
+
+
+@pytest.mark.parametrize("flag, field, value", [
+    ("--max-stage", "max_stage", 5),
+    ("--max-size", "max_formula_size", 11),
+    ("--budget", "node_budget", 999),
+    ("--pool-size", "instantiation_pool_size", 4),
+])
+def test_each_bounds_flag_overrides_exactly_its_field(capsys, tmp_path, flag,
+                                                      field, value):
+    path = tmp_path / "bounded.json"
+    path.write_text(json.dumps(dict(CHAIN, bounds=FILE_BOUNDS)),
+                    encoding="utf-8")
+    main(["enum-body", "--json", "--calc", str(path)])
+    assert json.loads(capsys.readouterr().out)["bounds"] == FILE_BOUNDS
+    main(["enum-body", "--json", "--calc", str(path), flag, str(value)])
+    report = json.loads(capsys.readouterr().out)
+    assert report["bounds"] == dict(FILE_BOUNDS, **{field: value})
+
+
+class TestSharedParser:
+    """main reuses one parser; no call may leak state into the next."""
+
+    def _report(self, capsys, argv, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("first, second", [
+        (["--property", "consistent-with", "--member", "R",
+          "--member", "Q"],
+         ["--property", "consistent-with", "--member", "(R -> P)"]),
+        (["--property", "complete-wrt-rules", "--target", "R",
+          "--target", "(P -> R)"],
+         ["--property", "complete-wrt-rules", "--target", "Q"]),
+    ], ids=["member", "target"])
+    def test_consecutive_calls_match_lone_calls(self, capsys, chain_file,
+                                                 first, second):
+        first = ["check", "--json", "--calc", chain_file] + first
+        second = ["check", "--json", "--calc", chain_file] + second
+        alone = [self._report(capsys, argv, fresh=True)
+                 for argv in (first, second)]
+        cli._build_parser.cache_clear()
+        for order in ((first, second), (second, first)):
+            for argv in order:
+                expected = alone[0] if argv is first else alone[1]
+                assert self._report(capsys, argv, fresh=False) == expected
+        assert alone[0] != alone[1]
+
+    def test_one_parser_per_process_and_none_at_import(self):
+        assert cli._build_parser() is cli._build_parser()
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = ("import metalogic.cli as cli; "
+                 "print(cli._build_parser.cache_info().currsize)")
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert result.stdout.strip() == "0"

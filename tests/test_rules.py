@@ -137,6 +137,16 @@ class TestCombinators:
         assert conclusions(rule, wff("(P -> P)"),
                            wff("((P -> P) -> Q)")) == {"Q"}
 
+    def test_validated_mp_validates_only_matching_pairs(self):
+        seen = []
+        rule = validated_mp(Validator("recording",
+                                      lambda f: seen.append(f) or True))
+        assert conclusions(rule, wff("Q"), wff("(P -> Q)")) == set()
+        assert conclusions(rule, wff("P"), wff("(P & Q)")) == set()
+        assert seen == []
+        assert conclusions(rule, wff("P"), wff("(P -> Q)")) == {"Q"}
+        assert seen == [wff("P")]
+
     def test_always_true_validator_recovers_plain_mp(self):
         rule = validated_mp(always_true_validator())
         assert conclusions(rule, wff("P"), wff("(P -> Q)")) == {"Q"}
