@@ -228,19 +228,6 @@ def compare_calculi(kind: str, c: Calculus, d: Calculus,
 # The property battery
 # ==========================================================================
 
-PROPERTY_NAMES = (
-    "admissible",
-    "consistent",
-    "consistent-with",
-    "complete-wrt-map",
-    "complete-wrt-rules",
-    "transitively-closed",
-    "closed-wrt-axioms",
-    "closed-wrt-rules",
-    "completely-closed",
-)
-
-
 def _language_or_none(calculus: Calculus, bounds: Bounds):
     try:
         return enumerate_wffs(calculus.alphabet, bounds.max_formula_size,
@@ -529,6 +516,8 @@ _PROPERTY_CHECKS = {
     "closed-wrt-rules": _check_closed_wrt_rules,
     "completely-closed": _check_completely_closed,
 }
+
+PROPERTY_NAMES = tuple(_PROPERTY_CHECKS)
 
 
 def check_property(calculus: Calculus, property_name: str,

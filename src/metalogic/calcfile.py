@@ -31,12 +31,14 @@ A calculus file is a single JSON object:
 
 First-order languages add "individual_variables", "functions" and
 "predicates" (as [name, arity] pairs), and "quantifiers". Formula strings
-use the surface syntax of the declared language. Unknown keys anywhere are
-rejected, so typos fail loudly instead of being ignored.
+use the surface syntax of the declared language; "punctuation" is
+accepted and ignored. Unknown keys anywhere are rejected, so typos fail
+loudly instead of being ignored. Each rule parameter is read by the kind
+``rules.rule_parameters`` declares for it.
 
 The path ``builtin:<name>`` bypasses files: ``builtin:kleene``,
 ``builtin:lv,kleene,tautology`` (base and validator), ``builtin:free,3``
-(size cap).
+(size cap); ``library.builtin_spec_params`` reads the arguments.
 """
 
 from __future__ import annotations
@@ -53,8 +55,16 @@ from .engine import (
     StagedAxioms,
 )
 from .errors import CalculusFileError, MetalogicError
-from .library import builtin_calculus, make_validator
-from .rules import InferenceRule, make_rule, rule_system
+from .library import builtin_calculus, builtin_spec_params, make_validator
+from .rules import (
+    PARAM_FORMULA,
+    PARAM_RULE,
+    PARAM_VALIDATOR,
+    InferenceRule,
+    make_rule,
+    rule_parameters,
+    rule_system,
+)
 from .syntax import (
     Alphabet,
     Schema,
@@ -100,6 +110,14 @@ def _names(mapping: dict, key: str, where: str, default=None) -> tuple:
     return tuple(value)
 
 
+def _list(mapping: dict, key: str, where: str) -> list:
+    """``mapping[key]``, or an empty list when absent; it must be a JSON list."""
+    value = mapping.get(key, [])
+    if not isinstance(value, list):
+        raise CalculusFileError(f"{where}: {key!r} must be a list, got {value!r}")
+    return value
+
+
 def _arity_pairs(raw, where: str) -> tuple:
     out = []
     for item in raw:
@@ -124,7 +142,10 @@ def _parse_language(raw: dict) -> Alphabet:
         "individual_variables", "functions", "predicates", "quantifiers",
     ), where)
     kind = raw.get("kind", "propositional")
-    punctuation = raw.get("punctuation", "parens")
+    if raw.get("punctuation", "parens") not in ("parens", "brackets"):
+        raise CalculusFileError(
+            f"{where}: unknown punctuation style: {raw['punctuation']!r}"
+        )
     if kind == "propositional":
         for key in ("individual_variables", "functions", "predicates",
                     "quantifiers"):
@@ -136,7 +157,6 @@ def _parse_language(raw: dict) -> Alphabet:
             _names(raw, "variables", where),
             connectives=_names(raw, "connectives", where, _CONNECTIVES),
             constants=_names(raw, "constants", where, ()),
-            punctuation=punctuation,
         )
     if kind == "first-order":
         if raw.get("constants"):
@@ -151,7 +171,6 @@ def _parse_language(raw: dict) -> Alphabet:
             functions=_arity_pairs(raw.get("functions", ()), where),
             predicates=_arity_pairs(raw.get("predicates", ()), where),
             quantifiers=_names(raw, "quantifiers", where, ("exists",)),
-            punctuation=punctuation,
         )
     raise CalculusFileError(
         f"{where}: kind must be 'propositional' or 'first-order', got {kind!r}"
@@ -167,8 +186,7 @@ def _parse_formula_field(text, alphabet: Alphabet, where: str):
         raise CalculusFileError(f"{where}: {exc}") from exc
 
 
-def _parse_schema(raw, alphabet: Alphabet, index: int) -> Schema:
-    where = f"schemata[{index}]"
+def _parse_schema(raw, alphabet: Alphabet, where: str) -> Schema:
     if not isinstance(raw, dict):
         raise CalculusFileError(f"{where}: expected an object")
     _reject_unknown(raw, ("id", "pattern", "metavariables"), where)
@@ -196,33 +214,31 @@ def _parse_rule(raw, alphabet: Alphabet, stub: Calculus, index_path: str) -> Inf
         raise CalculusFileError(f"{index_path}: expected an object")
     _reject_unknown(raw, ("name", "params"), index_path)
     name = _require(raw, "name", index_path)
+    if not isinstance(name, str):
+        raise CalculusFileError(f"{index_path}.name: expected a string, got {name!r}")
     raw_params = raw.get("params", {})
     if not isinstance(raw_params, dict):
         raise CalculusFileError(f"{index_path}.params: expected an object")
+    try:
+        declared = rule_parameters(name)
+    except MetalogicError as exc:
+        raise CalculusFileError(f"{index_path}: {exc}") from exc
     params = {}
     for key, value in raw_params.items():
         where = f"{index_path}.params.{key}"
-        if name == "extension" and key == "psi":
-            params[key] = _parse_formula_field(value, alphabet, where)
-        elif name == "length_filtered" and key == "cap":
-            if not isinstance(value, int):
-                raise CalculusFileError(f"{where}: expected an integer")
-            params[key] = value
-        elif name == "length_filtered" and key == "rule":
-            params[key] = _parse_rule(value, alphabet, stub, where)
-        elif name == "compose" and key in ("first", "second"):
-            params[key] = _parse_rule(value, alphabet, stub, where)
-        elif name == "validated_mp" and key == "validator":
+        kind = declared.get(key)
+        if kind == PARAM_FORMULA:
+            value = _parse_formula_field(value, alphabet, where)
+        elif kind == PARAM_RULE:
+            value = _parse_rule(value, alphabet, stub, where)
+        elif kind == PARAM_VALIDATOR:
             if not isinstance(value, str):
-                raise CalculusFileError(f"{where}: expected a validator name")
+                raise CalculusFileError(f"{where}: expected a validator name, got {value!r}")
             try:
-                params[key] = make_validator(value, stub)
+                value = make_validator(value, stub)
             except MetalogicError as exc:
                 raise CalculusFileError(f"{where}: {exc}") from exc
-        else:
-            raise CalculusFileError(
-                f"{where}: rule {name!r} takes no parameter {key!r}"
-            )
+        params[key] = value
     try:
         return make_rule(name, **params)
     except MetalogicError as exc:
@@ -240,6 +256,27 @@ def _parse_bounds(raw) -> Bounds:
         raise CalculusFileError(f"{where}: {exc}") from exc
 
 
+def _parse_axioms(raw: dict, alphabet: Alphabet, where: str, prefix: str) -> tuple:
+    """The axioms and schemata of the top level or of one stage."""
+    axioms = tuple(
+        _parse_formula_field(text, alphabet, f"{prefix}axioms[{i}]")
+        for i, text in enumerate(_list(raw, "axioms", where))
+    )
+    schemata = tuple(
+        _parse_schema(s, alphabet, f"{prefix}schemata[{i}]")
+        for i, s in enumerate(_list(raw, "schemata", where))
+    )
+    return axioms, schemata
+
+
+def _parse_rules(raw: dict, alphabet: Alphabet, stub: Calculus, where: str,
+                 prefix: str) -> tuple:
+    return tuple(
+        _parse_rule(r, alphabet, stub, f"{prefix}rules[{i}]")
+        for i, r in enumerate(_list(raw, "rules", where))
+    )
+
+
 _TOP_KEYS = ("name", "language", "axioms", "schemata", "rules", "schema_mode",
              "pool_variables", "bounds", "stages")
 
@@ -249,21 +286,14 @@ def parse_calculus_data(data: dict) -> CalculusFile:
     if not isinstance(data, dict):
         raise CalculusFileError("the calculus file must hold a JSON object")
     _reject_unknown(data, _TOP_KEYS, "top level")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise CalculusFileError(f"top level: 'name' must be a string, got {name!r}")
     alphabet = _parse_language(_require(data, "language", "top level"))
-    axioms = tuple(
-        _parse_formula_field(text, alphabet, f"axioms[{i}]")
-        for i, text in enumerate(data.get("axioms", ()))
-    )
-    schemata = tuple(
-        _parse_schema(raw, alphabet, i)
-        for i, raw in enumerate(data.get("schemata", ()))
-    )
+    axioms, schemata = _parse_axioms(data, alphabet, "top level", "")
     stub = Calculus(alphabet=alphabet, axioms=axioms, schemata=schemata,
-                    name=str(data.get("name", "")))
-    rules = tuple(
-        _parse_rule(raw, alphabet, stub, f"rules[{i}]")
-        for i, raw in enumerate(data.get("rules", ()))
-    )
+                    name=name)
+    rules = _parse_rules(data, alphabet, stub, "top level", "")
     try:
         calculus = Calculus(
             alphabet=alphabet,
@@ -272,7 +302,7 @@ def parse_calculus_data(data: dict) -> CalculusFile:
             rules=rule_system(*rules),
             schema_mode=data.get("schema_mode", ON_DEMAND_MODE),
             pool_variables=_names(data, "pool_variables", "top level", ()),
-            name=str(data.get("name", "")),
+            name=name,
         )
     except MetalogicError as exc:
         raise CalculusFileError(str(exc)) from exc
@@ -280,65 +310,26 @@ def parse_calculus_data(data: dict) -> CalculusFile:
     staged = None
     if "stages" in data:
         stages = []
-        for i, raw in enumerate(data["stages"]):
+        for i, raw in enumerate(_list(data, "stages", "top level")):
             where = f"stages[{i}]"
             if not isinstance(raw, dict):
                 raise CalculusFileError(f"{where}: expected an object")
             _reject_unknown(raw, ("axioms", "schemata", "rules"), where)
-            stage_axioms = tuple(
-                _parse_formula_field(text, alphabet, f"{where}.axioms[{j}]")
-                for j, text in enumerate(raw.get("axioms", ()))
-            )
-            stage_schemata = tuple(
-                _parse_schema(s, alphabet, j)
-                for j, s in enumerate(raw.get("schemata", ()))
-            )
+            stage_axioms, stage_schemata = _parse_axioms(raw, alphabet, where,
+                                                         f"{where}.")
             stage_rules = None
             if raw.get("rules") is not None:
-                stage_rules = rule_system(*(
-                    _parse_rule(r, alphabet, stub, f"{where}.rules[{j}]")
-                    for j, r in enumerate(raw["rules"])
-                ))
+                stage_rules = rule_system(
+                    *_parse_rules(raw, alphabet, stub, where, f"{where}."))
             stages.append(AxiomStage(stage_axioms, stage_schemata, stage_rules))
         staged = StagedAxioms(tuple(stages))
     return CalculusFile(calculus, bounds, staged)
 
 
 def _builtin_from_spec(spec: str) -> Calculus:
-    parts = [p.strip() for p in spec.split(",")]
-    name, args = parts[0], parts[1:]
+    name, *args = [p.strip() for p in spec.split(",")]
     try:
-        if name == "lv":
-            params = {}
-            if len(args) >= 1 and args[0]:
-                params["base"] = args[0]
-            if len(args) >= 2 and args[1]:
-                params["validator"] = args[1]
-            if len(args) > 2:
-                raise CalculusFileError(
-                    "builtin:lv takes at most base and validator, "
-                    "e.g. builtin:lv,kleene,tautology"
-                )
-            return builtin_calculus("lv", **params)
-        if name == "free":
-            if len(args) != 1:
-                raise CalculusFileError(
-                    "builtin:free needs a size cap, e.g. builtin:free,3"
-                )
-            try:
-                cap = int(args[0])
-            except ValueError:
-                raise CalculusFileError(
-                    f"builtin:free size cap must be an integer, got {args[0]!r}"
-                ) from None
-            return builtin_calculus("free", size_cap=cap)
-        if args:
-            raise CalculusFileError(
-                f"builtin:{name} takes no parameters"
-            )
-        return builtin_calculus(name)
-    except CalculusFileError:
-        raise
+        return builtin_calculus(name, **builtin_spec_params(name, args))
     except MetalogicError as exc:
         raise CalculusFileError(str(exc)) from exc
 

@@ -68,7 +68,7 @@ from .engine import (
     staged_run,
 )
 from .errors import BudgetExceededError, CalculusFileError, MetalogicError
-from .library import _schema, translation_map
+from .library import _schema, translation_map, translation_map_names
 from .syntax import (
     Formula,
     enumerate_wffs,
@@ -512,7 +512,7 @@ def _build_parser() -> _ArgumentParser:
     sub.add_argument("--calc-a", required=True)
     sub.add_argument("--calc-b", required=True)
     sub.add_argument("--map", default=None,
-                     choices=("p2_to_p1", "p1_to_p2"),
+                     choices=translation_map_names(),
                      help="translation map for differing alphabets")
 
     sub = add("check", _cmd_check, "check a body property")

@@ -20,19 +20,25 @@ The two Church systems come with translation maps: p2_to_p1 rewrites every
 negation ~x as an implication into f, and p1_to_p2 inverts that on the
 image fragment (a residual bare f becomes the canonical contradiction
 ~(p -> p), so the round trip is not the identity on all of P1).
+
+Each kind of built-in is one table, read by its lookup function and its
+name list: ``_CALCULI``, ``_VALIDATORS`` and ``_TRANSLATIONS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Optional
 
 from .engine import Calculus, ON_DEMAND_MODE, SUBSTITUTION_RULE_MODE
 from .errors import AlphabetError, RuleParameterError, UnknownCalculusError
 from .rules import (
+    PARAM_INT,
     RuleSystem,
     Validator,
     always_true_validator,
+    check_parameter,
     make_rule,
     rule_system,
     validated_mp,
@@ -82,11 +88,22 @@ def _schema(schema_id: str, text: str, alphabet: Alphabet) -> Schema:
 # The built-in calculi
 # ==========================================================================
 
-def kleene_calculus() -> Calculus:
-    alphabet = propositional_alphabet(
-        ("P", "Q", "R"), connectives=(NOT, AND, OR, IMPLIES)
+def _schematic(name: str, alphabet: Alphabet, texts, rule_names, mode) -> Calculus:
+    """A calculus given by (schema id, pattern text) pairs and rule names."""
+    return Calculus(
+        alphabet=alphabet,
+        schemata=tuple(_schema(sid, text, alphabet) for sid, text in texts),
+        rules=rule_system(*map(make_rule, rule_names)),
+        schema_mode=mode,
+        name=name,
     )
-    texts = (
+
+
+@cache
+def kleene_calculus() -> Calculus:
+    return _schematic("kleene", propositional_alphabet(
+        ("P", "Q", "R"), connectives=(NOT, AND, OR, IMPLIES)
+    ), (
         ("k1", "phi -> (chi -> phi)"),
         ("k2", "(phi -> (chi -> psi)) -> ((phi -> chi) -> (phi -> psi))"),
         ("k3", "phi -> (chi -> (phi & chi))"),
@@ -97,53 +114,32 @@ def kleene_calculus() -> Calculus:
         ("k8", "(phi -> psi) -> ((chi -> psi) -> ((phi | chi) -> psi))"),
         ("k9", "(phi -> chi) -> ((phi -> ~chi) -> ~phi)"),
         ("k10", "~~phi -> phi"),
-    )
-    return Calculus(
-        alphabet=alphabet,
-        schemata=tuple(_schema(sid, text, alphabet) for sid, text in texts),
-        rules=rule_system(make_rule("modus_ponens")),
-        schema_mode=ON_DEMAND_MODE,
-        name="kleene",
-    )
+    ), ("modus_ponens",), ON_DEMAND_MODE)
 
 
+@cache
 def church_p1_calculus() -> Calculus:
-    alphabet = propositional_alphabet(
-        ("p", "q", "s"), connectives=(IMPLIES,), constants=("f",),
-        punctuation="brackets",
-    )
-    texts = (
+    return _schematic("church_p1", propositional_alphabet(
+        ("p", "q", "s"), connectives=(IMPLIES,), constants=("f",)
+    ), (
         ("p1-1", "phi -> (chi -> phi)"),
         ("p1-2", "(psi -> (phi -> chi)) -> ((psi -> phi) -> (psi -> chi))"),
         ("p1-3", "((phi -> f) -> f) -> phi"),
-    )
-    return Calculus(
-        alphabet=alphabet,
-        schemata=tuple(_schema(sid, text, alphabet) for sid, text in texts),
-        rules=rule_system(make_rule("modus_ponens"), make_rule("substitution")),
-        schema_mode=SUBSTITUTION_RULE_MODE,
-        name="church_p1",
-    )
+    ), ("modus_ponens", "substitution"), SUBSTITUTION_RULE_MODE)
 
 
+@cache
 def church_p2_calculus() -> Calculus:
-    alphabet = propositional_alphabet(
-        ("p", "q", "s"), connectives=(IMPLIES, NOT), punctuation="brackets"
-    )
-    texts = (
+    return _schematic("church_p2", propositional_alphabet(
+        ("p", "q", "s"), connectives=(IMPLIES, NOT)
+    ), (
         ("p2-1", "phi -> (chi -> phi)"),
         ("p2-2", "(psi -> (phi -> chi)) -> ((psi -> phi) -> (psi -> chi))"),
         ("p2-3", "(~phi -> ~chi) -> (chi -> phi)"),
-    )
-    return Calculus(
-        alphabet=alphabet,
-        schemata=tuple(_schema(sid, text, alphabet) for sid, text in texts),
-        rules=rule_system(make_rule("modus_ponens"), make_rule("substitution")),
-        schema_mode=SUBSTITUTION_RULE_MODE,
-        name="church_p2",
-    )
+    ), ("modus_ponens", "substitution"), SUBSTITUTION_RULE_MODE)
 
 
+@cache
 def shoenfield_fragment_calculus() -> Calculus:
     alphabet = first_order_alphabet(
         ("x", "y", "z"),
@@ -184,15 +180,7 @@ def free_calculus(size_cap: Optional[int] = None,
                   alphabet: Optional[Alphabet] = None,
                   rules: Optional[RuleSystem] = None) -> Calculus:
     """A calculus whose axiom set is the whole language up to the size cap."""
-    if size_cap is None:
-        raise RuleParameterError(
-            "the free calculus needs a size_cap parameter (its axiom set is "
-            "the whole language up to that size)"
-        )
-    if not isinstance(size_cap, int) or size_cap < 1:
-        raise RuleParameterError(
-            f"the free calculus needs a size cap >= 1, got {size_cap!r}"
-        )
+    check_parameter(PARAM_INT, size_cap, "the free calculus needs a size cap")
     if alphabet is None:
         alphabet = _FREE_DEFAULT_ALPHABET
     if rules is None:
@@ -209,44 +197,44 @@ def free_calculus(size_cap: Optional[int] = None,
 # Validators and the LV construction
 # ==========================================================================
 
-def tautology_validator(constants=frozenset()) -> Validator:
-    constants = frozenset(constants)
+def _tautology_validator(base: Optional[Calculus]) -> Validator:
+    constants = frozenset(base.alphabet.constants if base is not None else ())
     return Validator("tautology", lambda f: is_tautology(f, constants=constants))
 
 
-def axiom_membership_validator(calculus: Calculus) -> Validator:
+def _axiom_membership_validator(base: Optional[Calculus]) -> Validator:
     """Accept exactly the realized axioms: declared formulas and schema instances."""
-    concrete = frozenset(calculus.axioms)
+    if base is None:
+        raise RuleParameterError(
+            "the axiom-membership validator needs a base calculus"
+        )
+    concrete = frozenset(base.axioms)
 
     def accepts(formula: Formula) -> bool:
         if formula in concrete:
             return True
         return any(
             match_schema(schema, formula) is not None
-            for schema in calculus.schemata
+            for schema in base.schemata
         )
 
     return Validator("axiom-membership", accepts)
 
 
-_VALIDATOR_NAMES = ("tautology", "axiom-membership", "always-true")
+# name -> factory of the validator over an optional base calculus
+_VALIDATORS = {
+    "tautology": _tautology_validator,
+    "axiom-membership": _axiom_membership_validator,
+    "always-true": lambda base: always_true_validator(),
+}
 
 
 def make_validator(name: str, base: Optional[Calculus] = None) -> Validator:
-    if name == "tautology":
-        constants = base.alphabet.constants if base is not None else ()
-        return tautology_validator(constants)
-    if name == "axiom-membership":
-        if base is None:
-            raise RuleParameterError(
-                "the axiom-membership validator needs a base calculus"
-            )
-        return axiom_membership_validator(base)
-    if name == "always-true":
-        return always_true_validator()
-    raise RuleParameterError(
-        f"unknown validator {name!r}; known: {', '.join(_VALIDATOR_NAMES)}"
-    )
+    if name not in _VALIDATORS:
+        raise RuleParameterError(
+            f"unknown validator {name!r}; known: {', '.join(_VALIDATORS)}"
+        )
+    return _VALIDATORS[name](base)
 
 
 def lv_calculus(base="kleene", validator="tautology") -> Calculus:
@@ -272,41 +260,66 @@ def lv_calculus(base="kleene", validator="tautology") -> Calculus:
 # Registry
 # ==========================================================================
 
-_BUILTIN_NAMES = ("kleene", "church_p1", "church_p2", "shoenfield_fragment",
-                  "lv", "free")
+# name -> (factory, the parameters a builtin:<name>,<arg>,... path gives in
+# order, each with the type its text converts to)
+_CALCULI = {
+    "kleene": (kleene_calculus, ()),
+    "church_p1": (church_p1_calculus, ()),
+    "church_p2": (church_p2_calculus, ()),
+    "shoenfield_fragment": (shoenfield_fragment_calculus, ()),
+    "lv": (lv_calculus, (("base", str), ("validator", str))),
+    "free": (free_calculus, (("size_cap", int),)),
+}
+
+
+def _calculus_entry(name: str) -> tuple:
+    if name not in _CALCULI:
+        raise UnknownCalculusError(
+            f"unknown calculus {name!r}; known: {', '.join(_CALCULI)}"
+        )
+    return _CALCULI[name]
 
 
 def builtin_calculus(name: str, **params) -> Calculus:
     """Look up a built-in calculus by name.
 
     ``lv`` takes ``base`` and ``validator``; ``free`` takes ``size_cap`` and
-    optional ``alphabet`` and ``rules``. The other names take no parameters.
+    optional ``alphabet`` and ``rules``. The other names take no parameters,
+    and each is built once per process: calculi are immutable.
     """
-    if name == "kleene":
-        factory = kleene_calculus
-    elif name == "church_p1":
-        factory = church_p1_calculus
-    elif name == "church_p2":
-        factory = church_p2_calculus
-    elif name == "shoenfield_fragment":
-        factory = shoenfield_fragment_calculus
-    elif name == "lv":
-        return lv_calculus(**params)
-    elif name == "free":
-        return free_calculus(**params)
-    else:
-        raise UnknownCalculusError(
-            f"unknown calculus {name!r}; known: {', '.join(_BUILTIN_NAMES)}"
-        )
-    if params:
+    factory, spec_params = _calculus_entry(name)
+    if params and not spec_params:
         raise RuleParameterError(
             f"calculus {name!r} takes no parameters, got {sorted(params)}"
         )
-    return factory()
+    return factory(**params)
+
+
+def builtin_spec_params(name: str, args) -> dict:
+    """``builtin_calculus`` keywords from the ``<arg>``s of ``builtin:<name>,<arg>,...``.
+
+    An empty argument keeps its parameter's default.
+    """
+    declared = _calculus_entry(name)[1]
+    if len(args) > len(declared):
+        names = " and ".join(param for param, _ in declared)
+        raise RuleParameterError(
+            f"builtin:{name} takes " + (f"at most {names}" if names else "no parameters"))
+    params = {}
+    for (param, kind), text in zip(declared, args):
+        if not text:
+            continue
+        try:
+            params[param] = kind(text)
+        except ValueError:  # only int() can reject its text
+            raise RuleParameterError(
+                f"builtin:{name} {param} must be an integer, got {text!r}"
+            ) from None
+    return params
 
 
 def builtin_calculus_names() -> tuple:
-    return _BUILTIN_NAMES
+    return tuple(_CALCULI)
 
 
 # ==========================================================================
@@ -374,21 +387,21 @@ def identity_map(alphabet: Alphabet) -> TranslationMap:
     return TranslationMap("identity", alphabet, alphabet, lambda f: f)
 
 
+# name -> (source calculus, target calculus, formula map)
+_TRANSLATIONS = {
+    "p2_to_p1": (church_p2_calculus, church_p1_calculus, _p2_to_p1_fn),
+    "p1_to_p2": (church_p1_calculus, church_p2_calculus, _p1_to_p2_fn),
+}
+
+
 def translation_map(name: str) -> TranslationMap:
-    if name == "p2_to_p1":
-        return TranslationMap(
-            "p2_to_p1",
-            church_p2_calculus().alphabet,
-            church_p1_calculus().alphabet,
-            _p2_to_p1_fn,
+    if name not in _TRANSLATIONS:
+        raise UnknownCalculusError(
+            f"unknown translation map {name!r}; known: {', '.join(_TRANSLATIONS)}"
         )
-    if name == "p1_to_p2":
-        return TranslationMap(
-            "p1_to_p2",
-            church_p1_calculus().alphabet,
-            church_p2_calculus().alphabet,
-            _p1_to_p2_fn,
-        )
-    raise UnknownCalculusError(
-        f"unknown translation map {name!r}; known: p2_to_p1, p1_to_p2"
-    )
+    source, target, fn = _TRANSLATIONS[name]
+    return TranslationMap(name, source().alphabet, target().alphabet, fn)
+
+
+def translation_map_names() -> tuple:
+    return tuple(_TRANSLATIONS)

@@ -26,6 +26,10 @@ second; length_filtered(rule, cap) keeps only conclusions of size strictly
 below cap; validated_mp(validator) is modus ponens gated on the validator
 accepting the minor premise.
 
+``make_rule``, ``rule_parameters`` and ``builtin_rule_names`` read two
+tables: ``_RULES`` has one row per rule built without parameters, and
+``_PARAMETRIC_RULES`` a factory and parameter kinds per parametric rule.
+
 Rule identity (for rule-system comparison) is the identifier string, which
 encodes bound parameters and combinator structure.
 """
@@ -56,6 +60,9 @@ from .syntax import (
 
 PARAM_FORMULA = "formula"
 PARAM_VARIABLE = "variable"
+PARAM_RULE = "rule"
+PARAM_INT = "int"
+PARAM_VALIDATOR = "validator"
 
 
 class Validator:
@@ -351,140 +358,79 @@ def _identity_conclude(premises, context):
     return (premises[0],)
 
 
-_BUILTIN_FACTORIES = {}
+# --------------------------------------------------------------------------
+# The registry
+# --------------------------------------------------------------------------
+
+# Rules as make_rule builds them without parameters: name -> (arity,
+# conclude, parameter kinds, connectives, strategy), the InferenceRule
+# arguments after the identifier. Unbound extension draws psi from the pool.
+_RULES = {
+    "modus_ponens": (2, _mp_conclude, (), (IMPLIES,), _mp_strategy),
+    "substitution": (1, _substitution_conclude,
+                     (("variable", PARAM_VARIABLE), ("formula", PARAM_FORMULA)),
+                     (), _substitution_strategy),
+    "extension": (1, _extension_conclude, (("psi", PARAM_FORMULA),), (OR,), None),
+    "cancellation": (1, _cancellation_conclude, (), (OR,), None),
+    "associativity_left": (1, _assoc_left_conclude, (), (OR,), None),
+    "associativity_right": (1, _assoc_right_conclude, (), (OR,), None),
+    "cut": (2, _cut_conclude, (), (OR, NOT), _cut_strategy),
+    "exists_introduction": (1, _exists_intro_conclude, (), (IMPLIES,), None),
+    "identity": (1, _identity_conclude, (), (), None),
+}
 
 
-def _register(name):
-    def wrap(factory):
-        _BUILTIN_FACTORIES[name] = factory
-        return factory
-    return wrap
-
-
-@_register("modus_ponens")
-def _make_modus_ponens(**params):
-    _reject_params("modus_ponens", params)
-    return InferenceRule("modus_ponens", 2, _mp_conclude,
-                         requires_connectives=(IMPLIES,), strategy=_mp_strategy)
-
-
-@_register("substitution")
-def _make_substitution(**params):
-    _reject_params("substitution", params)
-    return InferenceRule(
-        "substitution", 1, _substitution_conclude,
-        parameter_kinds=(("variable", PARAM_VARIABLE), ("formula", PARAM_FORMULA)),
-        strategy=_substitution_strategy,
-    )
-
-
-@_register("extension")
-def _make_extension(**params):
-    psi = params.pop("psi", None)
-    _reject_params("extension", params)
-    if psi is None:
-        return InferenceRule("extension", 1, _extension_conclude,
-                             parameter_kinds=(("psi", PARAM_FORMULA),),
-                             requires_connectives=(OR,))
-    if not isinstance(psi, Formula):
-        raise RuleParameterError("extension parameter psi must be a formula")
+def _bound_extension(psi):
     bound = {"psi": psi}
     return InferenceRule(f"extension(psi={print_formula(psi)})", 1,
                          lambda premises, context: _extension_conclude(premises, bound),
                          requires_connectives=(OR,))
 
 
-@_register("cancellation")
-def _make_cancellation(**params):
-    _reject_params("cancellation", params)
-    return InferenceRule("cancellation", 1, _cancellation_conclude,
-                         requires_connectives=(OR,))
+# What a make_rule parameter of each kind must be: kind -> (test, description).
+_PARAMETER_KINDS = {
+    PARAM_FORMULA: (lambda value: isinstance(value, Formula), "a formula"),
+    PARAM_RULE: (lambda value: isinstance(value, InferenceRule), "a rule"),
+    PARAM_INT: (lambda value: type(value) is int and value >= 1, "an integer >= 1"),
+    PARAM_VALIDATOR: (lambda value: isinstance(value, Validator), "a validator"),
+}
 
 
-@_register("associativity_left")
-def _make_assoc_left(**params):
-    _reject_params("associativity_left", params)
-    return InferenceRule("associativity_left", 1, _assoc_left_conclude,
-                         requires_connectives=(OR,))
-
-
-@_register("associativity_right")
-def _make_assoc_right(**params):
-    _reject_params("associativity_right", params)
-    return InferenceRule("associativity_right", 1, _assoc_right_conclude,
-                         requires_connectives=(OR,))
-
-
-@_register("cut")
-def _make_cut(**params):
-    _reject_params("cut", params)
-    return InferenceRule("cut", 2, _cut_conclude,
-                         requires_connectives=(OR, NOT), strategy=_cut_strategy)
-
-
-@_register("exists_introduction")
-def _make_exists_intro(**params):
-    _reject_params("exists_introduction", params)
-    return InferenceRule("exists_introduction", 1, _exists_intro_conclude,
-                         requires_connectives=(IMPLIES,))
-
-
-@_register("identity")
-def _make_identity(**params):
-    _reject_params("identity", params)
-    return InferenceRule("identity", 1, _identity_conclude)
-
-
-@_register("compose")
-def _make_compose(**params):
-    first = params.pop("first", None)
-    second = params.pop("second", None)
-    _reject_params("compose", params)
-    if not isinstance(first, InferenceRule) or not isinstance(second, InferenceRule):
-        raise RuleParameterError("compose needs two rules (first, second)")
-    return compose(first, second)
-
-
-@_register("length_filtered")
-def _make_length_filtered(**params):
-    rule = params.pop("rule", None)
-    cap = params.pop("cap", None)
-    _reject_params("length_filtered", params)
-    if not isinstance(rule, InferenceRule):
-        raise RuleParameterError("length_filtered needs an inner rule")
-    if not isinstance(cap, int) or cap < 1:
-        raise RuleParameterError("length_filtered needs an integer cap >= 1")
-    return length_filtered(rule, cap)
-
-
-@_register("validated_mp")
-def _make_validated_mp(**params):
-    validator = params.pop("validator", None)
-    _reject_params("validated_mp", params)
-    if validator is None:
-        raise RuleParameterError("validated_mp needs a validator")
-    return validated_mp(validator)
-
-
-def _reject_params(name, leftover):
-    if leftover:
-        raise RuleParameterError(
-            f"rule {name!r} does not take parameters {sorted(leftover)}"
-        )
+def check_parameter(kind: str, value, where: str):
+    """Raise RuleParameterError unless ``value`` is a parameter of ``kind``."""
+    fits, description = _PARAMETER_KINDS[kind]
+    if not fits(value):
+        raise RuleParameterError(f"{where}: expected {description}, got {value!r}")
 
 
 def make_rule(name: str, **params) -> InferenceRule:
     """Build a rule from its specification name plus keyword parameters."""
-    factory = _BUILTIN_FACTORIES.get(name)
-    if factory is None:
-        raise UnknownRuleError(
-            f"unknown rule {name!r}; known rules: {', '.join(sorted(_BUILTIN_FACTORIES))}"
-        )
-    return factory(**params)
+    declared = rule_parameters(name)
+    for key, value in params.items():
+        if key not in declared:
+            raise RuleParameterError(f"rule {name!r} takes no parameter {key!r}")
+        check_parameter(declared[key], value, f"rule {name!r} parameter {key!r}")
+    if name in _RULES and not params:
+        return InferenceRule(name, *_RULES[name])
+    missing = sorted(declared.keys() - params.keys())
+    if missing:
+        raise RuleParameterError(f"rule {name!r} needs parameters {missing}")
+    return _PARAMETRIC_RULES[name][0](**params)
+
+
+def rule_parameters(name: str) -> dict:
+    """The parameters ``make_rule(name, ...)`` takes: name -> kind."""
+    if name in _PARAMETRIC_RULES:
+        return dict(_PARAMETRIC_RULES[name][1])
+    if name in _RULES:
+        return {}
+    raise UnknownRuleError(
+        f"unknown rule {name!r}; known rules: {', '.join(builtin_rule_names())}"
+    )
 
 
 def builtin_rule_names() -> tuple:
-    return tuple(sorted(_BUILTIN_FACTORIES))
+    return tuple(sorted(_RULES.keys() | _PARAMETRIC_RULES.keys()))
 
 
 # --------------------------------------------------------------------------
@@ -571,6 +517,16 @@ def validated_mp(validator: Validator) -> InferenceRule:
         requires_connectives=(IMPLIES,),
         strategy=_mp_strategy,
     )
+
+
+# Rules built from parameters: name -> (factory, {parameter: kind}). Every
+# parameter is required, except that extension without psi is a row above.
+_PARAMETRIC_RULES = {
+    "extension": (_bound_extension, {"psi": PARAM_FORMULA}),
+    "compose": (compose, {"first": PARAM_RULE, "second": PARAM_RULE}),
+    "length_filtered": (length_filtered, {"rule": PARAM_RULE, "cap": PARAM_INT}),
+    "validated_mp": (validated_mp, {"validator": PARAM_VALIDATOR}),
+}
 
 
 def always_true_validator() -> Validator:

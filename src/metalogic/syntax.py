@@ -347,9 +347,8 @@ class Alphabet:
     atoms, meaningful in propositional alphabets). First-order alphabets
     declare individual variables, quantifiers, and arities for function and
     predicate symbols; constants of a first-order language are arity-0
-    function symbols. ``punctuation`` records the preferred grouping style
-    ("parens" or "brackets"); both are always accepted on input and the
-    canonical printer emits parentheses.
+    function symbols. Parentheses and brackets are both accepted on input
+    in every language, and the canonical printer emits parentheses.
     """
 
     kind: str
@@ -360,15 +359,12 @@ class Alphabet:
     predicates: tuple = ()
     individual_variables: tuple = ()
     quantifiers: tuple = ()
-    punctuation: str = "parens"
     _function_arity: Mapping = field(init=False, repr=False, compare=False, default=None)
     _predicate_arity: Mapping = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.kind not in (PROPOSITIONAL, FIRST_ORDER):
             raise AlphabetError(f"unknown language kind: {self.kind!r}")
-        if self.punctuation not in ("parens", "brackets"):
-            raise AlphabetError(f"unknown punctuation style: {self.punctuation!r}")
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "connectives", tuple(self.connectives))
         object.__setattr__(self, "constants", tuple(self.constants))
@@ -433,20 +429,17 @@ class Alphabet:
         return bool(base) and base in self.individual_variables
 
 
-def propositional_alphabet(variables, connectives=CONNECTIVES, constants=(),
-                           punctuation="parens") -> Alphabet:
+def propositional_alphabet(variables, connectives=CONNECTIVES, constants=()) -> Alphabet:
     return Alphabet(
         kind=PROPOSITIONAL,
         variables=tuple(variables),
         connectives=tuple(connectives),
         constants=tuple(constants),
-        punctuation=punctuation,
     )
 
 
 def first_order_alphabet(individual_variables, *, variables=(), connectives=CONNECTIVES,
-                         functions=(), predicates=(), quantifiers=QUANTIFIERS,
-                         punctuation="parens") -> Alphabet:
+                         functions=(), predicates=(), quantifiers=QUANTIFIERS) -> Alphabet:
     return Alphabet(
         kind=FIRST_ORDER,
         variables=tuple(variables),
@@ -455,7 +448,6 @@ def first_order_alphabet(individual_variables, *, variables=(), connectives=CONN
         predicates=predicates,
         individual_variables=tuple(individual_variables),
         quantifiers=tuple(quantifiers),
-        punctuation=punctuation,
     )
 
 

@@ -7,13 +7,24 @@ import pytest
 from metalogic import (
     Bounds,
     CalculusFileError,
+    RuleParameterError,
     apply_rule,
+    builtin_rule_names,
     load_calculus_file,
+    make_rule,
+    make_validator,
     parse_calculus_data,
     parse_formula,
     read_calculus_file,
 )
 from metalogic.cli import main
+from metalogic.rules import (
+    PARAM_FORMULA,
+    PARAM_INT,
+    PARAM_RULE,
+    PARAM_VALIDATOR,
+    rule_parameters,
+)
 
 
 def full_data():
@@ -450,3 +461,130 @@ class TestFiles:
     def test_missing_file_is_reported(self, tmp_path):
         with pytest.raises(CalculusFileError, match="cannot read"):
             read_calculus_file(str(tmp_path / "absent.json"))
+
+
+# church_p2 restated in a file, without its old "punctuation": "brackets".
+P2_RESTATED = {
+    "name": "p2-restated",
+    "language": {"variables": ["p", "q", "s"], "connectives": ["implies", "not"]},
+    "schemata": [
+        {"id": "p2-1", "pattern": "phi -> (chi -> phi)",
+         "metavariables": ["phi", "chi"]},
+        {"id": "p2-2",
+         "pattern": "(psi -> (phi -> chi)) -> ((psi -> phi) -> (psi -> chi))",
+         "metavariables": ["psi", "phi", "chi"]},
+        {"id": "p2-3", "pattern": "(~phi -> ~chi) -> (chi -> phi)",
+         "metavariables": ["phi", "chi"]},
+    ],
+    "rules": [{"name": "modus_ponens"}, {"name": "substitution"}],
+    "schema_mode": "substitution-rule",
+}
+
+
+class TestPunctuation:
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "axiomatic", "--calc-b", "builtin:church_p2"],
+        ["--kind", "logical", "--calc-b", "builtin:church_p1", "--map", "p2_to_p1"],
+    ], ids=["axiomatic", "p2_to_p1"])
+    def test_restated_church_p2_compares_with_the_builtins(self, tmp_path, capsys, argv):
+        path = tmp_path / "p2.json"
+        path.write_text(json.dumps(P2_RESTATED), encoding="utf-8")
+        code = main(["compare", "--calc-a", str(path), *argv, "--max-stage", "2",
+                     "--max-size", "9", "--pool-vars", "p,q"])
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert "verdict: inconclusive" in captured.out
+
+    @pytest.mark.parametrize("style", ["parens", "brackets"])
+    def test_accepted_styles_are_ignored(self, style):
+        data = full_data()
+        data["language"]["punctuation"] = style
+        assert load(data).calculus == load(full_data()).calculus
+
+    def test_unknown_style_exits_3(self, tmp_path, capsys):
+        data = full_data()
+        data["language"]["punctuation"] = "braces"
+        path = tmp_path / "braces.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["enum-body", "--calc", str(path)]) == 3
+        assert "punctuation" in capsys.readouterr().err
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("path", [
+        ("axioms",), ("schemata",), ("rules",), ("stages",),
+        ("stages", 0, "axioms"), ("stages", 0, "schemata"), ("stages", 0, "rules"),
+    ], ids=lambda path: ".".join(map(str, path)))
+    def test_list_fields_reject_other_values(self, path):
+        data = full_data()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 5
+        with pytest.raises(CalculusFileError, match=f"'{path[-1]}' must be a list"):
+            load(data)
+
+    def test_a_non_list_exits_3(self, tmp_path, capsys):
+        data = full_data()
+        data["stages"][1]["rules"] = 5
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["enum-body", "--calc", str(path)]) == 3
+        assert "'rules' must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [5, None, ["chain"]])
+    def test_name_must_be_a_string(self, name):
+        data = full_data()
+        data["name"] = name
+        with pytest.raises(CalculusFileError, match="'name' must be a string"):
+            load(data)
+
+    def test_rule_name_must_be_a_string(self):
+        data = full_data()
+        data["rules"] = [{"name": ["modus_ponens"]}]
+        with pytest.raises(CalculusFileError, match=r"rules\[0\]\.name: expected a string"):
+            load(data)
+
+    def test_stage_schema_errors_carry_the_stage(self):
+        data = full_data()
+        data["stages"] = [{"schemata": [{"id": "s", "pattern": "(phi"}]}]
+        with pytest.raises(CalculusFileError, match=r"stages\[0\]\.schemata\[0\]"):
+            load(data)
+
+    def test_boolean_cap_is_rejected(self):
+        data = full_data()
+        data["rules"] = [{"name": "length_filtered",
+                          "params": {"cap": True, "rule": {"name": "modus_ponens"}}}]
+        with pytest.raises(CalculusFileError, match="expected an integer"):
+            load(data)
+
+
+# One value of each parameter kind, as a file gives it and as Python does.
+FILE_VALUES = {PARAM_FORMULA: "Q", PARAM_RULE: {"name": "identity"},
+               PARAM_INT: 2, PARAM_VALIDATOR: "always-true"}
+
+
+def python_value(kind):
+    alphabet = load(full_data()).calculus.alphabet
+    return {PARAM_FORMULA: parse_formula("Q", alphabet), PARAM_RULE: make_rule("identity"),
+            PARAM_INT: 2, PARAM_VALIDATOR: make_validator("always-true")}[kind]
+
+
+@pytest.mark.parametrize("name", builtin_rule_names())
+class TestRuleRegistry:
+    def test_loads_with_its_declared_parameters(self, name):
+        kinds = rule_parameters(name)
+        data = full_data()
+        data["rules"] = [{"name": name, "params": {
+            key: FILE_VALUES[kind] for key, kind in kinds.items()}}]
+        (loaded,) = load(data).calculus.rules.rules
+        built = make_rule(name, **{key: python_value(kind) for key, kind in kinds.items()})
+        assert loaded.identifier == built.identifier
+
+    def test_rejects_an_undeclared_parameter(self, name):
+        data = full_data()
+        data["rules"] = [{"name": name, "params": {"mood": "indicative"}}]
+        with pytest.raises(CalculusFileError, match="takes no parameter 'mood'"):
+            load(data)
+        with pytest.raises(RuleParameterError, match="takes no parameter 'mood'"):
+            make_rule(name, mood="indicative")

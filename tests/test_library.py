@@ -1,7 +1,10 @@
 """Built-in calculi, validators, and translation maps."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+import metalogic
 from metalogic import (
     Atom,
     Bounds,
@@ -12,6 +15,7 @@ from metalogic import (
     UnknownCalculusError,
     builtin_calculus,
     builtin_calculus_names,
+    derive,
     enumerate_body,
     enumerate_wffs,
     free_calculus,
@@ -44,7 +48,6 @@ class TestRosters:
             {"modus_ponens", "substitution"}
         )
         assert church_p1.alphabet.constants == ("f",)
-        assert church_p1.alphabet.punctuation == "brackets"
 
     def test_church_p2_negation_axiom(self, church_p2):
         pattern = church_p2.schema_by_id("p2-3").pattern
@@ -77,6 +80,29 @@ class TestRosters:
             builtin_calculus("kleene", size_cap=3)
 
 
+NULLARY = {"kleene": "P -> P", "church_p1": "p -> p", "church_p2": "p -> p",
+           "shoenfield_fragment": "x = x"}
+
+
+@pytest.mark.parametrize("name", sorted(NULLARY))
+class TestBuiltOncePerProcess:
+    def test_two_calls_return_one_object(self, name):
+        assert builtin_calculus(name) is builtin_calculus(name)
+
+    def test_runs_leave_it_equal_to_a_fresh_build(self, name):
+        shared = builtin_calculus(name)
+        bounds = small_bounds(max_stage=2, max_formula_size=7)
+        enumerate_body(shared, bounds)
+        derive(shared, parse_formula(NULLARY[name], shared.alphabet), bounds)
+        fresh = getattr(metalogic, f"{name}_calculus").__wrapped__()
+        assert fresh is not shared
+        assert shared == fresh
+
+    def test_setting_an_attribute_raises(self, name):
+        with pytest.raises(FrozenInstanceError):
+            builtin_calculus(name).name = "changed"
+
+
 class TestFreeCalculus:
     def test_axioms_are_the_whole_bounded_language(self):
         calculus = free_calculus(size_cap=3)
@@ -88,6 +114,10 @@ class TestFreeCalculus:
     def test_cap_is_mandatory(self):
         with pytest.raises(RuleParameterError):
             free_calculus()
+
+    def test_boolean_cap_is_rejected(self):
+        with pytest.raises(RuleParameterError, match="expected an integer"):
+            free_calculus(size_cap=True)
 
     def test_custom_alphabet(self, pq_alphabet):
         calculus = free_calculus(size_cap=2, alphabet=pq_alphabet)

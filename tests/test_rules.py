@@ -151,6 +151,21 @@ class TestCombinators:
         rule = validated_mp(always_true_validator())
         assert conclusions(rule, wff("P"), wff("(P -> Q)")) == {"Q"}
 
+    @pytest.mark.parametrize("params", [
+        {"rule": "identity", "cap": True},
+        {"rule": "identity", "cap": 0},
+        {"rule": "modus_ponens", "cap": 2.0},
+    ], ids=["bool", "zero", "float"])
+    def test_length_filtered_cap_is_an_integer(self, params):
+        with pytest.raises(RuleParameterError, match="expected an integer >= 1"):
+            make_rule("length_filtered", rule=make_rule(params["rule"]), cap=params["cap"])
+
+    def test_parametric_rules_need_every_parameter(self):
+        with pytest.raises(RuleParameterError, match=r"needs parameters \['second'\]"):
+            make_rule("compose", first=make_rule("identity"))
+        with pytest.raises(RuleParameterError, match=r"needs parameters \['validator'\]"):
+            make_rule("validated_mp")
+
 
 class TestRuleSystem:
     def test_duplicate_identifiers_rejected(self):
