@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     AlphabetError,
@@ -93,7 +94,7 @@ class PremiseJustification:
     """The formula was seeded as a premise of an inference-closure run."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchemaJustification:
     """The formula is an instance of an axiom schema.
 
@@ -107,7 +108,7 @@ class SchemaJustification:
         return dict(self.assignment)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleJustification:
     """The formula is the conclusion of a rule application.
 
@@ -302,6 +303,13 @@ def _size_vectors(weights: Sequence[int], sizes: Sequence[int], budget: int) -> 
             yield (s,) + tail
 
 
+def _name_sorted(metavariables: tuple) -> Optional[Callable]:
+    """What takes pairs in declared metavariable order to name order; None
+    when the two orders agree."""
+    order = sorted(range(len(metavariables)), key=metavariables.__getitem__)
+    return None if order == list(range(len(order))) else itemgetter(*order)
+
+
 def schema_instances(schemata: Sequence[Schema], pool: Sequence[Formula],
                      max_size: int) -> Iterator[tuple]:
     """Stream (formula, SchemaJustification) in ascending instance size.
@@ -309,6 +317,8 @@ def schema_instances(schemata: Sequence[Schema], pool: Sequence[Formula],
     Instances of all schemata are interleaved so that truncating the stream
     after N items keeps the N smallest instances overall (ties broken by
     schema position, then metavariable size vector, then pool order).
+    Every instance's assignment is built from (metavariable, formula) pairs
+    made once per call, so instances share their pairs.
     """
     pool_by_size = {}
     for f in pool:
@@ -317,29 +327,30 @@ def schema_instances(schemata: Sequence[Schema], pool: Sequence[Formula],
     prepared = []
     for schema in schemata:
         occurrences = atom_occurrences(schema.pattern)
-        metas = list(schema.metavariables)
+        metas = schema.metavariables
         weights = [occurrences[m] for m in metas]
-        prepared.append((schema, metas, weights))
+        # per metavariable: pool size -> that bucket's (metavariable, formula) pairs
+        pairs = [{size: [(m, f) for f in bucket] for size, bucket in pool_by_size.items()}
+                 for m in metas]
+        prepared.append((schema, weights, pairs, _name_sorted(metas)))
     if not prepared:
         return
-    base_min = min(schema.pattern.size for schema, _, _ in prepared)
+    base_min = min(schema.pattern.size for schema, _, _, _ in prepared)
     for target in range(base_min, max_size + 1):
-        for schema, metas, weights in prepared:
+        for schema, weights, pairs, name_sorted in prepared:
             budget = target - schema.pattern.size
             if budget < 0:
                 continue
-            if not metas:
+            if not weights:
                 if budget == 0:
                     yield schema.pattern, SchemaJustification(schema.schema_id, ())
                 continue
+            build, schema_id = schema.build, schema.schema_id
             for vector in _size_vectors(weights, available_sizes, budget):
-                buckets = [pool_by_size[s] for s in vector]
+                buckets = [by_size[s] for by_size, s in zip(pairs, vector)]
                 for combo in itertools.product(*buckets):
-                    assignment = dict(zip(metas, combo))
-                    yield (
-                        instantiate_schema(schema, assignment),
-                        SchemaJustification(schema.schema_id, _context_items(assignment)),
-                    )
+                    assignment = combo if name_sorted is None else name_sorted(combo)
+                    yield build(combo), SchemaJustification(schema_id, assignment)
 
 
 def realized_axiom_stream(calculus: Calculus, bounds: Bounds,

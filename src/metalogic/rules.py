@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterator, Mapping, Optional
 
 from .errors import ArityError, RuleParameterError, UnknownRuleError
@@ -112,12 +112,25 @@ class InferenceRule:
                  parameter_kinds=(), requires_connectives=(), strategy=None):
         if arity < 0:
             raise RuleParameterError(f"rule arity must be >= 0, got {arity}")
-        self.identifier = identifier
-        self.arity = arity
-        self.parameter_kinds = tuple(parameter_kinds)
-        self.requires_connectives = frozenset(requires_connectives)
-        self._conclude = conclude
-        self._strategy = strategy
+        init = object.__setattr__
+        init(self, "identifier", identifier)
+        init(self, "arity", arity)
+        init(self, "parameter_kinds", tuple(parameter_kinds))
+        init(self, "requires_connectives", frozenset(requires_connectives))
+        init(self, "_conclude", conclude)
+        init(self, "_strategy", strategy)
+
+    def __setattr__(self, name, value):
+        # Rules are shared, for instance by every copy of a built-in calculus.
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots here instead of by assignment
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     def conclusions(self, premises: tuple, context: Optional[dict] = None) -> frozenset:
         """All conclusions of this rule on the premise tuple; empty if inapplicable."""
@@ -457,6 +470,8 @@ def compose(first: InferenceRule, second: InferenceRule) -> InferenceRule:
     strategy runs without a size cap: the second rule can shrink an
     oversized conclusion, or turn one equal to its premise into a new one.
     """
+    check_parameter(PARAM_RULE, first, "compose first")
+    check_parameter(PARAM_RULE, second, "compose second")
     if second.arity != 1:
         raise RuleParameterError(
             f"compose: second rule {second.identifier!r} must take one premise"
@@ -484,6 +499,8 @@ def compose(first: InferenceRule, second: InferenceRule) -> InferenceRule:
 
 def length_filtered(rule: InferenceRule, cap: int) -> InferenceRule:
     """Keep only conclusions whose size is strictly below ``cap``."""
+    check_parameter(PARAM_RULE, rule, "length_filtered rule")
+    check_parameter(PARAM_INT, cap, "length_filtered cap")
 
     def conclude(premises, context):
         return [c for c in rule.conclusions(premises, context) if c.size < cap]

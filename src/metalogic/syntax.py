@@ -39,7 +39,7 @@ within Python's stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .errors import AlphabetError, BudgetExceededError, ParseError, SchemaError
 
@@ -1062,11 +1062,17 @@ def enumerate_wffs(alphabet: Alphabet, max_size: int, limit: Optional[int] = Non
 
 @dataclass(frozen=True)
 class Schema:
-    """A formula pattern whose listed atoms stand for arbitrary formulas."""
+    """A formula pattern whose listed atoms stand for arbitrary formulas.
+
+    ``build`` is the pattern compiled once: ``build(pairs)`` is the instance
+    under a tuple of (metavariable, formula) pairs in declared metavariable
+    order. Subtrees of the pattern with no metavariable are shared with it.
+    """
 
     schema_id: str
     pattern: Formula
     metavariables: tuple
+    build: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "metavariables", tuple(self.metavariables))
@@ -1078,6 +1084,69 @@ class Schema:
                 raise SchemaError(
                     f"metavariable {m!r} does not occur in the pattern of schema {self.schema_id!r}"
                 )
+        object.__setattr__(self, "build", _compile_pattern(self.pattern, self.metavariables))
+
+    def __reduce__(self):
+        # the builder's closures cannot be pickled; unpickling compiles anew
+        return Schema, (self.schema_id, self.pattern, self.metavariables)
+
+
+def _formula_children(node) -> tuple:
+    kind = type(node)
+    if kind is Binary:
+        return (node.left, node.right)
+    if kind is Negation:
+        return (node.operand,)
+    if kind is Quantified:
+        return (node.body,)
+    return ()
+
+
+def _node_builder(node, parts: list, slots: dict):
+    """The builder of one pattern node from its children's builders, or None
+    when no metavariable occurs below it."""
+    kind = type(node)
+    if kind is Atom:
+        i = slots.get(node.name)
+        return None if i is None else (lambda pairs: pairs[i][1])
+    if not any(parts):
+        return None
+    if kind is Negation:
+        (operand,) = parts
+        return lambda pairs: Negation(operand(pairs))
+    if kind is Quantified:
+        quant, variable, (body,) = node.quant, node.variable, parts
+        return lambda pairs: Quantified(quant, variable, body(pairs))
+    op, (left, right) = node.op, parts
+    if left is None:
+        fixed = node.left
+        return lambda pairs: Binary(op, fixed, right(pairs))
+    if right is None:
+        fixed = node.right
+        return lambda pairs: Binary(op, left(pairs), fixed)
+    return lambda pairs: Binary(op, left(pairs), right(pairs))
+
+
+def _compile_pattern(pattern: Formula, metavariables: tuple) -> Callable:
+    """Compile a schema pattern into its builder (see ``Schema``).
+
+    The compiling walk keeps an explicit stack, so a schema of any depth can
+    be constructed; building an instance recurses once per pattern level.
+    """
+    slots = {m: i for i, m in enumerate(metavariables)}
+    compiled = {}  # id(node) -> builder of that node, or None
+    stack = [pattern]
+    while stack:
+        node = stack[-1]
+        children = _formula_children(node)
+        pending = [c for c in children if id(c) not in compiled]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        compiled[id(node)] = _node_builder(node, [compiled[id(c)] for c in children], slots)
+    root = compiled[id(pattern)]
+    return root if root is not None else (lambda pairs: pattern)
 
 
 def match_schema(schema: Schema, formula: Formula) -> Optional[dict]:
@@ -1122,4 +1191,4 @@ def instantiate_schema(schema: Schema, assignment: Mapping) -> Formula:
     missing = [m for m in schema.metavariables if m not in assignment]
     if missing:
         raise SchemaError(f"schema {schema.schema_id!r} is missing assignments for {missing}")
-    return _replace_atoms(schema.pattern, {m: assignment[m] for m in schema.metavariables})
+    return schema.build(tuple((m, assignment[m]) for m in schema.metavariables))

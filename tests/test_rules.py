@@ -1,6 +1,8 @@
 """Inference rules: built-ins, parameters, combinators, frontier strategies."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -12,6 +14,7 @@ from metalogic import (
     Validator,
     always_true_validator,
     apply_rule,
+    builtin_calculus,
     builtin_rule_names,
     compose,
     first_order_alphabet,
@@ -160,11 +163,50 @@ class TestCombinators:
         with pytest.raises(RuleParameterError, match="expected an integer >= 1"):
             make_rule("length_filtered", rule=make_rule(params["rule"]), cap=params["cap"])
 
+    @pytest.mark.parametrize("cap", [True, 0, 2.0], ids=["bool", "zero", "float"])
+    def test_length_filtered_checks_its_cap_when_called_directly(self, cap):
+        with pytest.raises(RuleParameterError, match="expected an integer >= 1"):
+            length_filtered(make_rule("modus_ponens"), cap)
+
+    def test_combinators_check_their_rules_when_called_directly(self):
+        with pytest.raises(RuleParameterError, match="expected a rule"):
+            length_filtered("modus_ponens", 3)
+        with pytest.raises(RuleParameterError, match="expected a rule"):
+            compose("modus_ponens", make_rule("identity"))
+        with pytest.raises(RuleParameterError, match="expected a rule"):
+            compose(make_rule("identity"), None)
+
     def test_parametric_rules_need_every_parameter(self):
         with pytest.raises(RuleParameterError, match=r"needs parameters \['second'\]"):
             make_rule("compose", first=make_rule("identity"))
         with pytest.raises(RuleParameterError, match=r"needs parameters \['validator'\]"):
             make_rule("validated_mp")
+
+
+class TestImmutability:
+    def test_a_rule_refuses_assignment(self):
+        rule = make_rule("modus_ponens")
+        with pytest.raises(AttributeError):
+            rule.identifier = "changed"
+        with pytest.raises(AttributeError):
+            rule._strategy = None
+        with pytest.raises(AttributeError):
+            del rule.arity
+        assert rule.identifier == "modus_ponens" and rule.arity == 2
+
+    def test_copies_and_pickles_of_a_rule_work(self):
+        rule = make_rule("modus_ponens")
+        for twin in (copy.copy(rule), copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
+            assert twin == rule
+            assert conclusions(twin, wff("P"), wff("(P -> Q)")) == {"Q"}
+            with pytest.raises(AttributeError):
+                twin.arity = 1
+
+    def test_the_shared_builtin_calculus_is_unaffected(self):
+        rule = builtin_calculus("kleene").rules.rules[0]
+        with pytest.raises(AttributeError):
+            rule.identifier = "changed"
+        assert builtin_calculus("kleene").rules.identifiers() == {"modus_ponens"}
 
 
 class TestRuleSystem:
