@@ -691,7 +691,8 @@ def relation_from_calculus(calculus: Calculus, premise_pool: Iterable[Formula],
     pairs = set()
     statuses = []
     tokens = set(pool)
-    for count in range(0, max_premises + 1):
+    # no subset is larger than the pool
+    for count in range(0, min(max_premises, len(pool)) + 1):
         for subset in itertools.combinations(pool, count):
             extended = replace(
                 calculus, axioms=calculus.axioms + tuple(subset)

@@ -22,10 +22,24 @@ bound, merged with any extra formulas the caller supplies (derivation
 search adds the goal's subformulas). Instances are emitted in ascending
 instance-size order interleaved across schemata, so a budget cut keeps the
 small instances of every schema rather than all instances of the first.
+
+Every body is built with CPython's cyclic garbage collector paused
+(``_collector_paused`` on ``enumerate_body``, ``inference_closure`` and
+``derive``): the pool, stage 1, every application layer, the canonical sort
+and the derivation. The built-in layers make no reference cycles: formula
+nodes are immutable and built from existing children, and the members dict,
+its justifications and the comparison keys hold only formulas, strings and
+tuples of them. So reference counting frees all that a build discards, and
+the collector would only traverse the growing body again and again and find
+no garbage. A cycle that a caller's own rule or validator makes is collected
+once the build ends. A collector the caller turned off stays off, so a
+nested build (a validator that builds a body) leaves it as it was.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 from dataclasses import dataclass, field, fields, replace
 from operator import itemgetter
@@ -289,12 +303,15 @@ def positional_realization(schema: Schema, alphabet: Alphabet) -> tuple:
 
 
 def _size_vectors(weights: Sequence[int], sizes: Sequence[int], budget: int) -> Iterator[tuple]:
-    """All tuples (s_1..s_k) over ``sizes`` with sum(w_i * (s_i - 1)) == budget."""
-    if not weights:
-        if budget == 0:
-            yield ()
-        return
+    """All tuples (s_1..s_k) over ``sizes`` with sum(w_i * (s_i - 1)) == budget,
+    in lexicographic order; there is at least one weight, and each is positive."""
     head, rest = weights[0], weights[1:]
+    if not rest:
+        # the last size is fixed by what is left of the budget
+        spent, left = divmod(budget, head)
+        if not left and spent + 1 in sizes:
+            yield (spent + 1,)
+        return
     for s in sizes:
         spent = head * (s - 1)
         if spent > budget:
@@ -708,6 +725,25 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
 # The operations
 # ==========================================================================
 
+def _collector_paused(build):
+    """Run ``build`` with the cyclic garbage collector off, and turn it back
+    on however ``build`` exits, unless it was off already. The switch is
+    per process: while one thread builds, no thread's garbage is collected."""
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def enumerate_body(calculus: Calculus, bounds: Bounds = DEFAULT_BOUNDS,
                    extra_pool: Iterable[Formula] = ()) -> BoundedBody:
     """Build the bounded body of the calculus."""
@@ -753,6 +789,7 @@ def consequence_step(rules: RuleSystem, premises: Iterable[Formula], *,
     return frozenset(out)
 
 
+@_collector_paused
 def inference_closure(rules: RuleSystem, premises: Iterable[Formula],
                       bounds: Bounds = DEFAULT_BOUNDS, *,
                       parameter_pool: Optional[Iterable[Formula]] = None,
@@ -795,6 +832,7 @@ class DeriveOutcome:
 GOAL_FOUND = "goal-found"
 
 
+@_collector_paused
 def derive(calculus: Calculus, goal: Formula,
            bounds: Bounds = DEFAULT_BOUNDS) -> DeriveOutcome:
     """Search for a derivation of the goal by bounded forward saturation.

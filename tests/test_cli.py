@@ -265,6 +265,19 @@ class TestRelation:
         assert out.startswith("pairs: ")
         assert '"conclusion"' in out
 
+    def test_max_premises_beyond_the_pool_stops_at_the_pool(self):
+        """Subsets larger than the pool do not exist, so a huge bound ends at
+        once with the report of a bound equal to the pool size."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        base = [sys.executable, "-m", "metalogic.cli", "relation",
+                "--calc", "builtin:kleene", "--premise", "P", "--json",
+                "--max-premises"]
+        reports = [subprocess.run(base + [bound], capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=src), timeout=60)
+                   for bound in ("99999999999999999999", "1")]
+        assert [r.returncode for r in reports] == [0, 0]
+        assert json.loads(reports[0].stdout) == json.loads(reports[1].stdout)
+
     def test_functionally_bounded_via_the_empty_premise_set(
             self, capsys, chain_file, tmp_path):
         out_path = str(tmp_path / "rel.jsonl")

@@ -1,5 +1,10 @@
 """Staged enumeration, derivations, closure operators."""
 
+import gc
+import itertools
+import random
+import sys
+
 import pytest
 from dataclasses import replace
 
@@ -15,12 +20,15 @@ from metalogic import (
     DerivationError,
     GOAL_FOUND,
     IMPLIES,
+    InferenceRule,
     RuleParameterError,
     SATURATED,
     STAGE_CAP_HIT,
     SchemaError,
     SchemaJustification,
     StagedAxioms,
+    Validator,
+    builtin_calculus,
     church_p1_calculus,
     compose,
     consequence_step,
@@ -29,6 +37,7 @@ from metalogic import (
     inference_closure,
     instantiation_pool,
     kleene_calculus,
+    lv_calculus,
     make_rule,
     parse_formula,
     positional_realization,
@@ -42,6 +51,7 @@ from metalogic import (
     staged_run,
     validate_derivation,
 )
+from metalogic.engine import _size_vectors
 from conftest import small_bounds
 
 CHAIN_ALPHABET = propositional_alphabet(("P", "Q", "R"), connectives=(IMPLIES,))
@@ -360,3 +370,107 @@ class TestStagedRuns:
     def test_empty_staging_rejected(self):
         with pytest.raises(RuleParameterError):
             StagedAxioms(())
+
+
+class TestSizeVectors:
+    def test_matches_a_brute_force_filter_in_order(self):
+        rng = random.Random(8)
+        for _ in range(400):
+            weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            sizes = sorted(rng.sample(range(1, 10), rng.randint(1, 6)))
+            budget = rng.randint(0, 20)
+            expected = [v for v in itertools.product(sizes, repeat=len(weights))
+                        if sum(w * (s - 1) for w, s in zip(weights, v)) == budget]
+            assert list(_size_vectors(weights, sizes, budget)) == expected
+
+
+class TestCollectorPause:
+    """Bodies are built with the cyclic collector paused; every public call
+    leaves it on or off as the caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def collector_on(self):
+        assert gc.isenabled()
+        yield
+        gc.enable()
+
+    def test_back_on_after_every_build(self):
+        calculus = chain_calculus()
+        goal = parse_formula("R", CHAIN_ALPHABET)
+        missing = parse_formula("(R -> P)", CHAIN_ALPHABET)
+        enumerate_body(calculus, small_bounds())
+        assert gc.isenabled()
+        inference_closure(calculus.rules, calculus.axioms, small_bounds())
+        assert gc.isenabled()
+        assert derive(calculus, goal, small_bounds()).found
+        assert gc.isenabled()
+        assert not derive(calculus, missing, small_bounds()).found
+        assert gc.isenabled()
+
+    def test_stays_off_when_the_caller_had_it_off(self):
+        calculus = chain_calculus()
+        gc.disable()
+        enumerate_body(calculus, small_bounds())
+        inference_closure(calculus.rules, calculus.axioms, small_bounds())
+        derive(calculus, parse_formula("R", CHAIN_ALPHABET), small_bounds())
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_back_on_after_a_rule_raises(self, error):
+        def conclude(premises, context):
+            raise error("from a rule")
+
+        calculus = replace(chain_calculus(), rules=rule_system(
+            make_rule("modus_ponens"), InferenceRule("raises", 1, conclude)))
+        with pytest.raises(error):
+            enumerate_body(calculus, small_bounds())
+        assert gc.isenabled()
+        with pytest.raises(error):
+            derive(calculus, parse_formula("(R -> P)", CHAIN_ALPHABET), small_bounds())
+        assert gc.isenabled()
+
+    def test_back_on_after_a_seed_stream_raises(self):
+        def premises():
+            yield parse_formula("P", CHAIN_ALPHABET)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            inference_closure(chain_calculus().rules, premises(), small_bounds())
+        assert gc.isenabled()
+
+    def test_back_on_after_a_nested_build(self):
+        inner = []
+
+        def accepts(formula):
+            enumerate_body(chain_calculus(), small_bounds())
+            inner.append(gc.isenabled())
+            return True
+
+        calculus = lv_calculus(chain_calculus(), Validator("nested", accepts))
+        body = enumerate_body(calculus, small_bounds())
+        assert parse_formula("R", CHAIN_ALPHABET) in body
+        assert inner and not any(inner)
+        assert gc.isenabled()
+
+    def test_no_collection_starts_inside_a_build(self):
+        """Kleene over P, Q at size 13 allocates enough to set off young
+        collections many times over when the collector is on."""
+        calculus = replace(builtin_calculus("kleene"), pool_variables=("P", "Q"))
+        bounds = Bounds(max_formula_size=13, instantiation_pool_size=3)
+        inside = []
+
+        def hook(phase, info):
+            frame = sys._getframe(1)
+            while frame is not None and phase == "start":
+                if frame.f_code.co_name == "enumerate_body":
+                    inside.append(info["generation"])
+                    break
+                frame = frame.f_back
+
+        gc.callbacks.append(hook)
+        try:
+            body = enumerate_body(calculus, bounds)
+        finally:
+            gc.callbacks.remove(hook)
+        assert len(body) > 1000
+        assert inside == []
