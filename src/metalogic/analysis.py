@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .engine import (
-    BoundedBody,
     Bounds,
     Calculus,
     DEFAULT_BOUNDS,
@@ -443,14 +442,9 @@ def _check_closed_wrt_axioms(calculus, body, bounds, params) -> Verdict:
             "some declared axioms exceed the size cap, so their membership "
             "cannot be witnessed within it",
         )
-    realized = realized_axioms(calculus, bounds)
-    missing = [a for a in realized if a not in body]
-    if missing:
-        return inconclusive(
-            {"status": body.status,
-             "missing": [print_formula(a) for a in missing[:5]]},
-            "budget truncation dropped realized axioms from the body",
-        )
+    # Stage 1 is the realized axiom stream, deduplicated and cut at the
+    # budget, so every realized axiom the budget admits is in the body.
+    realized = body.new_at_stage(1)
     if _axioms_truncated(realized, bounds):
         return inconclusive(
             {"realized": len(realized)},
@@ -521,15 +515,16 @@ PROPERTY_NAMES = tuple(_PROPERTY_CHECKS)
 
 
 def check_property(calculus: Calculus, property_name: str,
-                   bounds: Bounds = DEFAULT_BOUNDS,
-                   body: Optional[BoundedBody] = None, **params) -> Verdict:
+                   bounds: Bounds = DEFAULT_BOUNDS, **params) -> Verdict:
     """Decide one Definition-style property of the calculus's bounded body.
+
+    The body is built here, from the calculus and the bounds, so a check
+    sees the body those two give and no other.
 
     Parametric properties take keyword arguments: consistent-with needs
     ``members`` or ``pattern``; complete-wrt-map takes ``mapping`` (defaults
     to negation); complete-wrt-rules needs ``rules`` and ``targets``;
     consistent accepts ``strict`` for the semantic unsatisfiability mode.
-    Pass a precomputed ``body`` to avoid re-enumerating.
     """
     check = _PROPERTY_CHECKS.get(property_name)
     if check is None:
@@ -537,8 +532,7 @@ def check_property(calculus: Calculus, property_name: str,
             f"unknown property {property_name!r}; known: "
             f"{', '.join(PROPERTY_NAMES)}"
         )
-    if body is None:
-        body = enumerate_body(calculus, bounds)
+    body = enumerate_body(calculus, bounds)
     params = dict(params)
     verdict = check(calculus, body, bounds, params)
     if params:

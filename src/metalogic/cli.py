@@ -63,7 +63,6 @@ from .engine import (
     STAGE_CAP_HIT,
     derive,
     enumerate_body,
-    render_derivation,
     render_justification,
     staged_run,
 )
@@ -178,17 +177,17 @@ def _body_payload(body: BoundedBody) -> dict:
     }
 
 
-def _body_text(body: BoundedBody) -> list:
+def _body_text(payload: dict) -> list:
+    """The text lines of a ``_body_payload``."""
     lines = [
-        f"status: {body.status}",
-        f"stages: {body.stage_count}",
-        f"theorems: {len(body)}",
+        f"status: {payload['status']}",
+        f"stages: {payload['stage_count']}",
+        f"theorems: {payload['theorem_count']}",
     ]
-    for theorem in body.theorems:
-        justification = render_justification(body.justification_of(theorem))
+    for theorem in payload["theorems"]:
         lines.append(
-            f"  {print_formula(theorem)}  [stage {body.stage_of(theorem)}]"
-            f"  [{justification}]"
+            f"  {theorem['formula']}  [stage {theorem['stage']}]"
+            f"  [{theorem['justification']}]"
         )
     return lines
 
@@ -215,12 +214,13 @@ def _verdict_payload(verdict: Verdict) -> dict:
     }
 
 
-def _verdict_text(verdict: Verdict) -> list:
-    lines = [f"verdict: {verdict.outcome}"]
-    if verdict.detail:
-        lines.append(f"detail: {verdict.detail}")
-    if verdict.evidence is not None:
-        lines.append(f"evidence: {json.dumps(_jsonable(verdict.evidence), sort_keys=True)}")
+def _verdict_text(payload: dict) -> list:
+    """The text lines of a ``_verdict_payload``."""
+    lines = [f"verdict: {payload['verdict']}"]
+    if payload["detail"]:
+        lines.append(f"detail: {payload['detail']}")
+    if payload["evidence"] is not None:
+        lines.append(f"evidence: {json.dumps(payload['evidence'], sort_keys=True)}")
     return lines
 
 
@@ -265,7 +265,7 @@ def _cmd_enum_body(args) -> int:
         "bounds": asdict(bounds),
         "body": _body_payload(body),
     }
-    _emit(report, args.json, _body_text(body))
+    _emit(report, args.json, _body_text(report["body"]))
     return _STATUS_EXIT[body.status]
 
 
@@ -285,18 +285,17 @@ def _cmd_derive(args) -> int:
                        if outcome.found else None),
     }
     if outcome.found:
-        _emit(report, args.json,
-              [f"status: {outcome.status}", render_derivation(outcome.derivation)])
-        return EXIT_HOLDS
-    if outcome.status == SATURATED:
-        text = [f"status: {outcome.status}",
-                "the goal is not derivable within the size cap"]
-        _emit(report, args.json, text)
-        return EXIT_FAILS
-    _emit(report, args.json,
-          [f"status: {outcome.status}",
-           "the goal was not found within the bounds"])
-    return _STATUS_EXIT[outcome.status]
+        lines = [f"{node['index']}. {node['formula']}  [{node['justification']}]"
+                 for node in report["derivation"]]
+        code = EXIT_HOLDS
+    elif outcome.status == SATURATED:
+        lines = ["the goal is not derivable within the size cap"]
+        code = EXIT_FAILS
+    else:
+        lines = ["the goal was not found within the bounds"]
+        code = _STATUS_EXIT[outcome.status]
+    _emit(report, args.json, [f"status: {report['status']}"] + lines)
+    return code
 
 
 def _cmd_stages(args) -> int:
@@ -314,9 +313,9 @@ def _cmd_stages(args) -> int:
         "stages": [_body_payload(body) for body in bodies],
     }
     text = []
-    for index, body in enumerate(bodies, start=1):
+    for index, payload in enumerate(report["stages"], start=1):
         text.append(f"stage {index}:")
-        text.extend("  " + line for line in _body_text(body))
+        text.extend("  " + line for line in _body_text(payload))
     _emit(report, args.json, text)
     if any(body.status == BUDGET_EXCEEDED for body in bodies):
         return EXIT_BUDGET
@@ -340,7 +339,7 @@ def _cmd_compare(args) -> int:
         "bounds": asdict(bounds),
     }
     report.update(_verdict_payload(verdict))
-    _emit(report, args.json, _verdict_text(verdict))
+    _emit(report, args.json, _verdict_text(report))
     return _VERDICT_EXIT[verdict.outcome]
 
 
@@ -369,7 +368,7 @@ def _cmd_check(args) -> int:
         "bounds": asdict(bounds),
     }
     report.update(_verdict_payload(verdict))
-    _emit(report, args.json, _verdict_text(verdict))
+    _emit(report, args.json, _verdict_text(report))
     return _VERDICT_EXIT[verdict.outcome]
 
 
@@ -420,7 +419,7 @@ def _cmd_relation_check(args) -> int:
         "pair_count": len(relation),
     }
     report.update(_verdict_payload(verdict))
-    _emit(report, args.json, _verdict_text(verdict))
+    _emit(report, args.json, _verdict_text(report))
     return _VERDICT_EXIT[verdict.outcome]
 
 

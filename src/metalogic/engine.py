@@ -391,10 +391,9 @@ def realized_axiom_stream(calculus: Calculus, bounds: Bounds,
     yield from schema_instances(calculus.schemata, pool, bounds.max_formula_size)
 
 
-def realized_axioms(calculus: Calculus, bounds: Bounds,
-                    extra_pool: Iterable[Formula] = ()) -> list:
+def realized_axioms(calculus: Calculus, bounds: Bounds) -> list:
     """The realized axiom formulas, deduplicated, in emission order."""
-    pool = instantiation_pool(calculus, bounds, extra_pool)
+    pool = instantiation_pool(calculus, bounds)
     out = []
     seen = set()
     for formula, _ in realized_axiom_stream(calculus, bounds, pool):
@@ -467,8 +466,7 @@ class BoundedBody:
         return tuple(f for f in self.theorems if self._members[f][0] == stage)
 
     def derivation_of(self, formula: Formula) -> "Derivation":
-        if formula not in self._members:
-            raise DerivationError(f"not in this body: {print_formula(formula)}")
+        self._entry(formula)  # a formula outside the body raises here
         return _build_derivation(self._members, formula)
 
     def __repr__(self):
@@ -535,23 +533,19 @@ def validate_derivation(derivation: Derivation, calculus: Calculus) -> None:
                 raise DerivationError(
                     f"node {index + 1} references node {p + 1}, which does not precede it"
                 )
-        if isinstance(j, (AxiomJustification, PremiseJustification)):
-            if isinstance(j, AxiomJustification) and node.formula not in axioms:
-                raise DerivationError(
-                    f"node {index + 1} claims to be an axiom but is not declared: "
-                    f"{print_formula(node.formula)}"
-                )
-            if node.premise_indices:
-                raise DerivationError(f"node {index + 1} is a leaf but lists premises")
-            if node.stage != 1:
-                raise DerivationError(f"node {index + 1} is a leaf but has stage {node.stage}")
-        elif isinstance(j, SchemaJustification):
+        if isinstance(j, AxiomJustification) and node.formula not in axioms:
+            raise DerivationError(
+                f"node {index + 1} claims to be an axiom but is not declared: "
+                f"{print_formula(node.formula)}"
+            )
+        if isinstance(j, SchemaJustification):
             schema = calculus.schema_by_id(j.schema_id)
             if instantiate_schema(schema, j.assignment_dict()) != node.formula:
                 raise DerivationError(
                     f"node {index + 1} does not match schema {j.schema_id!r} "
                     f"under its recorded assignment"
                 )
+        if isinstance(j, (AxiomJustification, PremiseJustification, SchemaJustification)):
             if node.premise_indices:
                 raise DerivationError(f"node {index + 1} is a leaf but lists premises")
             if node.stage != 1:
@@ -662,29 +656,28 @@ class _Run:
 def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
               variables: Sequence[str], bounds: Bounds,
               stop_goal: Optional[Formula] = None) -> _Run:
+    """Admit the seed stream as stage 1, then each later stage's conclusions
+    with their least justifications, in canonical order. One loop admits
+    both: it skips members, and stops at the node budget or the goal."""
     run = _Run()
     members = run.members
-
-    # Stage 1: the realized axioms (or seeded premises).
-    for formula, justification in seed_stream:
-        if formula in members:
-            continue
-        if len(members) >= bounds.node_budget:
-            run.status = BUDGET_EXCEEDED
-            break
-        members[formula] = (1, justification)
-        if stop_goal is not None and formula == stop_goal:
-            run.found = True
-            break
-    if run.found or run.status is not None:
-        return run
-
     contexts_by_rule = tuple(
         (rule, _rule_contexts(rule, pool, variables)) for rule in rules
     )
-    frontier = list(members)
-
+    admissions = seed_stream
     while True:
+        first_new = len(members)
+        for formula, justification in admissions:
+            if formula in members:
+                continue
+            if len(members) >= bounds.node_budget:
+                run.status = BUDGET_EXCEEDED
+                return run
+            members[formula] = (run.stages, justification)
+            if stop_goal is not None and formula == stop_goal:
+                run.found = True
+                return run
+        frontier = list(itertools.islice(members, first_new, None))
         # Gather the next layer before looking at the stage cap: an empty
         # layer means saturation even when this was the last allowed stage.
         # conclusion -> (key, premises, context) of its least justification
@@ -700,25 +693,20 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
                 best[conclusion] = (key, premises, items)
         if not best:
             run.status = SATURATED
-            break
+            return run
         if run.stages >= bounds.max_stage:
             run.status = STAGE_CAP_HIT
-            break
+            return run
         run.stages += 1
-        frontier = []
-        for formula in sorted(best, key=canonical_key):
-            if len(members) >= bounds.node_budget:
-                run.status = BUDGET_EXCEEDED
-                break
-            key, premises, items = best[formula]
-            members[formula] = (run.stages, RuleJustification(key[0], premises, items))
-            frontier.append(formula)
-            if stop_goal is not None and formula == stop_goal:
-                run.found = True
-                break
-        if run.found or run.status is not None:
-            break
-    return run
+        admissions = _least_justified(best)
+
+
+def _least_justified(best: Mapping) -> Iterator[tuple]:
+    """(conclusion, RuleJustification) pairs of a gathered layer, in
+    canonical order."""
+    for conclusion in sorted(best, key=canonical_key):
+        key, premises, items = best[conclusion]
+        yield conclusion, RuleJustification(key[0], premises, items)
 
 
 # ==========================================================================
@@ -744,10 +732,9 @@ def _collector_paused(build):
 
 
 @_collector_paused
-def enumerate_body(calculus: Calculus, bounds: Bounds = DEFAULT_BOUNDS,
-                   extra_pool: Iterable[Formula] = ()) -> BoundedBody:
+def enumerate_body(calculus: Calculus, bounds: Bounds = DEFAULT_BOUNDS) -> BoundedBody:
     """Build the bounded body of the calculus."""
-    pool = instantiation_pool(calculus, bounds, extra_pool)
+    pool = instantiation_pool(calculus, bounds)
     run = _saturate(
         realized_axiom_stream(calculus, bounds, pool),
         calculus.rules, pool, calculus.alphabet.variables, bounds,

@@ -513,23 +513,26 @@ def atom_occurrences(formula: Formula) -> dict:
     return counts
 
 
+def _formula_children(node) -> tuple:
+    kind = type(node)
+    if kind is Binary:
+        return (node.left, node.right)
+    if kind is Negation:
+        return (node.operand,)
+    if kind is Quantified:
+        return (node.body,)
+    return ()
+
+
 def subformulas(formula: Formula) -> set:
     """All formula-level subtrees, the formula itself included."""
     out = set()
     stack = [formula]
     while stack:
         f = stack.pop()
-        if f in out:
-            continue
-        out.add(f)
-        kind = type(f)
-        if kind is Negation:
-            stack.append(f.operand)
-        elif kind is Binary:
-            stack.append(f.left)
-            stack.append(f.right)
-        elif kind is Quantified:
-            stack.append(f.body)
+        if f not in out:
+            out.add(f)
+            stack.extend(_formula_children(f))
     return out
 
 
@@ -642,6 +645,14 @@ def _tokenize(text: str):
 
 _CLOSER = {"LPAREN": ("RPAREN", ")"), "LBRACKET": ("RBRACKET", "]")}
 
+# (token kind, connective, right associative), loosest first
+_BINARY_LEVELS = (
+    ("IFF", IFF, True),
+    ("IMPLIES", IMPLIES, True),
+    ("OR", OR, False),
+    ("AND", AND, False),
+)
+
 
 class _Parser:
     """Recursive descent, bounded to MAX_NESTING levels (see the module
@@ -681,55 +692,30 @@ class _Parser:
     # ---- precedence climbing ---------------------------------------------
 
     def parse(self) -> Formula:
-        formula = self.parse_iff()
+        formula = self.parse_binary(0)
         tok = self.peek()
         if tok.kind != "END":
             self.fail(f"unexpected trailing input {tok.value!r}", tok)
         return formula
 
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        tok = self.peek()
-        if tok.kind == "IFF":
-            self.advance()
-            self.require_connective(IFF, tok)
-            self.descend(tok)
-            right = self.parse_iff()
-            self.depth -= 1
-            return Binary(IFF, left, right)
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        tok = self.peek()
-        if tok.kind == "IMPLIES":
-            self.advance()
-            self.require_connective(IMPLIES, tok)
-            self.descend(tok)
-            right = self.parse_implies()
-            self.depth -= 1
-            return Binary(IMPLIES, left, right)
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
+    def parse_binary(self, level: int) -> Formula:
+        """Connectives from ``_BINARY_LEVELS[level]`` inward. The last level
+        calls parse_unary itself: one more call per level would cost every
+        bracket another stack frame."""
+        kind, connective, right_associative = _BINARY_LEVELS[level]
+        tighter = level + 1
+        innermost = tighter == len(_BINARY_LEVELS)
+        left = self.parse_unary() if innermost else self.parse_binary(tighter)
         entered = self.depth
-        while self.peek().kind == "OR":
+        while self.peek().kind == kind:
             tok = self.advance()
-            self.require_connective(OR, tok)
+            self.require_connective(connective, tok)
             self.descend(tok)
-            left = Binary(OR, left, self.parse_and())
-        self.depth = entered
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_unary()
-        entered = self.depth
-        while self.peek().kind == "AND":
-            tok = self.advance()
-            self.require_connective(AND, tok)
-            self.descend(tok)
-            left = Binary(AND, left, self.parse_unary())
+            if right_associative:
+                right = self.parse_binary(level)
+            else:
+                right = self.parse_unary() if innermost else self.parse_binary(tighter)
+            left = Binary(connective, left, right)
         self.depth = entered
         return left
 
@@ -772,7 +758,7 @@ class _Parser:
         if tok.kind in ("LPAREN", "LBRACKET"):
             self.advance()
             self.descend(tok)
-            inner = self.parse_iff()
+            inner = self.parse_binary(0)
             closer_kind, closer_text = _CLOSER[tok.kind]
             end = self.peek()
             if end.kind != closer_kind:
@@ -864,93 +850,82 @@ def parse_formula(text: str, alphabet: Alphabet) -> Formula:
 def validate_term(term: Term, alphabet: Alphabet):
     if alphabet.kind != FIRST_ORDER:
         raise AlphabetError("terms require a first-order alphabet")
-    if type(term) is Var:
-        if not alphabet.is_individual_variable(term.name):
-            raise AlphabetError(f"undeclared individual variable: {term.name!r}")
-        return
-    if not alphabet.is_function(term.name):
-        raise AlphabetError(f"undeclared function symbol: {term.name!r}")
-    if len(term.args) != alphabet.function_arity(term.name):
-        raise AlphabetError(
-            f"function {term.name!r} expects {alphabet.function_arity(term.name)} "
-            f"argument(s), got {len(term.args)}"
-        )
-    for a in term.args:
-        validate_term(a, alphabet)
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        if type(term) is Var:
+            if not alphabet.is_individual_variable(term.name):
+                raise AlphabetError(f"undeclared individual variable: {term.name!r}")
+            continue
+        if not alphabet.is_function(term.name):
+            raise AlphabetError(f"undeclared function symbol: {term.name!r}")
+        if len(term.args) != alphabet.function_arity(term.name):
+            raise AlphabetError(
+                f"function {term.name!r} expects {alphabet.function_arity(term.name)} "
+                f"argument(s), got {len(term.args)}"
+            )
+        stack.extend(reversed(term.args))
 
 
 def validate_formula(formula: Formula, alphabet: Alphabet):
-    """Check that every symbol is declared and every node is well formed."""
-    kind = type(formula)
-    if kind is Atom:
-        if not (alphabet.is_prop_variable(formula.name)
-                or (alphabet.kind == PROPOSITIONAL and alphabet.is_constant(formula.name))):
-            raise AlphabetError(f"undeclared atom: {formula.name!r}")
-        return
-    if kind is PredApp:
-        if alphabet.kind != FIRST_ORDER:
-            raise AlphabetError("predicate application in a propositional language")
-        if not alphabet.is_predicate(formula.name):
-            raise AlphabetError(f"undeclared predicate symbol: {formula.name!r}")
-        if len(formula.args) != alphabet.predicate_arity(formula.name):
-            raise AlphabetError(
-                f"predicate {formula.name!r} expects {alphabet.predicate_arity(formula.name)} "
-                f"argument(s), got {len(formula.args)}"
-            )
-        for a in formula.args:
-            validate_term(a, alphabet)
-        return
-    if kind is Equality:
-        if alphabet.kind != FIRST_ORDER:
-            raise AlphabetError("equality in a propositional language")
-        validate_term(formula.left, alphabet)
-        validate_term(formula.right, alphabet)
-        return
-    if kind is Negation:
-        if not alphabet.has_connective(NOT):
-            raise AlphabetError("negation is not declared in this alphabet")
-        validate_formula(formula.operand, alphabet)
-        return
-    if kind is Binary:
-        if not alphabet.has_connective(formula.op):
-            raise AlphabetError(f"connective {formula.op!r} is not declared in this alphabet")
-        validate_formula(formula.left, alphabet)
-        validate_formula(formula.right, alphabet)
-        return
-    if kind is Quantified:
-        if alphabet.kind != FIRST_ORDER:
-            raise AlphabetError("quantifier in a propositional language")
-        if formula.quant not in alphabet.quantifiers:
-            raise AlphabetError(f"quantifier {formula.quant!r} is not declared in this alphabet")
-        if not alphabet.is_individual_variable(formula.variable):
-            raise AlphabetError(f"undeclared individual variable: {formula.variable!r}")
-        if formula.variable not in free_variables(formula.body):
-            raise AlphabetError(
-                f"bound variable {formula.variable!r} does not occur free in the quantifier body"
-            )
-        validate_formula(formula.body, alphabet)
-        return
-    raise TypeError(f"not a formula: {formula!r}")
+    """Check that every symbol is declared and every node is well formed.
+
+    The walk keeps an explicit stack, so any depth can be checked; it goes
+    in pre-order, left to right, and reports the first bad node it meets.
+    """
+    stack = [formula]
+    while stack:
+        formula = stack.pop()
+        kind = type(formula)
+        if kind is Atom:
+            if not (alphabet.is_prop_variable(formula.name)
+                    or (alphabet.kind == PROPOSITIONAL and alphabet.is_constant(formula.name))):
+                raise AlphabetError(f"undeclared atom: {formula.name!r}")
+        elif kind is PredApp:
+            if alphabet.kind != FIRST_ORDER:
+                raise AlphabetError("predicate application in a propositional language")
+            if not alphabet.is_predicate(formula.name):
+                raise AlphabetError(f"undeclared predicate symbol: {formula.name!r}")
+            if len(formula.args) != alphabet.predicate_arity(formula.name):
+                raise AlphabetError(
+                    f"predicate {formula.name!r} expects {alphabet.predicate_arity(formula.name)} "
+                    f"argument(s), got {len(formula.args)}"
+                )
+            for a in formula.args:
+                validate_term(a, alphabet)
+        elif kind is Equality:
+            if alphabet.kind != FIRST_ORDER:
+                raise AlphabetError("equality in a propositional language")
+            validate_term(formula.left, alphabet)
+            validate_term(formula.right, alphabet)
+        elif kind is Negation:
+            if not alphabet.has_connective(NOT):
+                raise AlphabetError("negation is not declared in this alphabet")
+            stack.append(formula.operand)
+        elif kind is Binary:
+            if not alphabet.has_connective(formula.op):
+                raise AlphabetError(f"connective {formula.op!r} is not declared in this alphabet")
+            stack.append(formula.right)
+            stack.append(formula.left)
+        elif kind is Quantified:
+            if alphabet.kind != FIRST_ORDER:
+                raise AlphabetError("quantifier in a propositional language")
+            if formula.quant not in alphabet.quantifiers:
+                raise AlphabetError(f"quantifier {formula.quant!r} is not declared in this alphabet")
+            if not alphabet.is_individual_variable(formula.variable):
+                raise AlphabetError(f"undeclared individual variable: {formula.variable!r}")
+            if formula.variable not in free_variables(formula.body):
+                raise AlphabetError(
+                    f"bound variable {formula.variable!r} does not occur free in the quantifier body"
+                )
+            stack.append(formula.body)
+        else:
+            raise TypeError(f"not a formula: {formula!r}")
 
 
 # ==========================================================================
 # Enumeration
 # ==========================================================================
-
-class _Budget:
-    __slots__ = ("ceiling", "spent")
-
-    def __init__(self, ceiling):
-        self.ceiling = ceiling
-        self.spent = 0
-
-    def spend(self, amount=1):
-        self.spent += amount
-        if self.ceiling is not None and self.spent > self.ceiling:
-            raise BudgetExceededError(
-                f"enumeration outgrew its ceiling of {self.ceiling}"
-            )
-
 
 def _terms_by_size(alphabet: Alphabet, max_size: int) -> list:
     """terms[s] lists all terms of size exactly s, 0-indexed placeholder at 0."""
@@ -994,12 +969,13 @@ def enumerate_wffs(alphabet: Alphabet, max_size: int, limit: Optional[int] = Non
     """
     if max_size < 0:
         return []
-    budget = _Budget(limit)
     by_size = [[] for _ in range(max_size + 1)]
     free_of = {}
 
     def emit(size, formula, free):
-        budget.spend()
+        # every emitted formula is a new one, so free_of counts them
+        if limit is not None and len(free_of) >= limit:
+            raise BudgetExceededError(f"enumeration outgrew its ceiling of {limit}")
         by_size[size].append(formula)
         free_of[formula] = free
 
@@ -1089,17 +1065,6 @@ class Schema:
     def __reduce__(self):
         # the builder's closures cannot be pickled; unpickling compiles anew
         return Schema, (self.schema_id, self.pattern, self.metavariables)
-
-
-def _formula_children(node) -> tuple:
-    kind = type(node)
-    if kind is Binary:
-        return (node.left, node.right)
-    if kind is Negation:
-        return (node.operand,)
-    if kind is Quantified:
-        return (node.body,)
-    return ()
 
 
 def _node_builder(node, parts: list, slots: dict):

@@ -90,6 +90,33 @@ class TestDeepInput:
         assert "size: 101" in capsys.readouterr().out
 
 
+class TestDeepCalculus:
+    """builtin:free,1200 declares axioms up to 1,200 nodes deep (~...~P).
+    Loading it checks every axiom on an explicit stack, so each subcommand
+    runs to its report. The automaton case keeps the body shallower: an
+    acceptor of the full body has 721,801 states."""
+
+    FREE = "builtin:free,1200"
+    DEEP = ["--max-size", "1200", "--max-stage", "2"]
+
+    @pytest.mark.parametrize("argv", [
+        ["parse", "--calc", FREE, "P"],
+        ["enum-body", "--calc", FREE, *DEEP, "--json"],
+        ["automaton", "--calc", FREE, "--max-size", "300", "--max-stage", "2",
+         "--accept", "P"],
+        ["check", "--calc", FREE, *DEEP, "--property", "transitively-closed"],
+    ], ids=["parse", "enum-body", "automaton", "check"])
+    def test_subcommands_exit_0_with_nothing_on_stderr(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_the_body_holds_the_deepest_axiom(self, capsys):
+        assert main(["enum-body", "--calc", self.FREE, *self.DEEP, "--json"]) == 0
+        body = json.loads(capsys.readouterr().out)["body"]
+        assert body["theorem_count"] == 1200
+        assert body["theorems"][-1]["formula"] == "~" * 1199 + "P"
+
+
 class TestEnumLang:
     def test_kleene_language_up_to_three(self, capsys):
         assert main(["enum-lang", "--calc", "builtin:kleene",

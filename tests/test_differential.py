@@ -8,13 +8,18 @@ give the same members, stages, canonical justifications and status.
 
 ``reference_layer`` is the all-tuples application layer that
 ``consequence_step`` must reproduce, budget error included.
+
+``reference_closed_wrt_axioms`` decides closed-wrt-axioms from a second
+realization of the axioms, which the check itself reads off stage 1.
 """
 
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
+from conftest import random_formula
 from metalogic import (
     BUDGET_EXCEEDED,
     IMPLIES,
@@ -28,10 +33,13 @@ from metalogic import (
     Formula,
     PremiseJustification,
     RuleJustification,
+    Schema,
     builtin_calculus,
+    check_property,
     compose,
     consequence_step,
     enumerate_body,
+    formula_atoms,
     inference_closure,
     instantiation_pool,
     length_filtered,
@@ -40,6 +48,7 @@ from metalogic import (
     print_formula,
     propositional_alphabet,
     realized_axiom_stream,
+    realized_axioms,
     rule_system,
 )
 
@@ -259,3 +268,120 @@ def test_consequence_step_budget_matches_the_reference(rules):
             reference_layer(system, LAYER_PREMISES, node_budget=len(full) - 1, **kwargs)
         with pytest.raises(BudgetExceededError):
             consequence_step(system, LAYER_PREMISES, node_budget=len(full) - 1, **kwargs)
+
+
+# ==========================================================================
+# Budgets around stage 1
+# ==========================================================================
+
+def budgets_around_stage_one(calculus, bounds):
+    """Bounds whose budget is the stage-1 count, one less, and one that runs
+    out inside stage 2 (when stage 2 adds two formulas or more)."""
+    body = enumerate_body(calculus, replace(bounds, max_stage=2, node_budget=10 ** 6))
+    first, second = len(body.new_at_stage(1)), len(body.new_at_stage(2))
+    budgets = [first, first - 1] + ([first + second // 2] if second > 1 else [])
+    return [replace(bounds, node_budget=budget) for budget in budgets if budget >= 1]
+
+
+def _or_budget_error(build, *args):
+    try:
+        return build(*args)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(BUILTIN_CASES))
+def test_budgets_around_stage_one_match_the_reference(case):
+    make, bounds = BUILTIN_CASES[case]
+    calculus = make()
+    for tight in budgets_around_stage_one(calculus, bounds):
+        expected = _or_budget_error(reference_body, calculus, tight)
+        got = _or_budget_error(enumerate_body, calculus, tight)
+        if isinstance(expected, str):
+            # the instantiation pool alone outgrew the budget
+            assert got == expected
+        else:
+            assert_same(got, expected)
+
+
+def test_budgets_around_stage_one_end_in_stage_one_and_two():
+    """The budgets above do cut runs in stage 1 and inside stage 2."""
+    ends = set()
+    for case in sorted(BUILTIN_CASES):
+        make, bounds = BUILTIN_CASES[case]
+        calculus = make()
+        for tight in budgets_around_stage_one(calculus, bounds):
+            body = _or_budget_error(enumerate_body, calculus, tight)
+            if not isinstance(body, str) and body.status == BUDGET_EXCEEDED:
+                ends.add(body.stage_count)
+    assert ends == {1, 2}
+
+
+# ==========================================================================
+# closed-wrt-axioms against a second realization of the axioms
+# ==========================================================================
+
+def reference_closed_wrt_axioms(calculus, bounds):
+    """(outcome, evidence, detail) from ``realized_axioms`` and the body."""
+    body = enumerate_body(calculus, bounds)
+    oversize = [a for a in calculus.axioms if a.size > bounds.max_formula_size]
+    if oversize:
+        return ("inconclusive",
+                {"oversized_axioms": [print_formula(a) for a in oversize[:5]]},
+                "some declared axioms exceed the size cap, so their membership "
+                "cannot be witnessed within it")
+    realized = realized_axioms(calculus, bounds)
+    assert all(a in body for a in realized)
+    if len(realized) >= bounds.node_budget:
+        return ("inconclusive", {"realized": len(realized)},
+                "the realized axiom stream was budget-truncated")
+    return ("holds", {"axioms_present": len(realized)},
+            "every realized axiom is in the body")
+
+
+def _closed_wrt_axioms(calculus, bounds):
+    verdict = check_property(calculus, "closed-wrt-axioms", bounds)
+    return verdict.outcome, verdict.evidence, verdict.detail
+
+
+def _assert_closed_wrt_axioms_matches(calculus, bounds):
+    for tight in [bounds] + budgets_around_stage_one(calculus, bounds):
+        expected = _or_budget_error(reference_closed_wrt_axioms, calculus, tight)
+        assert _or_budget_error(_closed_wrt_axioms, calculus, tight) == expected
+
+
+@pytest.mark.parametrize("case", sorted(BUILTIN_CASES))
+def test_closed_wrt_axioms_matches_realized_axioms_on_builtins(case):
+    make, bounds = BUILTIN_CASES[case]
+    _assert_closed_wrt_axioms_matches(make(), bounds)
+
+
+RANDOM_RULES = ("modus_ponens", "cancellation", "identity", "cut")
+
+
+def random_calculus(rng):
+    """Concrete axioms, on-demand schemata over phi and psi, and one or two
+    parameter-free rules."""
+    axioms = {random_formula(rng, ("P", "Q"), (NOT, OR, IMPLIES), 2)
+              for _ in range(rng.randint(0, 4))}
+    schemata = []
+    for index in range(rng.randint(0, 2)):
+        metas = ("phi", "psi")[:rng.randint(1, 2)]
+        pattern = random_formula(rng, metas + ("P",), (NOT, OR, IMPLIES), 3)
+        present = formula_atoms(pattern) & set(metas)
+        if present:
+            schemata.append(Schema(f"s{index}", pattern, tuple(sorted(present))))
+    rules = rng.sample(RANDOM_RULES, rng.randint(1, 2))
+    return Calculus(alphabet=PQ_OR, axioms=tuple(sorted(axioms, key=print_formula)),
+                    schemata=tuple(schemata),
+                    rules=rule_system(*(make_rule(name) for name in rules)),
+                    pool_variables=("P", "Q")[:rng.randint(1, 2)])
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_closed_wrt_axioms_matches_realized_axioms_on_random_calculi(seed):
+    rng = random.Random(seed)
+    calculus = random_calculus(rng)
+    bounds = Bounds(3, rng.choice((6, 7, 9)), 5000, rng.choice((1, 2, 3)))
+    _assert_closed_wrt_axioms_matches(calculus, bounds)
+    assert_same(enumerate_body(calculus, bounds), reference_body(calculus, bounds))

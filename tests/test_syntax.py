@@ -134,6 +134,19 @@ class TestDeepFormulasBuiltInCode:
         with pytest.raises(SchemaError):
             Schema("deep", negation_chain("phi", 3000), ("chi",))
 
+    def test_validate_formula(self):
+        alphabet = propositional_alphabet(("P",), connectives=(NOT,))
+        validate_formula(negation_chain("P", 3000), alphabet)
+        with pytest.raises(AlphabetError, match="undeclared atom: 'Q'"):
+            validate_formula(negation_chain("Q", 3000), alphabet)
+
+    def test_validate_deep_term(self):
+        alphabet = first_order_alphabet(("x",), functions=(("g", 1),), predicates=(("P", 1),))
+        term = Var("x")
+        for _ in range(3000):
+            term = FuncApp("g", (term,))
+        validate_formula(PredApp("P", (term,)), alphabet)
+
 
 class TestValidation:
     def test_validate_accepts_alphabet_formulas(self, pq_alphabet):
@@ -147,6 +160,20 @@ class TestValidation:
         implies_only = propositional_alphabet(("P",), connectives=(IMPLIES,))
         with pytest.raises(AlphabetError):
             validate_formula(Binary(AND, Atom("P"), Atom("P")), implies_only)
+
+    def test_validate_reports_the_first_bad_node_in_pre_order(self):
+        not_and = propositional_alphabet(("P",), connectives=(NOT, AND))
+        left_first = Binary(AND, Negation(Atom("Z")), Atom("Y"))
+        with pytest.raises(AlphabetError, match="undeclared atom: 'Z'"):
+            validate_formula(left_first, not_and)
+        parent_first = Binary(OR, Atom("Z"), Atom("P"))
+        with pytest.raises(AlphabetError, match="connective 'or' is not declared"):
+            validate_formula(parent_first, not_and)
+        first_order = first_order_alphabet(("x",), functions=(("g", 1),),
+                                           predicates=(("R", 2),))
+        terms = PredApp("R", (FuncApp("g", (Var("z"),)), FuncApp("h", (Var("x"),))))
+        with pytest.raises(AlphabetError, match="undeclared individual variable: 'z'"):
+            validate_formula(terms, first_order)
 
     def test_alphabet_rejects_duplicate_variables(self):
         with pytest.raises(AlphabetError):
