@@ -11,6 +11,13 @@ The printed canonical form makes the body language well-defined: two equal
 formulas print identically, so the automaton's language has exactly one
 word per theorem.
 
+An automaton stores its transition relation once, as one row per symbol:
+``row[source] -> targets``, with the epsilon edges in the row of
+``EPSILON``. Simulation reads the rows directly, so a step costs one
+dictionary lookup per current state, not a pass over every transition.
+The ``transitions`` attribute is a view derived from the rows: a frozenset
+of (source, symbol, target) triples, built anew on every access.
+
 Interchange format (tab-separated, one declaration per line):
 
     states <count>
@@ -25,7 +32,7 @@ collides with a real symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .errors import MetalogicError, RuleParameterError
@@ -34,48 +41,113 @@ from .syntax import Formula, canonical_key, print_formula
 EPSILON = None
 
 
-@dataclass(frozen=True)
 class EpsilonNFA:
     """A nondeterministic finite automaton with epsilon transitions.
 
-    Transitions are (source, symbol, target) triples; the symbol is a
-    single character or None for epsilon.
+    It is built from (source, symbol, target) triples, where the symbol is
+    a single character or None for epsilon, and keeps them as per-symbol
+    rows ``_rows[symbol][source] -> targets`` (a tuple of distinct states).
+    Two automata are equal when their states, symbols, start, accepting
+    states and transition sets are equal. Instances are immutable.
     """
 
-    states: frozenset
-    symbols: frozenset
-    transitions: frozenset
-    start: str
-    accepting: frozenset
+    __slots__ = ("states", "symbols", "start", "accepting", "_rows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "symbols", frozenset(self.symbols))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        if self.start not in self.states:
+    def __init__(self, states, symbols, transitions, start, accepting):
+        states = frozenset(states)
+        symbols = frozenset(symbols)
+        accepting = frozenset(accepting)
+        rows = {}
+        fanned = []
+        for source, symbol, target in transitions:
+            row = rows.get(symbol)
+            if row is None:
+                row = rows[symbol] = {}
+            targets = row.get(source)
+            if targets is None:
+                row[source] = (target,)
+            elif target not in targets:
+                # a second target: collect the fan-out in a set, not by
+                # growing a tuple, then store it as a tuple below
+                if isinstance(targets, tuple):
+                    row[source] = {*targets, target}
+                    fanned.append((row, source))
+                else:
+                    targets.add(target)
+        for row, source in fanned:
+            row[source] = tuple(row[source])
+        if start not in states:
             raise MetalogicError("the start state is not a declared state")
-        if not self.accepting <= self.states:
+        if not accepting <= states:
             raise MetalogicError("an accepting state is not a declared state")
-        for source, symbol, target in self.transitions:
-            if source not in self.states or target not in self.states:
-                raise MetalogicError(
-                    f"transition ({source!r}, {symbol!r}, {target!r}) "
-                    f"references an undeclared state"
-                )
-            if symbol is not EPSILON and symbol not in self.symbols:
+        for symbol, row in rows.items():
+            if (states.issuperset(row)
+                    and states.issuperset(chain.from_iterable(row.values()))):
+                continue
+            source, target = next(
+                (source, target) for source, targets in row.items()
+                for target in targets
+                if source not in states or target not in states)
+            raise MetalogicError(
+                f"transition ({source!r}, {symbol!r}, {target!r}) "
+                f"references an undeclared state"
+            )
+        for symbol in rows:
+            if symbol is not EPSILON and symbol not in symbols:
                 raise MetalogicError(
                     f"transition symbol {symbol!r} is not in the input alphabet"
                 )
+        for name, value in (("states", states), ("symbols", symbols),
+                            ("start", start), ("accepting", accepting),
+                            ("_rows", rows)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _triples(self):
+        for symbol, row in self._rows.items():
+            for source, targets in row.items():
+                for target in targets:
+                    yield source, symbol, target
+
+    @property
+    def transitions(self) -> frozenset:
+        """The relation as (source, symbol, target) triples, derived from
+        the rows on every access and never kept."""
+        return frozenset(self._triples())
+
+    def __eq__(self, other):
+        if not isinstance(other, EpsilonNFA):
+            return NotImplemented
+        return (self.start == other.start and self.states == other.states
+                and self.symbols == other.symbols
+                and self.accepting == other.accepting
+                # equal rows are one relation; the same relation can still
+                # list a fan-out's targets in another order
+                and (self._rows == other._rows
+                     or self.transitions == other.transitions))
+
+    def __hash__(self):
+        return hash((self.states, self.symbols, self.start, self.accepting))
+
+    def __reduce__(self):
+        return (EpsilonNFA, (self.states, self.symbols, self.transitions,
+                             self.start, self.accepting))
+
+    def __repr__(self):
+        return (f"EpsilonNFA(states={self.states!r}, symbols={self.symbols!r}, "
+                f"transitions={self.transitions!r}, start={self.start!r}, "
+                f"accepting={self.accepting!r})")
 
     def is_deterministic(self) -> bool:
         """True when no epsilon edges exist and no (state, symbol) repeats."""
-        seen = set()
-        for source, symbol, _ in self.transitions:
-            if symbol is EPSILON or (source, symbol) in seen:
-                return False
-            seen.add((source, symbol))
-        return True
+        return EPSILON not in self._rows and all(
+            len(targets) == 1
+            for row in self._rows.values() for targets in row.values())
 
 
 def _sorted_words(body: Iterable[Formula]) -> list:
@@ -89,21 +161,17 @@ def build_body_automaton(body: Iterable[Formula]) -> EpsilonNFA:
     formulas. An empty body yields a one-state automaton accepting nothing.
     """
     words = _sorted_words(body)
-    states = {"q0"}
-    symbols = set()
-    transitions = set()
-    accepting = set()
-    for index, word in enumerate(words):
-        chain = [f"w{index}.{position}" for position in range(len(word) + 1)]
-        states.update(chain)
-        transitions.add(("q0", EPSILON, chain[0]))
-        for position, char in enumerate(word):
-            symbols.add(char)
-            transitions.add((chain[position], char, chain[position + 1]))
-        accepting.add(chain[-1])
+    chains = [[f"w{index}.{position}" for position in range(len(word) + 1)]
+              for index, word in enumerate(words)]
+
+    def edges():
+        for word, states in zip(words, chains):
+            yield "q0", EPSILON, states[0]
+            yield from zip(states, word, states[1:])
+
     return EpsilonNFA(
-        frozenset(states), frozenset(symbols), frozenset(transitions),
-        "q0", frozenset(accepting),
+        chain(["q0"], *chains), set().union(*words), edges(),
+        "q0", [states[-1] for states in chains],
     )
 
 
@@ -111,25 +179,17 @@ def build_deterministic_body_automaton(body: Iterable[Formula]) -> EpsilonNFA:
     """A trie over the printed formulas: shared prefixes, no epsilon edges."""
     words = _sorted_words(body)
     prefixes = {""}
-    accepting_prefixes = set()
     for word in words:
         for end in range(1, len(word) + 1):
             prefixes.add(word[:end])
-        accepting_prefixes.add(word)
     ordered = sorted(prefixes, key=lambda p: (len(p), p))
     name_of = {prefix: ("q0" if prefix == "" else f"t{i}")
                for i, prefix in enumerate(ordered)}
-    symbols = set()
-    transitions = set()
-    for prefix in ordered:
-        if prefix == "":
-            continue
-        symbols.add(prefix[-1])
-        transitions.add((name_of[prefix[:-1]], prefix[-1], name_of[prefix]))
     return EpsilonNFA(
-        frozenset(name_of.values()), frozenset(symbols),
-        frozenset(transitions), "q0",
-        frozenset(name_of[w] for w in accepting_prefixes),
+        name_of.values(), set().union(*words),
+        ((name_of[prefix[:-1]], prefix[-1], name_of[prefix])
+         for prefix in ordered if prefix),
+        "q0", [name_of[word] for word in words],
     )
 
 
@@ -137,45 +197,42 @@ def build_deterministic_body_automaton(body: Iterable[Formula]) -> EpsilonNFA:
 # Simulation
 # ==========================================================================
 
-def _moves(nfa: EpsilonNFA) -> dict:
-    """(state, symbol) -> targets; epsilon edges sit under EPSILON.
-
-    Built once per simulation call and not kept on the automaton, which
-    would then hold every transition twice for as long as it lives."""
-    moves = {}
-    for source, symbol, target in nfa.transitions:
-        moves.setdefault((source, symbol), []).append(target)
-    return moves
-
-
-def _epsilon_closure(moves: dict, states) -> frozenset:
-    closure = set(states)
-    stack = list(closure)
-    while stack:
-        for target in moves.get((stack.pop(), EPSILON), ()):
-            if target not in closure:
-                closure.add(target)
-                stack.append(target)
-    return frozenset(closure)
+def _epsilon_closure(epsilon_row: dict, states: set) -> set:
+    """``states`` with every state reachable over epsilon edges added, in
+    place; an empty row leaves the set as it is."""
+    if epsilon_row:
+        stack = list(states)
+        while stack:
+            for target in epsilon_row.get(stack.pop(), ()):
+                if target not in states:
+                    states.add(target)
+                    stack.append(target)
+    return states
 
 
-def _step(moves: dict, states, symbol: str) -> frozenset:
-    """The epsilon-closed successors of ``states`` on ``symbol``."""
+def _step(row: dict, states) -> set:
+    """The successors of ``states`` in one symbol's row, not yet closed."""
     moved = set()
     for state in states:
-        moved.update(moves.get((state, symbol), ()))
-    return _epsilon_closure(moves, moved)
+        targets = row.get(state)
+        if targets is not None:
+            moved.update(targets)
+    return moved
 
 
 def nfa_accepts(nfa: EpsilonNFA, word: str) -> bool:
     """Standard epsilon-closure simulation; unknown symbols simply fail."""
-    moves = _moves(nfa)
-    current = _epsilon_closure(moves, {nfa.start})
+    rows = nfa._rows
+    epsilon_row = rows.get(EPSILON)
+    current = _epsilon_closure(epsilon_row, {nfa.start})
     for char in word:
-        current = _step(moves, current, char)
+        row = rows.get(char)
+        if row is None:
+            return False
+        current = _epsilon_closure(epsilon_row, _step(row, current))
         if not current:
             return False
-    return bool(current & nfa.accepting)
+    return not current.isdisjoint(nfa.accepting)
 
 
 def nfa_language_upto(nfa: EpsilonNFA, max_length: int) -> frozenset:
@@ -186,23 +243,25 @@ def nfa_language_upto(nfa: EpsilonNFA, max_length: int) -> frozenset:
     """
     if max_length < 0:
         raise RuleParameterError("max_length must be >= 0")
-    moves = _moves(nfa)
-    ordered_symbols = sorted(nfa.symbols)
+    rows = nfa._rows
+    epsilon_row = rows.get(EPSILON)
+    symbol_rows = [(symbol, rows[symbol])
+                   for symbol in sorted(nfa.symbols) if symbol in rows]
     accepted = set()
-    start = _epsilon_closure(moves, {nfa.start})
+    start = _epsilon_closure(epsilon_row, {nfa.start})
     frontier = {"": start}
-    if start & nfa.accepting:
+    if not start.isdisjoint(nfa.accepting):
         accepted.add("")
     for _ in range(max_length):
         next_frontier = {}
         for word, states in frontier.items():
-            for symbol in ordered_symbols:
-                closed = _step(moves, states, symbol)
+            for symbol, row in symbol_rows:
+                closed = _epsilon_closure(epsilon_row, _step(row, states))
                 if not closed:
                     continue
                 extended = word + symbol
                 next_frontier[extended] = closed
-                if closed & nfa.accepting:
+                if not closed.isdisjoint(nfa.accepting):
                     accepted.add(extended)
         if not next_frontier:
             break
@@ -227,7 +286,7 @@ def automaton_to_text(nfa: EpsilonNFA) -> str:
     def triple_key(t):
         source, symbol, target = t
         return (source, "" if symbol is EPSILON else symbol, target)
-    for source, symbol, target in sorted(nfa.transitions, key=triple_key):
+    for source, symbol, target in sorted(nfa._triples(), key=triple_key):
         token = _EPSILON_TOKEN if symbol is EPSILON else symbol
         lines.append(f"trans\t{source}\t{token}\t{target}")
     return "\n".join(lines) + "\n"
@@ -237,7 +296,7 @@ def automaton_from_text(text: str) -> EpsilonNFA:
     declared_count = None
     start = None
     accepting = []
-    transitions = set()
+    transitions = []
     states = set()
     symbols = set()
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -270,7 +329,7 @@ def automaton_from_text(text: str) -> EpsilonNFA:
             states.update((source, target))
             if symbol is not EPSILON:
                 symbols.add(symbol)
-            transitions.add((source, symbol, target))
+            transitions.append((source, symbol, target))
         else:
             raise MetalogicError(
                 f"line {line_number}: unrecognized declaration {tag!r}"
@@ -282,7 +341,4 @@ def automaton_from_text(text: str) -> EpsilonNFA:
             f"declared state count {declared_count} disagrees with the "
             f"{len(states)} states mentioned"
         )
-    return EpsilonNFA(
-        frozenset(states), frozenset(symbols), frozenset(transitions),
-        start, frozenset(accepting),
-    )
+    return EpsilonNFA(states, symbols, transitions, start, accepting)

@@ -1,6 +1,8 @@
 """Finite-body acceptors: construction, simulation, interchange."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -263,6 +265,15 @@ class TestInterchange:
         assert restored.transitions == original.transitions
         assert restored.start == original.start
         assert restored.accepting == original.accepting
+
+    def test_copies_and_pickles_are_equal_and_frozen(self):
+        original = BRANCHING
+        for clone in (copy.copy(original), copy.deepcopy(original),
+                      pickle.loads(pickle.dumps(original))):
+            assert clone == original
+            assert clone.transitions == original.transitions
+        with pytest.raises(AttributeError):
+            original.start = "b"
 
     def test_round_trip_preserves_the_language(self):
         original = build_deterministic_body_automaton(
