@@ -44,6 +44,7 @@ from .syntax import (
     Negation,
     Schema,
     canonical_key,
+    canonical_sorted,
     enumerate_wffs,
     formula_atoms,
     match_schema,
@@ -187,8 +188,8 @@ def compare_calculi(kind: str, c: Calculus, d: Calculus,
     body_d = enumerate_body(d, bounds)
     image_c = _image(body_c.theorems, translation, bounds.max_formula_size)
     set_d = body_d.as_set()
-    forward = sorted(image_c - set_d, key=canonical_key)
-    backward = sorted(set_d - image_c, key=canonical_key)
+    forward = canonical_sorted(image_c - set_d)
+    backward = canonical_sorted(set_d - image_c)
 
     if forward and body_d.status == SATURATED:
         return fails(
@@ -313,7 +314,7 @@ def _check_consistent_with(calculus, body, bounds, params) -> Verdict:
                 if match_schema(pattern, t) is not None]
     else:
         target = frozenset(members)
-        hits = sorted(target & body.as_set(), key=canonical_key)
+        hits = canonical_sorted(target & body.as_set())
     if hits:
         return fails(
             hits[0],
@@ -376,7 +377,7 @@ def _check_complete_wrt_rules(calculus, body, bounds, params) -> Verdict:
             "complete-wrt-rules needs rules (a rule system) and targets "
             "(a formula collection)"
         )
-    targets = sorted(set(targets), key=canonical_key)
+    targets = canonical_sorted(set(targets))
     layer = consequence_step(
         rules, body.theorems,
         parameter_pool=instantiation_pool(calculus, bounds),
@@ -681,7 +682,7 @@ def relation_from_calculus(calculus: Calculus, premise_pool: Iterable[Formula],
     """
     if max_premises < 0:
         raise RuleParameterError("max_premises must be >= 0")
-    pool = sorted(set(premise_pool), key=canonical_key)
+    pool = canonical_sorted(set(premise_pool))
     pairs = set()
     statuses = []
     tokens = set(pool)

@@ -36,7 +36,7 @@ from itertools import chain
 from typing import Iterable
 
 from .errors import MetalogicError, RuleParameterError
-from .syntax import Formula, canonical_key, print_formula
+from .syntax import Formula, canonical_sorted, print_formula
 
 EPSILON = None
 
@@ -151,7 +151,7 @@ class EpsilonNFA:
 
 
 def _sorted_words(body: Iterable[Formula]) -> list:
-    return [print_formula(f) for f in sorted(set(body), key=canonical_key)]
+    return [print_formula(f) for f in canonical_sorted(set(body))]
 
 
 def build_body_automaton(body: Iterable[Formula]) -> EpsilonNFA:

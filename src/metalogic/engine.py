@@ -59,7 +59,7 @@ from .syntax import (
     Formula,
     Schema,
     atom_occurrences,
-    canonical_key,
+    canonical_sorted,
     enumerate_wffs,
     instantiate_schema,
     print_formula,
@@ -274,7 +274,7 @@ def instantiation_pool(calculus: Calculus, bounds: Bounds,
                               limit=bounds.node_budget))
     # Goal subformulas stay usable even when larger than the pool size bound.
     pool.update(extra)
-    return sorted(pool, key=canonical_key)
+    return canonical_sorted(pool)
 
 
 _META_PRIORITY = {"phi": 0, "chi": 1, "psi": 2}
@@ -426,7 +426,7 @@ class BoundedBody:
         self.stage_count = stage_count
         self.status = status
         self.bounds = bounds
-        self.theorems = tuple(sorted(members, key=canonical_key))
+        self.theorems = tuple(canonical_sorted(members))
 
     @property
     def stage_sets(self) -> tuple:
@@ -524,8 +524,14 @@ def _build_derivation(members: dict, goal: Formula) -> Derivation:
 
 
 def validate_derivation(derivation: Derivation, calculus: Calculus) -> None:
-    """Re-check every node against the calculus; raise DerivationError if any fails."""
+    """Re-check every node against the calculus; raise DerivationError if any fails.
+
+    In substitution-rule mode a schema leaf must be the schema's positional
+    realization, the one instance stage 1 holds; in on-demand mode any
+    instance is a leaf.
+    """
     axioms = set(calculus.axioms)
+    positional = calculus.schema_mode == SUBSTITUTION_RULE_MODE
     for index, node in enumerate(derivation.nodes):
         j = node.justification
         for p in node.premise_indices:
@@ -544,6 +550,12 @@ def validate_derivation(derivation: Derivation, calculus: Calculus) -> None:
                 raise DerivationError(
                     f"node {index + 1} does not match schema {j.schema_id!r} "
                     f"under its recorded assignment"
+                )
+            if (positional and node.formula
+                    != positional_realization(schema, calculus.alphabet)[0]):
+                raise DerivationError(
+                    f"node {index + 1} is not the positional realization of "
+                    f"schema {j.schema_id!r}: {print_formula(node.formula)}"
                 )
         if isinstance(j, (AxiomJustification, PremiseJustification, SchemaJustification)):
             if node.premise_indices:
@@ -704,7 +716,7 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
 def _least_justified(best: Mapping) -> Iterator[tuple]:
     """(conclusion, RuleJustification) pairs of a gathered layer, in
     canonical order."""
-    for conclusion in sorted(best, key=canonical_key):
+    for conclusion in canonical_sorted(best):
         key, premises, items = best[conclusion]
         yield conclusion, RuleJustification(key[0], premises, items)
 
@@ -754,8 +766,8 @@ def consequence_step(rules: RuleSystem, premises: Iterable[Formula], *,
     draw formula parameters from ``parameter_pool``, which defaults to the
     premises themselves.
     """
-    premise_list = sorted(set(premises), key=canonical_key)
-    pool = (sorted(set(parameter_pool), key=canonical_key)
+    premise_list = canonical_sorted(set(premises))
+    pool = (canonical_sorted(set(parameter_pool))
             if parameter_pool is not None else premise_list)
     rules_with_contexts = tuple(
         (rule, _rule_contexts(rule, pool, variables)) for rule in rules
@@ -786,8 +798,8 @@ def inference_closure(rules: RuleSystem, premises: Iterable[Formula],
     The premises are members of the result (the closure relation contains
     its arguments) even when no rule would re-derive them.
     """
-    premise_list = sorted(set(premises), key=canonical_key)
-    pool = (sorted(set(parameter_pool), key=canonical_key)
+    premise_list = canonical_sorted(set(premises))
+    pool = (canonical_sorted(set(parameter_pool))
             if parameter_pool is not None else premise_list)
     seeds = (
         (f, PremiseJustification())

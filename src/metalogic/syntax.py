@@ -34,12 +34,24 @@ a negation, a quantifier, the right operand of -> and <->, and every further
 operand of an & or | chain. Deeper input is a ParseError, so the recursive
 parser and the recursive tree walkers that later visit the formula stay
 within Python's stack.
+
+Printed text is cached only on the formula ``print_formula`` is called on
+(likewise ``print_term``). Subformulas are printed by a walk that reads
+their cached text where it is set and stores none, so a subformula holds a
+string only if it was itself printed as a formula. A bounded body prints
+its theorems and its instantiation pool as such, to sort them: it keeps one
+string per theorem and per pool formula, and none on the inner nodes that
+schema instances and rule conclusions build around them. The canonical
+order (size, then printed text) is ``canonical_sorted``; ``canonical_key``
+is the same order as a sort key.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import AlphabetError, BudgetExceededError, ParseError, SchemaError
 
@@ -66,7 +78,8 @@ FIRST_ORDER = "first-order"
 #
 # Plain slotted classes rather than dataclasses: these are the hot objects of
 # every enumeration, so the hash is computed once at construction and the
-# printed form is cached after first use. Treat instances as immutable.
+# printed form is cached on the nodes printed as roots (see print_formula).
+# Treat instances as immutable.
 # ==========================================================================
 
 class Term:
@@ -273,54 +286,80 @@ class Quantified(Formula):
 # Printing
 # ==========================================================================
 
-def print_term(term: Term) -> str:
+def _term_text(term: Term) -> str:
+    """The printed term; reads any cached text, writes none."""
     cached = term._printed
     if cached is not None:
         return cached
-    if type(term) is Var:
-        text = term.name
-    elif term.args:
-        text = "%s(%s)" % (term.name, ", ".join(print_term(a) for a in term.args))
-    else:
-        text = term.name
-    term._printed = text
-    return text
+    if type(term) is FuncApp and term.args:
+        return "%s(%s)" % (term.name, ", ".join(map(_term_text, term.args)))
+    return term.name
 
 
-def print_formula(formula: Formula) -> str:
-    """Fully parenthesized ASCII canonical form; parse of it is the identity."""
+def _formula_text(formula: Formula) -> str:
+    """The printed formula; reads any cached text, writes none."""
     cached = formula._printed
     if cached is not None:
         return cached
     kind = type(formula)
-    if kind is Atom:
-        text = formula.name
-    elif kind is Negation:
-        text = "~" + print_formula(formula.operand)
-    elif kind is Binary:
-        text = "(%s %s %s)" % (
-            print_formula(formula.left),
+    if kind is Binary:
+        return "(%s %s %s)" % (
+            _formula_text(formula.left),
             _BINARY_SYMBOL[formula.op],
-            print_formula(formula.right),
+            _formula_text(formula.right),
         )
-    elif kind is Quantified:
-        text = "%s %s %s" % (formula.quant, formula.variable, print_formula(formula.body))
-    elif kind is PredApp:
+    if kind is Atom:
+        return formula.name
+    if kind is Negation:
+        return "~" + _formula_text(formula.operand)
+    if kind is Quantified:
+        return "%s %s %s" % (formula.quant, formula.variable, _formula_text(formula.body))
+    if kind is PredApp:
         if formula.args:
-            text = "%s(%s)" % (formula.name, ", ".join(print_term(a) for a in formula.args))
-        else:
-            text = formula.name
-    elif kind is Equality:
-        text = "(%s = %s)" % (print_term(formula.left), print_term(formula.right))
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    formula._printed = text
-    return text
+            return "%s(%s)" % (formula.name, ", ".join(map(_term_text, formula.args)))
+        return formula.name
+    if kind is Equality:
+        return "(%s = %s)" % (_term_text(formula.left), _term_text(formula.right))
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def print_term(term: Term) -> str:
+    """The printed term, cached on this term only."""
+    cached = term._printed
+    if cached is None:
+        cached = term._printed = _term_text(term)
+    return cached
+
+
+def print_formula(formula: Formula) -> str:
+    """Fully parenthesized ASCII canonical form; parse of it is the identity.
+
+    The text is cached on ``formula`` alone: its subformulas are printed by
+    a walk that reads their cached text where it is set and stores none.
+    """
+    cached = formula._printed
+    if cached is None:
+        cached = formula._printed = _formula_text(formula)
+    return cached
 
 
 def canonical_key(formula: Formula):
     """Sort key for the canonical size-lexicographic order."""
     return (formula.size, print_formula(formula))
+
+
+_size = attrgetter("size")
+
+
+def canonical_sorted(formulas: Iterable[Formula]) -> list:
+    """The formulas in canonical order, ``sorted(formulas, key=canonical_key)``.
+
+    Sorting by printed text and then stably by size gives that order with
+    no (size, text) tuple per item.
+    """
+    out = sorted(formulas, key=print_formula)
+    out.sort(key=_size)
+    return out
 
 
 # ==========================================================================
@@ -1025,11 +1064,7 @@ def enumerate_wffs(alphabet: Alphabet, max_size: int, limit: Optional[int] = Non
                     for right in by_size[right_size]:
                         emit(size, Binary(op, left, right), lf | free_of[right])
 
-    out = []
-    for bucket in by_size:
-        out.extend(bucket)
-    out.sort(key=canonical_key)
-    return out
+    return canonical_sorted(itertools.chain.from_iterable(by_size))
 
 
 # ==========================================================================

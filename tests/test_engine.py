@@ -17,7 +17,9 @@ from metalogic import (
     Bounds,
     BudgetExceededError,
     Calculus,
+    Derivation,
     DerivationError,
+    DerivationNode,
     GOAL_FOUND,
     IMPLIES,
     InferenceRule,
@@ -39,6 +41,7 @@ from metalogic import (
     kleene_calculus,
     lv_calculus,
     make_rule,
+    match_schema,
     parse_formula,
     positional_realization,
     print_formula,
@@ -294,6 +297,24 @@ class TestDerivations:
         derivation = body.derivation_of(parse_formula("R", CHAIN_ALPHABET))
         validate_derivation(derivation, calculus)
         assert derivation.nodes[-1].stage == 3
+
+    def test_substitution_mode_leaf_must_be_the_positional_realization(self):
+        # An instance of p1-1 that no bounded church_p1 body holds at stage 1.
+        calculus = church_p1_calculus()
+        formula = parse_formula("((q -> q) -> (s -> (q -> q)))", calculus.alphabet)
+        schema = calculus.schema_by_id("p1-1")
+        assignment = tuple(sorted(match_schema(schema, formula).items()))
+        leaf = DerivationNode(formula, SchemaJustification("p1-1", assignment), (), 1)
+        with pytest.raises(DerivationError, match="positional realization"):
+            validate_derivation(Derivation((leaf,)), calculus)
+
+    def test_substitution_mode_accepts_the_positional_realization(self):
+        calculus = church_p1_calculus()
+        for schema in calculus.schemata:
+            formula, assignment = positional_realization(schema, calculus.alphabet)
+            leaf = DerivationNode(formula, SchemaJustification(schema.schema_id, assignment),
+                                  (), 1)
+            validate_derivation(Derivation((leaf,)), calculus)
 
 
 class TestClosureOperators:
