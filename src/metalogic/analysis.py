@@ -12,13 +12,17 @@ actually settles the question within the size cap. A missing formula
 witnesses failure only when the enumeration saturated (nothing more will
 appear under the cap); a present formula witnesses membership always
 (bodies only grow). Where a check is inherently scoped to the cap, the
-verdict text says so.
+verdict text says so. transitively-closed is the run status, since a
+saturated run is one whose further pass adds nothing under the size cap.
+Strict consistency leaves the atom cap to ``is_tautology``, skipping what
+it refuses.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -36,7 +40,7 @@ from .engine import (
 )
 from .errors import BudgetExceededError, MetalogicError, RuleParameterError
 from .library import TranslationMap, identity_map
-from .semantics import MAX_TAUTOLOGY_ATOMS, is_tautology
+from .semantics import is_tautology
 from .syntax import (
     Binary,
     AND,
@@ -46,7 +50,6 @@ from .syntax import (
     canonical_key,
     canonical_sorted,
     enumerate_wffs,
-    formula_atoms,
     match_schema,
     print_formula,
 )
@@ -278,7 +281,7 @@ def _check_consistent(calculus, body, bounds, params) -> Verdict:
                 theorem,
                 f"contradiction member {print_formula(theorem)}",
             )
-        if strict and len(formula_atoms(theorem)) <= MAX_TAUTOLOGY_ATOMS:
+        if strict:
             try:
                 unsatisfiable = is_tautology(Negation(theorem), constants=constants)
             except MetalogicError:
@@ -403,30 +406,12 @@ def _check_complete_wrt_rules(calculus, body, bounds, params) -> Verdict:
     )
 
 
-def _one_extra_pass(calculus, body, bounds) -> frozenset:
-    layer = consequence_step(
-        calculus.rules, body.theorems,
-        parameter_pool=instantiation_pool(calculus, bounds),
-        variables=calculus.alphabet.variables,
-        size_cap=bounds.max_formula_size,
-        node_budget=bounds.node_budget,
-    )
-    return frozenset(layer) - body.as_set()
-
-
 def _check_transitively_closed(calculus, body, bounds, params) -> Verdict:
     if body.status != SATURATED:
         return inconclusive(
             {"status": body.status},
             "transitive closure is only decidable here once the "
             "enumeration saturates",
-        )
-    new = _one_extra_pass(calculus, body, bounds)
-    if new:
-        witness = min(new, key=canonical_key)
-        return fails(
-            witness,
-            f"an extra pass still produces {print_formula(witness)}",
         )
     return holds(
         {"theorems": len(body)},
@@ -482,20 +467,17 @@ def _check_closed_wrt_rules(calculus, body, bounds, params) -> Verdict:
 
 
 def _check_completely_closed(calculus, body, bounds, params) -> Verdict:
-    parts = (
-        _check_closed_wrt_axioms(calculus, body, bounds, dict(params)),
-        _check_closed_wrt_rules(calculus, body, bounds, dict(params)),
-        _check_transitively_closed(calculus, body, bounds, dict(params)),
-    )
-    names = ("closed-wrt-axioms", "closed-wrt-rules", "transitively-closed")
-    for name, part in zip(names, parts):
+    parts = {name: _PROPERTY_CHECKS[name](calculus, body, bounds, dict(params))
+             for name in ("closed-wrt-axioms", "closed-wrt-rules",
+                          "transitively-closed")}
+    for name, part in parts.items():
         if part.is_fails:
             return fails(part.evidence, f"{name}: {part.detail}")
-    for name, part in zip(names, parts):
+    for name, part in parts.items():
         if part.is_inconclusive:
             return inconclusive(part.evidence, f"{name}: {part.detail}")
     return holds(
-        {name: part.detail for name, part in zip(names, parts)},
+        {name: part.detail for name, part in parts.items()},
         "closed with respect to axioms and rules, and transitively closed",
     )
 
@@ -601,12 +583,26 @@ def decompose_relation(relation: FiniteRelation) -> dict:
     return {arity: frozenset(rows) for arity, rows in components.items()}
 
 
-BOUNDEDNESS_KINDS = ("bounded", "strict", "functionally_bounded",
-                     "functionally_strict")
+# kind: (failure detail, holds detail)
+_BOUNDEDNESS_DETAILS = {
+    "bounded": ("a pair has {n} premises, more than {m}",
+                "every pair has at most {m} premises"),
+    "strict": ("a pair has {n} premises, not exactly {m}",
+               "every pair has exactly {m} premises"),
+    "functionally_bounded": (
+        "conclusion {conclusion} needs more than {m} premises in every pair",
+        "every conclusion is reachable with at most {m} premises"),
+    "functionally_strict": (
+        "conclusion {conclusion} has no pair with exactly {m} premises",
+        "the range coincides with the exactly-{m}-premise component's range"),
+}
+
+BOUNDEDNESS_KINDS = tuple(_BOUNDEDNESS_DETAILS)
 
 
 def check_boundedness(relation: FiniteRelation, m: int, kind: str) -> Verdict:
     """Decide an m-boundedness property; always definitive (finite data).
+    A failure's witness is the first offending pair in ``sorted_pairs`` order.
 
     bounded                every pair has at most m premises
     strict                 every pair has exactly m premises
@@ -620,46 +616,24 @@ def check_boundedness(relation: FiniteRelation, m: int, kind: str) -> Verdict:
             f"unknown boundedness kind {kind!r}; known: "
             f"{', '.join(BOUNDEDNESS_KINDS)}"
         )
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise RuleParameterError(f"the bound m must be an integer >= 1, got {m!r}")
+    failure, success = _BOUNDEDNESS_DETAILS[kind]
+    fits = operator.le if kind.endswith("bounded") else operator.eq
     pairs = relation.sorted_pairs()
-    if kind == "bounded":
-        for pair in pairs:
-            if len(pair[0]) > m:
-                return fails(pair, f"a pair has {len(pair[0])} premises, more than {m}")
-        return holds({"pairs": len(pairs)}, f"every pair has at most {m} premises")
-    if kind == "strict":
-        for pair in pairs:
-            if len(pair[0]) != m:
-                return fails(pair, f"a pair has {len(pair[0])} premises, not exactly {m}")
-        return holds({"pairs": len(pairs)}, f"every pair has exactly {m} premises")
-    by_conclusion = {}
-    for premises, conclusion in pairs:
-        by_conclusion.setdefault(conclusion, []).append(premises)
-    if kind == "functionally_bounded":
-        for premises, conclusion in pairs:
-            if not any(len(s) <= m for s in by_conclusion[conclusion]):
-                return fails(
-                    (premises, conclusion),
-                    f"conclusion {_value_key(conclusion)} needs more than "
-                    f"{m} premises in every pair",
-                )
-        return holds(
-            {"conclusions": len(by_conclusion)},
-            f"every conclusion is reachable with at most {m} premises",
-        )
-    # functionally_strict
-    for premises, conclusion in pairs:
-        if not any(len(s) == m for s in by_conclusion[conclusion]):
-            return fails(
-                (premises, conclusion),
-                f"conclusion {_value_key(conclusion)} has no pair with "
-                f"exactly {m} premises",
-            )
-    return holds(
-        {"conclusions": len(by_conclusion)},
-        f"the range coincides with the exactly-{m}-premise component's range",
-    )
+    if kind.startswith("functionally_"):
+        reachable = {c for premises, c in pairs if fits(len(premises), m)}
+        offending = (pair for pair in pairs if pair[1] not in reachable)
+        evidence = {"conclusions": len(relation.range_tokens())}
+    else:
+        offending = (pair for pair in pairs if not fits(len(pair[0]), m))
+        evidence = {"pairs": len(pairs)}
+    witness = next(offending, None)
+    if witness is None:
+        return holds(evidence, success.format(m=m))
+    premises, conclusion = witness
+    return fails(witness, failure.format(
+        n=len(premises), m=m, conclusion=_value_key(conclusion)))
 
 
 @dataclass(frozen=True)
@@ -680,8 +654,9 @@ def relation_from_calculus(calculus: Calculus, premise_pool: Iterable[Formula],
     extra axioms. Premises seed their own closure, so (S, s) holds for every
     s in S.
     """
-    if max_premises < 0:
-        raise RuleParameterError("max_premises must be >= 0")
+    if type(max_premises) is not int or max_premises < 0:
+        raise RuleParameterError(
+            f"max_premises must be an integer >= 0, got {max_premises!r}")
     pool = canonical_sorted(set(premise_pool))
     pairs = set()
     statuses = []

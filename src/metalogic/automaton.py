@@ -241,8 +241,9 @@ def nfa_language_upto(nfa: EpsilonNFA, max_length: int) -> frozenset:
     Breadth-first over epsilon-closed state sets; branches whose state set
     goes empty are pruned, so finite body languages enumerate quickly.
     """
-    if max_length < 0:
-        raise RuleParameterError("max_length must be >= 0")
+    if type(max_length) is not int or max_length < 0:
+        raise RuleParameterError(
+            f"max_length must be an integer >= 0, got {max_length!r}")
     rows = nfa._rows
     epsilon_row = rows.get(EPSILON)
     symbol_rows = [(symbol, rows[symbol])

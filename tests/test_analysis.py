@@ -162,6 +162,25 @@ class TestProperties:
         )
         assert verdict.is_fails
 
+    def test_consistent_strict_leaves_the_atom_cap_to_the_tautology_check(self):
+        # 20 variables plus the constant f: within is_tautology's cap, which
+        # counts no constants, so the contradiction is found
+        names = tuple(f"P{i}" for i in range(1, 21))
+        alphabet = propositional_alphabet(names, constants=("f",))
+        rest = names[1]
+        for name in names[2:] + ("f",):
+            rest = f"({rest} & {name})"
+        axiom = parse_formula(f"((P1 & ~P1) & {rest})", alphabet)
+        calculus = Calculus(alphabet=alphabet, axioms=(axiom,),
+                            rules=rule_system(make_rule("identity")))
+        verdict = check_property(
+            calculus, "consistent", small_bounds(max_formula_size=100),
+            strict=True,
+        )
+        assert verdict.is_fails
+        assert verdict.evidence == axiom
+        assert verdict.detail.startswith("semantically unsatisfiable member")
+
     def test_consistent_holds_on_saturated_clean_body(self):
         verdict = check_property(mp_calculus("P"), "consistent", small_bounds())
         assert verdict.is_holds
@@ -316,8 +335,9 @@ class TestBoundedness:
 
     def test_parameter_validation(self):
         relation = self.build((("a",), "z"))
-        with pytest.raises(RuleParameterError):
-            check_boundedness(relation, 0, "bounded")
+        for m in (0, True, 1.0, "1"):
+            with pytest.raises(RuleParameterError):
+                check_boundedness(relation, m, "bounded")
         with pytest.raises(RuleParameterError):
             check_boundedness(relation, 1, "sideways")
 
@@ -347,6 +367,13 @@ class TestRelationSampling:
         )
         assert (frozenset(), wff("Q")) in sample.relation.pairs
         assert (frozenset({wff("P")}), wff("Q")) in sample.relation.pairs
+
+    @pytest.mark.parametrize("max_premises", [-1, True, 1.5, "2"])
+    def test_max_premises_must_be_an_integer(self, max_premises):
+        pool = [wff("P"), wff("Q"), wff("(P -> Q)")]
+        with pytest.raises(RuleParameterError, match="max_premises"):
+            relation_from_calculus(mp_calculus(), pool, max_premises,
+                                   small_bounds())
 
 
 class TestRelationInterchange:

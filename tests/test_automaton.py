@@ -236,10 +236,11 @@ class TestLanguageEnumeration:
         )
         assert nfa_language_upto(nfa, 0) == frozenset({""})
 
-    def test_negative_bound_is_rejected(self):
+    @pytest.mark.parametrize("bound", [-1, True, 1.5, "2"])
+    def test_bound_must_be_a_non_negative_integer(self, bound):
         nfa = build_body_automaton(body("P"))
-        with pytest.raises(RuleParameterError):
-            nfa_language_upto(nfa, -1)
+        with pytest.raises(RuleParameterError, match="max_length"):
+            nfa_language_upto(nfa, bound)
 
 
 class TestInterchange:

@@ -132,6 +132,13 @@ class TestEnumLang:
                      "--pool-vars", "Z"]) == 3
         assert "unknown variables: Z" in capsys.readouterr().err
 
+    def test_budget_exceeded_exits_4(self, capsys):
+        assert main(["enum-lang", "--calc", "builtin:kleene", "--size", "5",
+                     "--budget", "10"]) == 4
+        assert capsys.readouterr().err == (
+            "metalogic: budget exceeded: enumeration outgrew its ceiling "
+            "of 10\n")
+
 
 class TestEnumBody:
     def test_saturating_body_exits_0(self, capsys, chain_file):
@@ -217,6 +224,16 @@ class TestStages:
         assert main(["stages", "--calc", chain_file]) == 3
         assert "declares no stages" in capsys.readouterr().err
 
+    def test_budget_exhaustion_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "two_axioms.json"
+        path.write_text(json.dumps(dict(CHAIN, stages=[
+            {"axioms": ["P"]}, {"axioms": ["P", "(P -> Q)"]}])),
+            encoding="utf-8")
+        assert main(["stages", "--calc", str(path), "--budget", "1"]) == 4
+        out = capsys.readouterr().out
+        assert "status: saturated-within-size-cap" in out
+        assert "status: budget-exceeded" in out
+
 
 class TestCompare:
     def test_identical_calculi_hold(self, capsys, chain_file):
@@ -268,6 +285,39 @@ class TestCheck:
         assert main(["check", "--calc", chain_file,
                      "--property", "decidable"]) == 3
 
+    def test_strict_consistency_finds_a_semantic_contradiction(
+            self, capsys, tmp_path):
+        # 20 variables and the constant f: within the truth-table cap, which
+        # counts no constants
+        names = [f"P{i}" for i in range(1, 21)]
+        rest = names[1]
+        for name in names[2:] + ["f"]:
+            rest = f"({rest} & {name})"
+        data = {
+            "name": "unsatisfiable",
+            "language": {"variables": names, "constants": ["f"],
+                         "connectives": ["not", "and"]},
+            "axioms": [f"((P1 & ~P1) & {rest})"],
+            "rules": [{"name": "identity"}],
+        }
+        path = tmp_path / "unsatisfiable.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["check", "--calc", str(path), "--property", "consistent",
+                     "--max-size", "100", "--strict"]) == 1
+        assert ("detail: semantically unsatisfiable member"
+                in capsys.readouterr().out)
+
+    def test_rules_from_a_file_replace_the_calculus_rules(
+            self, capsys, chain_file, tmp_path):
+        target = ["--property", "complete-wrt-rules", "--target", "R"]
+        assert main(["check", "--calc", chain_file, *target]) == 0
+        ruleless = tmp_path / "ruleless.json"
+        ruleless.write_text(json.dumps(dict(CHAIN, rules=[])),
+                            encoding="utf-8")
+        assert main(["check", "--calc", chain_file, *target,
+                     "--rules-from", str(ruleless)]) == 1
+        assert "R is not derivable in one step" in capsys.readouterr().out
+
 
 class TestRelation:
     def test_sample_and_check_round_trip(self, capsys, chain_file, tmp_path):
@@ -304,6 +354,23 @@ class TestRelation:
                    for bound in ("99999999999999999999", "1")]
         assert [r.returncode for r in reports] == [0, 0]
         assert json.loads(reports[0].stdout) == json.loads(reports[1].stdout)
+
+    def test_budget_exhaustion_exits_4(self, capsys, chain_file):
+        assert main(["relation", "--calc", chain_file, "--premise", "P",
+                     "--max-premises", "1", "--budget", "1"]) == 4
+        assert capsys.readouterr().out.startswith("pairs: ")
+
+    def test_missing_relation_file_exits_3(self, capsys, tmp_path):
+        assert main(["relation-check", "--relation",
+                     str(tmp_path / "missing.jsonl"), "--m", "1",
+                     "--kind", "bounded"]) == 3
+        assert "No such file" in capsys.readouterr().err
+
+    def test_unwritable_out_path_exits_3(self, capsys, chain_file, tmp_path):
+        assert main(["relation", "--calc", chain_file, "--premise", "P",
+                     "--max-premises", "1",
+                     "--out", str(tmp_path / "missing" / "r.jsonl")]) == 3
+        assert "No such file" in capsys.readouterr().err
 
     def test_functionally_bounded_via_the_empty_premise_set(
             self, capsys, chain_file, tmp_path):

@@ -30,11 +30,15 @@ from metalogic import (
     Bounds,
     BudgetExceededError,
     Calculus,
+    Binary,
     Formula,
+    InferenceRule,
+    Negation,
     PremiseJustification,
     RuleJustification,
     Schema,
     builtin_calculus,
+    builtin_calculus_names,
     check_property,
     compose,
     consequence_step,
@@ -202,6 +206,26 @@ def test_closures_match_the_reference(rules):
         assert_same(body, reference_closure(system, PREMISES, bounds, ("P", "Q")))
 
 
+# Rules without a strategy take the generic candidate scan.
+NEGATE_PARAMETER = InferenceRule(
+    "negate_parameter", 0, lambda premises, context: {Negation(context["phi"])},
+    parameter_kinds=(("phi", "formula"),))
+DISJOIN = InferenceRule(
+    "disjoin", 2, lambda premises, context: {Binary(OR, *premises)})
+
+
+@pytest.mark.parametrize("rules", [
+    (NEGATE_PARAMETER,),
+    (DISJOIN,),
+    (DISJOIN, NEGATE_PARAMETER, make_rule("cancellation")),
+], ids=lambda rules: " + ".join(r.identifier for r in rules))
+def test_rules_without_a_strategy_match_the_reference(rules):
+    system = rule_system(*rules)
+    for bounds in (Bounds(3, 7, 2000, 3), Bounds(2, 9, 150, 3)):
+        body = inference_closure(system, PREMISES, bounds, variables=("P", "Q"))
+        assert_same(body, reference_closure(system, PREMISES, bounds, ("P", "Q")))
+
+
 def reference_layer(rules, premises, *, parameter_pool=None, variables=(),
                     size_cap=None, node_budget=None):
     """Every rule on every premise tuple and parameter context."""
@@ -268,6 +292,50 @@ def test_consequence_step_budget_matches_the_reference(rules):
             reference_layer(system, LAYER_PREMISES, node_budget=len(full) - 1, **kwargs)
         with pytest.raises(BudgetExceededError):
             consequence_step(system, LAYER_PREMISES, node_budget=len(full) - 1, **kwargs)
+
+
+# ==========================================================================
+# A saturated body is closed under one more pass
+# ==========================================================================
+
+# transitively-closed reads the run status instead of running a further
+# pass; this checks, on every built-in, that such a pass adds nothing.
+SATURATING_BUILTINS = {
+    "kleene": lambda: pooled("kleene", ("P",)),
+    "church_p1": lambda: pooled("church_p1", ("p",)),
+    "church_p2": lambda: pooled("church_p2", ("p",)),
+    "shoenfield_fragment": lambda: builtin_calculus("shoenfield_fragment"),
+    "lv": lambda: pooled("lv", ("P",)),
+    "free": lambda: builtin_calculus("free", size_cap=4),
+}
+CLOSURE_BOUNDS = (Bounds(3, 7, 5000, 3), Bounds(4, 9, 5000, 3),
+                  Bounds(5, 11, 5000, 3), Bounds(6, 5, 5000, 2))
+
+
+def test_every_builtin_is_checked_for_closure():
+    assert set(SATURATING_BUILTINS) == set(builtin_calculus_names())
+
+
+@pytest.mark.parametrize("name", sorted(SATURATING_BUILTINS))
+def test_a_further_pass_over_a_saturated_body_adds_nothing(name):
+    calculus = SATURATING_BUILTINS[name]()
+    saturated = 0
+    for bounds in CLOSURE_BOUNDS:
+        body = enumerate_body(calculus, bounds)
+        verdict = check_property(calculus, "transitively-closed", bounds)
+        assert verdict.is_holds == (body.status == SATURATED)
+        if body.status != SATURATED:
+            continue
+        saturated += 1
+        layer = consequence_step(
+            calculus.rules, body.theorems,
+            parameter_pool=instantiation_pool(calculus, bounds),
+            variables=calculus.alphabet.variables,
+            size_cap=bounds.max_formula_size,
+            node_budget=bounds.node_budget,
+        )
+        assert not frozenset(layer) - body.as_set()
+    assert saturated >= 3
 
 
 # ==========================================================================

@@ -355,6 +355,13 @@ class TestClosureOperators:
             "compose(substitution, cancellation): (P | P) with formula=(P | P), variable=Q"
         )
 
+    def test_seeded_premises_render_as_premise(self):
+        alphabet = propositional_alphabet(("P",))
+        premise = parse_formula("P", alphabet)
+        closed = inference_closure(rule_system(make_rule("modus_ponens")),
+                                   [premise], Bounds(3, 9, 1000, 3))
+        assert render_justification(closed.justification_of(premise)) == "premise"
+
     def test_parameter_pool_defaults_to_premises(self):
         rules = rule_system(make_rule("extension"))
         alphabet = propositional_alphabet(("P", "Q"))

@@ -173,22 +173,20 @@ def string_relations():
     )
 
 
-def brute_force_bounded(relation, m, kind):
-    pairs = relation.pairs
-    if kind == "bounded":
-        return all(len(p) <= m for p, _ in pairs)
-    if kind == "strict":
-        return all(len(p) == m for p, _ in pairs)
-    conclusions = {c for _, c in pairs}
-    if kind == "functionally_bounded":
-        return all(
-            any(len(p) <= m for p, c2 in pairs if c2 == c)
-            for c in conclusions
-        )
-    return all(
-        any(len(p) == m for p, c2 in pairs if c2 == c)
-        for c in conclusions
-    )
+def brute_force_violation(relation, m, kind):
+    """The first pair in ``sorted_pairs`` order that breaks the property,
+    or None when it holds."""
+    def fits(premises):
+        return len(premises) <= m if kind.endswith("bounded") else len(premises) == m
+
+    for premises, conclusion in relation.sorted_pairs():
+        if kind in ("bounded", "strict"):
+            fine = fits(premises)
+        else:
+            fine = any(fits(p) for p, c in relation.pairs if c == conclusion)
+        if not fine:
+            return (premises, conclusion)
+    return None
 
 
 class TestRelationInvariants:
@@ -197,8 +195,11 @@ class TestRelationInvariants:
                             "functionally_strict")))
     def test_boundedness_matches_brute_force(self, relation, m, kind):
         verdict = check_boundedness(relation, m, kind)
-        assert verdict.is_holds == brute_force_bounded(relation, m, kind)
+        violation = brute_force_violation(relation, m, kind)
+        assert verdict.is_holds == (violation is None)
         assert verdict.is_holds != verdict.is_fails
+        if verdict.is_fails:
+            assert verdict.evidence == violation
 
     @given(st.lists(
         st.tuples(

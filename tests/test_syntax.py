@@ -4,6 +4,8 @@ import pytest
 
 from metalogic import (
     AND,
+    EXISTS,
+    FORALL,
     IMPLIES,
     NOT,
     OR,
@@ -34,6 +36,7 @@ from metalogic import (
     subformulas,
     substitute_prop,
     validate_formula,
+    validate_term,
 )
 
 
@@ -148,6 +151,11 @@ class TestDeepFormulasBuiltInCode:
         validate_formula(PredApp("P", (term,)), alphabet)
 
 
+R_XY = PredApp("R", (Var("x"), Var("y")))
+EXISTS_ONLY = first_order_alphabet(("x", "y"), predicates=(("R", 2),),
+                                   quantifiers=(EXISTS,))
+
+
 class TestValidation:
     def test_validate_accepts_alphabet_formulas(self, pq_alphabet):
         validate_formula(parse_formula("(P | Q)", pq_alphabet), pq_alphabet)
@@ -174,6 +182,42 @@ class TestValidation:
         terms = PredApp("R", (FuncApp("g", (Var("z"),)), FuncApp("h", (Var("x"),))))
         with pytest.raises(AlphabetError, match="undeclared individual variable: 'z'"):
             validate_formula(terms, first_order)
+
+    def test_validate_accepts_a_quantified_formula(self):
+        validate_formula(Quantified(EXISTS, "x", R_XY), EXISTS_ONLY)
+
+    @pytest.mark.parametrize("formula, alphabet, message", [
+        (Quantified(EXISTS, "x", Atom("P")), propositional_alphabet(("P",)),
+         "quantifier in a propositional language"),
+        (Quantified(FORALL, "x", R_XY), EXISTS_ONLY,
+         "quantifier 'forall' is not declared"),
+        (Quantified(EXISTS, "z", R_XY), EXISTS_ONLY,
+         "undeclared individual variable: 'z'"),
+        (Quantified(EXISTS, "y", PredApp("R", (Var("x"), Var("x")))), EXISTS_ONLY,
+         "bound variable 'y' does not occur free"),
+        (Quantified(EXISTS, "x", PredApp("R", (Var("x"), Var("z")))), EXISTS_ONLY,
+         "undeclared individual variable: 'z'"),
+    ], ids=["propositional", "undeclared-quantifier", "undeclared-variable",
+            "vacuous", "bad-body"])
+    def test_validate_rejects_bad_quantified_formulas(self, formula, alphabet,
+                                                      message):
+        with pytest.raises(AlphabetError, match=message):
+            validate_formula(formula, alphabet)
+
+    @pytest.mark.parametrize("term, message", [
+        (FuncApp("h", (Var("x"),)), "undeclared function symbol: 'h'"),
+        (FuncApp("g", (Var("x"), Var("x"))), "function 'g' expects 1 argument"),
+        (FuncApp("g", (FuncApp("g", (Var("z"),)),)),
+         "undeclared individual variable: 'z'"),
+    ], ids=["undeclared-function", "arity", "nested-variable"])
+    def test_validate_term_rejects_bad_terms(self, term, message):
+        alphabet = first_order_alphabet(("x",), functions=(("g", 1),))
+        with pytest.raises(AlphabetError, match=message):
+            validate_term(term, alphabet)
+
+    def test_validate_term_needs_a_first_order_alphabet(self):
+        with pytest.raises(AlphabetError, match="terms require a first-order alphabet"):
+            validate_term(Var("x"), propositional_alphabet(("P",)))
 
     def test_alphabet_rejects_duplicate_variables(self):
         with pytest.raises(AlphabetError):
@@ -264,6 +308,33 @@ class TestSchemas:
         pattern = parse_formula("(phi -> phi)", self.alphabet)
         with pytest.raises(SchemaError):
             Schema("bad", pattern, ("phi", "chi", "unused"))
+
+
+R_YX = PredApp("R", (Var("y"), Var("x")))
+X_EQ_Y = Equality(Var("x"), Var("y"))
+
+# node kind: (pattern over the metavariable phi, a formula it matches with
+# phi bound to R_XY, a formula of the same shape it does not match)
+SCHEMA_NODE_CASES = {
+    "negation": (Negation(Atom("phi")), Negation(R_XY), Binary(AND, R_XY, R_XY)),
+    "atom": (Binary(AND, Atom("phi"), Atom("Q")), Binary(AND, R_XY, Atom("Q")),
+             Binary(AND, R_XY, Atom("P"))),
+    "predicate": (Binary(AND, Atom("phi"), R_XY), Binary(AND, R_XY, R_XY),
+                  Binary(AND, R_XY, R_YX)),
+    "equality": (Binary(OR, Atom("phi"), X_EQ_Y), Binary(OR, R_XY, X_EQ_Y),
+                 Binary(OR, R_XY, Equality(Var("y"), Var("x")))),
+    "quantifier": (Quantified(EXISTS, "x", Binary(AND, Atom("phi"), R_XY)),
+                   Quantified(EXISTS, "x", Binary(AND, R_XY, R_XY)),
+                   Quantified(FORALL, "x", Binary(AND, R_XY, R_XY))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_NODE_CASES))
+def test_match_schema_through_each_node_kind(kind):
+    pattern, instance, other = SCHEMA_NODE_CASES[kind]
+    schema = Schema(kind, pattern, ("phi",))
+    assert match_schema(schema, instance) == {"phi": R_XY}
+    assert match_schema(schema, other) is None
 
 
 class TestFirstOrder:
