@@ -7,13 +7,14 @@ unbounded) in general, so every answer is a three-way Verdict:
     fails          with a concrete counterexample the caller can re-check
     inconclusive   with a report of which bound got in the way
 
-The guiding policy: a verdict is only definitive when the bounded run
-actually settles the question within the size cap. A missing formula
-witnesses failure only when the enumeration saturated (nothing more will
-appear under the cap); a present formula witnesses membership always
-(bodies only grow). Where a check is inherently scoped to the cap, the
-verdict text says so. transitively-closed is the run status, since a
-saturated run is one whose further pass adds nothing under the size cap.
+The settling rule: a present formula settles a question always (bodies
+only grow), but an absence settles it only once the body saturated, so
+that nothing more will appear under the size cap. ``_settled`` states that
+rule once, and every property check whose verdict rests on an absence
+returns through it; ``compare_calculi`` applies it to each side. Where a
+check is inherently scoped to the cap, the verdict text says so.
+transitively-closed is the run status, since a saturated run is one whose
+further pass adds nothing under the size cap.
 Strict consistency leaves the atom cap to ``is_tautology``, skipping what
 it refuses.
 """
@@ -32,11 +33,11 @@ from .engine import (
     DEFAULT_BOUNDS,
     RuleJustification,
     SATURATED,
-    _value_key,
     consequence_step,
     enumerate_body,
     instantiation_pool,
     realized_axioms,
+    value_key,
 )
 from .errors import BudgetExceededError, MetalogicError, RuleParameterError
 from .library import TranslationMap, identity_map
@@ -94,6 +95,14 @@ def fails(counterexample, detail: str = "") -> Verdict:
 
 def inconclusive(report=None, detail: str = "") -> Verdict:
     return Verdict(INCONCLUSIVE, report, detail)
+
+
+def _settled(body, verdict: Verdict, detail: str, **evidence) -> Verdict:
+    """``verdict`` once the body saturated; otherwise inconclusive, with the
+    run status and ``evidence`` as its report and ``detail`` as its text."""
+    if body.status == SATURATED:
+        return verdict
+    return inconclusive({"status": body.status, **evidence}, detail)
 
 
 # ==========================================================================
@@ -253,17 +262,11 @@ def _check_admissible(calculus, body, bounds, params) -> Verdict:
             "not admissible within the size cap: the body covers every "
             "well-formed formula up to the cap",
         )
-    if body.status == SATURATED:
-        witness = missing[0]
-        return holds(
-            witness,
-            f"{print_formula(witness)} is outside the saturated body",
-        )
-    return inconclusive(
-        {"status": body.status,
-         "candidates": [print_formula(w) for w in missing[:5]]},
-        "formulas are missing but the enumeration did not saturate",
-    )
+    found = holds(missing[0],
+                  f"{print_formula(missing[0])} is outside the saturated body")
+    return _settled(body, found,
+                    "formulas are missing but the enumeration did not saturate",
+                    candidates=[print_formula(w) for w in missing[:5]])
 
 
 def _is_structural_contradiction(formula: Formula) -> bool:
@@ -291,15 +294,11 @@ def _check_consistent(calculus, body, bounds, params) -> Verdict:
                     theorem,
                     f"semantically unsatisfiable member {print_formula(theorem)}",
                 )
-    if body.status == SATURATED:
-        return holds(
-            {"theorems_scanned": len(body)},
-            "no contradiction pattern among the saturated theorems",
-        )
-    return inconclusive(
-        {"status": body.status, "theorems_scanned": len(body)},
-        "no contradiction found, but the enumeration did not saturate",
-    )
+    found = holds({"theorems_scanned": len(body)},
+                  "no contradiction pattern among the saturated theorems")
+    return _settled(body, found,
+                    "no contradiction found, but the enumeration did not saturate",
+                    theorems_scanned=len(body))
 
 
 def _check_consistent_with(calculus, body, bounds, params) -> Verdict:
@@ -323,15 +322,10 @@ def _check_consistent_with(calculus, body, bounds, params) -> Verdict:
             hits[0],
             f"the body meets the forbidden set at {print_formula(hits[0])}",
         )
-    if body.status == SATURATED:
-        return holds(
-            {"theorems_scanned": len(body)},
-            "the saturated body avoids the forbidden set",
-        )
-    return inconclusive(
-        {"status": body.status},
-        "no overlap found, but the enumeration did not saturate",
-    )
+    found = holds({"theorems_scanned": len(body)},
+                  "the saturated body avoids the forbidden set")
+    return _settled(body, found,
+                    "no overlap found, but the enumeration did not saturate")
 
 
 def _check_complete_wrt_map(calculus, body, bounds, params) -> Verdict:
@@ -350,26 +344,19 @@ def _check_complete_wrt_map(calculus, body, bounds, params) -> Verdict:
             {"formulas_checked": len(language)},
             "every formula up to the cap is a theorem or has its image as one",
         )
-    if body.status != SATURATED:
-        return inconclusive(
-            {"status": body.status,
-             "candidates": [print_formula(a) for a in failing[:5]]},
-            "cap-sized gaps exist but the enumeration did not saturate",
-        )
-    definitive = [a for a in failing
-                  if mapping(a).size <= bounds.max_formula_size]
-    if definitive:
-        witness = definitive[0]
-        return fails(
-            witness,
-            f"neither {print_formula(witness)} nor its image is a theorem "
-            f"within the size cap",
-        )
-    return inconclusive(
-        {"status": body.status,
-         "candidates": [print_formula(a) for a in failing[:5]]},
-        "all gap candidates have images beyond the size cap",
-    )
+    candidates = [print_formula(a) for a in failing[:5]]
+    # a gap whose image is beyond the cap may be closed beyond it
+    witness = next((a for a in failing
+                    if mapping(a).size <= bounds.max_formula_size), None)
+    if witness is None:
+        found = inconclusive({"status": body.status, "candidates": candidates},
+                             "all gap candidates have images beyond the size cap")
+    else:
+        found = fails(witness, f"neither {print_formula(witness)} nor its "
+                               f"image is a theorem within the size cap")
+    return _settled(body, found,
+                    "cap-sized gaps exist but the enumeration did not saturate",
+                    candidates=candidates)
 
 
 def _check_complete_wrt_rules(calculus, body, bounds, params) -> Verdict:
@@ -393,30 +380,18 @@ def _check_complete_wrt_rules(calculus, body, bounds, params) -> Verdict:
             {"targets_checked": len(targets)},
             "every target is one rule application away from the body",
         )
-    if body.status == SATURATED:
-        return fails(
-            missing[0],
-            f"{print_formula(missing[0])} is not derivable in one step from "
-            f"the saturated body",
-        )
-    return inconclusive(
-        {"status": body.status,
-         "candidates": [print_formula(q) for q in missing[:5]]},
-        "targets are missing but the enumeration did not saturate",
-    )
+    found = fails(missing[0], f"{print_formula(missing[0])} is not derivable "
+                              f"in one step from the saturated body")
+    return _settled(body, found,
+                    "targets are missing but the enumeration did not saturate",
+                    candidates=[print_formula(q) for q in missing[:5]])
 
 
 def _check_transitively_closed(calculus, body, bounds, params) -> Verdict:
-    if body.status != SATURATED:
-        return inconclusive(
-            {"status": body.status},
-            "transitive closure is only decidable here once the "
-            "enumeration saturates",
-        )
-    return holds(
-        {"theorems": len(body)},
-        "one extra full pass adds nothing within the size cap",
-    )
+    found = holds({"theorems": len(body)},
+                  "one extra full pass adds nothing within the size cap")
+    return _settled(body, found, "transitive closure is only decidable here "
+                                 "once the enumeration saturates")
 
 
 def _check_closed_wrt_axioms(calculus, body, bounds, params) -> Verdict:
@@ -454,16 +429,11 @@ def _check_closed_wrt_rules(calculus, body, bounds, params) -> Verdict:
             {"rules_used": sorted(used)},
             "every rule is cited by some first derivation",
         )
-    if body.status == SATURATED:
-        return fails(
-            unused[0],
-            f"rule {unused[0]!r} is never cited by a first derivation of "
-            f"the saturated body",
-        )
-    return inconclusive(
-        {"status": body.status, "unused": unused},
-        "unused rules remain, but the enumeration did not saturate",
-    )
+    found = fails(unused[0], f"rule {unused[0]!r} is never cited by a first "
+                             f"derivation of the saturated body")
+    return _settled(body, found,
+                    "unused rules remain, but the enumeration did not saturate",
+                    unused=unused)
 
 
 def _check_completely_closed(calculus, body, bounds, params) -> Verdict:
@@ -532,8 +502,8 @@ def check_property(calculus: Calculus, property_name: str,
 
 def _pair_key(pair) -> tuple:
     premises, conclusion = pair
-    return (len(premises), tuple(sorted(map(_value_key, premises))),
-            _value_key(conclusion))
+    return (len(premises), tuple(sorted(map(value_key, premises))),
+            value_key(conclusion))
 
 
 @dataclass(frozen=True)
@@ -578,7 +548,7 @@ def decompose_relation(relation: FiniteRelation) -> dict:
     components = {}
     for premises, conclusion in relation.sorted_pairs():
         arity = len(premises) + 1
-        row = tuple(sorted(premises, key=_value_key)) + (conclusion,)
+        row = tuple(sorted(premises, key=value_key)) + (conclusion,)
         components.setdefault(arity, set()).add(row)
     return {arity: frozenset(rows) for arity, rows in components.items()}
 
@@ -633,7 +603,7 @@ def check_boundedness(relation: FiniteRelation, m: int, kind: str) -> Verdict:
         return holds(evidence, success.format(m=m))
     premises, conclusion = witness
     return fails(witness, failure.format(
-        n=len(premises), m=m, conclusion=_value_key(conclusion)))
+        n=len(premises), m=m, conclusion=value_key(conclusion)))
 
 
 @dataclass(frozen=True)
@@ -692,8 +662,8 @@ def relation_to_lines(relation: FiniteRelation) -> str:
     lines = []
     for premises, conclusion in relation.sorted_pairs():
         lines.append(json.dumps(
-            {"premises": sorted(map(_value_key, premises)),
-             "conclusion": _value_key(conclusion)},
+            {"premises": sorted(map(value_key, premises)),
+             "conclusion": value_key(conclusion)},
             sort_keys=True,
         ))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -67,11 +67,12 @@ from .engine import (
     staged_run,
 )
 from .errors import BudgetExceededError, CalculusFileError, MetalogicError
-from .library import _schema, translation_map, translation_map_names
+from .library import translation_map, translation_map_names
 from .syntax import (
     Formula,
     enumerate_wffs,
     parse_formula,
+    parse_schema,
     print_formula,
 )
 
@@ -350,7 +351,7 @@ def _cmd_check(args) -> int:
         params["members"] = [parse_formula(text, calculus.alphabet)
                              for text in args.member]
     if args.pattern:
-        params["pattern"] = _schema("pattern", args.pattern, calculus.alphabet)
+        params["pattern"] = parse_schema("pattern", args.pattern, calculus.alphabet)
     if args.strict:
         params["strict"] = True
     if args.target:

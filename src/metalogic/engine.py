@@ -54,6 +54,7 @@ from .errors import (
 )
 from .rules import PARAM_FORMULA, PARAM_VARIABLE, InferenceRule, RuleSystem
 from .syntax import (
+    METAVARIABLES,
     Alphabet,
     Atom,
     Formula,
@@ -145,7 +146,8 @@ def _context_items(context: Optional[Mapping]) -> tuple:
     return tuple(sorted(context.items(), key=lambda item: item[0]))
 
 
-def _value_key(value) -> str:
+def value_key(value) -> str:
+    """The text of a relation token or rule parameter: a formula prints."""
     return print_formula(value) if isinstance(value, Formula) else str(value)
 
 
@@ -153,7 +155,7 @@ def _justification_key(rule_id: str, premises: tuple, context: tuple) -> tuple:
     """Order on the rule justifications of one conclusion; the canonical first
     derivation is the minimum."""
     return (rule_id, tuple(print_formula(p) for p in premises),
-            tuple((name, _value_key(v)) for name, v in context))
+            tuple((name, value_key(v)) for name, v in context))
 
 
 def justification_premises(justification) -> tuple:
@@ -198,13 +200,17 @@ class Calculus:
             raise SchemaError(f"unknown schema mode: {self.schema_mode!r}")
         for axiom in self.axioms:
             validate_formula(axiom, self.alphabet)
+        alphabet = self.alphabet
+        declared = (alphabet.is_prop_variable, alphabet.is_constant,
+                    alphabet.is_function, alphabet.is_predicate,
+                    alphabet.is_individual_variable)
         seen_schema_ids = set()
         for schema in self.schemata:
             if schema.schema_id in seen_schema_ids:
                 raise SchemaError(f"duplicate schema id: {schema.schema_id!r}")
             seen_schema_ids.add(schema.schema_id)
             for meta in schema.metavariables:
-                if meta in self.alphabet.variables or meta in self.alphabet.constants:
+                if any(is_symbol(meta) for is_symbol in declared):
                     raise SchemaError(
                         f"metavariable {meta!r} collides with an object symbol"
                     )
@@ -277,7 +283,7 @@ def instantiation_pool(calculus: Calculus, bounds: Bounds,
     return canonical_sorted(pool)
 
 
-_META_PRIORITY = {"phi": 0, "chi": 1, "psi": 2}
+_META_PRIORITY = {meta: rank for rank, meta in enumerate(METAVARIABLES)}
 
 
 def _meta_order(schema: Schema) -> list:
@@ -598,7 +604,7 @@ def render_justification(justification, premise_indices: tuple = ()) -> str:
         refs = ", ".join(print_formula(p) for p in justification.premises)
     text = f"{justification.rule_id}: {refs}" if refs else justification.rule_id
     if justification.context:
-        params = ", ".join(f"{name}={_value_key(v)}" for name, v in justification.context)
+        params = ", ".join(f"{name}={value_key(v)}" for name, v in justification.context)
         text += f" with {params}"
     return text
 

@@ -58,31 +58,15 @@ from .syntax import (
     Negation,
     OR,
     PredApp,
-    Schema,
     Var,
     enumerate_wffs,
     first_order_alphabet,
-    formula_atoms,
     match_schema,
-    parse_formula,
+    parse_schema,
     print_formula,
     propositional_alphabet,
     validate_formula,
 )
-
-_METAVARIABLES = ("phi", "chi", "psi")
-
-
-def _schema(schema_id: str, text: str, alphabet: Alphabet) -> Schema:
-    """Parse a schema pattern over the metavariables phi, chi, psi."""
-    meta_alphabet = replace(
-        alphabet, variables=tuple(alphabet.variables) + _METAVARIABLES
-    )
-    pattern = parse_formula(text, meta_alphabet)
-    used = formula_atoms(pattern)
-    metas = tuple(m for m in _METAVARIABLES if m in used)
-    return Schema(schema_id, pattern, metas)
-
 
 # ==========================================================================
 # The built-in calculi
@@ -92,7 +76,7 @@ def _schematic(name: str, alphabet: Alphabet, texts, rule_names, mode) -> Calcul
     """A calculus given by (schema id, pattern text) pairs and rule names."""
     return Calculus(
         alphabet=alphabet,
-        schemata=tuple(_schema(sid, text, alphabet) for sid, text in texts),
+        schemata=tuple(parse_schema(sid, text, alphabet) for sid, text in texts),
         rules=rule_system(*map(make_rule, rule_names)),
         schema_mode=mode,
         name=name,
@@ -159,7 +143,7 @@ def shoenfield_fragment_calculus() -> Calculus:
     return Calculus(
         alphabet=alphabet,
         axioms=axioms,
-        schemata=(_schema("excluded-middle", "phi | ~phi", alphabet),),
+        schemata=(parse_schema("excluded-middle", "phi | ~phi", alphabet),),
         rules=rule_system(
             make_rule("extension"),
             make_rule("cancellation"),

@@ -51,7 +51,15 @@ def _truth_column(formula: Formula, columns: Mapping[str, int], full: int) -> in
         except KeyError:
             raise EvaluationError(f"unassigned atom: {formula.name!r}") from None
     elif kind is Negation:
-        return full & ~_truth_column(formula.operand, columns, full)
+        # ~~x has the column of x: a negation chain is peeled in a loop, so
+        # that a deep chain does not recurse
+        operand = formula.operand
+        negated = True
+        while type(operand) is Negation:
+            operand = operand.operand
+            negated = not negated
+        column = _truth_column(operand, columns, full)
+        return full & ~column if negated else column
     raise EvaluationError(f"not a propositional formula: {formula!r}")
 
 

@@ -49,7 +49,7 @@ is the same order as a sort key.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -215,13 +215,16 @@ class Negation(Formula):
         self._printed = None
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is Negation
-            and other._hash == self._hash
-            and other.operand == self.operand
-        )
+        # A loop down the negation chain, so that a deep chain does not
+        # recurse once per negation.
+        formula = self
+        while formula is not other:
+            if type(other) is not Negation or other._hash != formula._hash:
+                return False
+            formula, other = formula.operand, other.operand
+            if type(formula) is not Negation:
+                return formula == other
+        return True
 
     __hash__ = Formula.__hash__
 
@@ -1100,6 +1103,20 @@ class Schema:
     def __reduce__(self):
         # the builder's closures cannot be pickled; unpickling compiles anew
         return Schema, (self.schema_id, self.pattern, self.metavariables)
+
+
+# the metavariables of a schema pattern read from text, in canonical order
+METAVARIABLES = ("phi", "chi", "psi")
+
+
+def parse_schema(schema_id: str, text: str, alphabet: Alphabet) -> Schema:
+    """Parse a schema pattern over the metavariables phi, chi, psi."""
+    meta_alphabet = replace(
+        alphabet, variables=tuple(alphabet.variables) + METAVARIABLES
+    )
+    pattern = parse_formula(text, meta_alphabet)
+    used = formula_atoms(pattern)
+    return Schema(schema_id, pattern, tuple(m for m in METAVARIABLES if m in used))
 
 
 def _node_builder(node, parts: list, slots: dict):

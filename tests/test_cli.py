@@ -92,22 +92,37 @@ class TestDeepInput:
 
 class TestDeepCalculus:
     """builtin:free,1200 declares axioms up to 1,200 nodes deep (~...~P).
-    Loading it checks every axiom on an explicit stack, so each subcommand
-    runs to its report. The automaton case keeps the body shallower: an
+    Loading it checks every axiom on an explicit stack, and equality and
+    truth tables walk negation chains in a loop, so each subcommand runs to
+    its report. The automaton case keeps the body shallower: an
     acceptor of the full body has 721,801 states."""
 
     FREE = "builtin:free,1200"
     DEEP = ["--max-size", "1200", "--max-stage", "2"]
 
-    @pytest.mark.parametrize("argv", [
-        ["parse", "--calc", FREE, "P"],
-        ["enum-body", "--calc", FREE, *DEEP, "--json"],
-        ["automaton", "--calc", FREE, "--max-size", "300", "--max-stage", "2",
-         "--accept", "P"],
-        ["check", "--calc", FREE, *DEEP, "--property", "transitively-closed"],
-    ], ids=["parse", "enum-body", "automaton", "check"])
-    def test_subcommands_exit_0_with_nothing_on_stderr(self, capsys, argv):
-        assert main(argv) == 0
+    @pytest.mark.parametrize("argv, code", [
+        (["parse", "--calc", FREE, "P"], 0),
+        (["enum-body", "--calc", FREE, *DEEP, "--json"], 0),
+        (["automaton", "--calc", FREE, "--max-size", "300", "--max-stage", "2",
+          "--accept", "P"], 0),
+        (["check", "--calc", FREE, *DEEP, "--property", "transitively-closed"], 0),
+        (["check", "--calc", FREE, *DEEP, "--property", "consistent",
+          "--strict"], 0),
+        # the body is the whole language up to the cap
+        (["check", "--calc", FREE, *DEEP, "--property", "admissible"], 1),
+        (["check", "--calc", FREE, *DEEP, "--property", "complete-wrt-map"], 0),
+        (["compare", "--kind", "logical", "--calc-a", FREE, "--calc-b", FREE,
+          *DEEP], 0),
+        (["compare", "--kind", "axiomatic", "--calc-a", FREE, "--calc-b", FREE,
+          *DEEP], 0),
+        (["compare", "--kind", "algorithmic", "--calc-a", FREE, "--calc-b", FREE,
+          *DEEP], 0),
+    ], ids=["parse", "enum-body", "automaton", "check", "consistent-strict",
+            "admissible", "complete-wrt-map", "compare-logical",
+            "compare-axiomatic", "compare-algorithmic"])
+    def test_subcommands_run_to_a_report_with_nothing_on_stderr(
+            self, capsys, argv, code):
+        assert main(argv) == code
         assert capsys.readouterr().err == ""
 
     def test_the_body_holds_the_deepest_axiom(self, capsys):

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 from metalogic import (
     AlphabetError,
+    Atom,
     AxiomJustification,
     AxiomStage,
     BUDGET_EXCEEDED,
@@ -26,6 +27,7 @@ from metalogic import (
     RuleParameterError,
     SATURATED,
     STAGE_CAP_HIT,
+    Schema,
     SchemaError,
     SchemaJustification,
     StagedAxioms,
@@ -36,6 +38,7 @@ from metalogic import (
     consequence_step,
     derive,
     enumerate_body,
+    first_order_alphabet,
     inference_closure,
     instantiation_pool,
     kleene_calculus,
@@ -117,6 +120,20 @@ class TestCalculusValidation:
     def test_undeclared_pool_variable_rejected(self, kleene):
         with pytest.raises(AlphabetError):
             replace(kleene, pool_variables=("Z",))
+
+    @pytest.mark.parametrize("alphabet, meta", [
+        (propositional_alphabet(("P",), constants=("f",)), "P"),
+        (propositional_alphabet(("P",), constants=("f",)), "f"),
+        (first_order_alphabet(("x",), predicates=(("R", 1),)), "R"),
+        (first_order_alphabet(("x",), functions=(("g", 1),)), "g"),
+        (first_order_alphabet(("x",)), "x"),
+    ], ids=["variable", "constant", "predicate", "function",
+            "individual-variable"])
+    def test_metavariable_naming_an_object_symbol_rejected(self, alphabet, meta):
+        schema = Schema("clash", Atom(meta), (meta,))
+        with pytest.raises(SchemaError,
+                           match=f"metavariable '{meta}' collides with an object symbol"):
+            Calculus(alphabet=alphabet, schemata=(schema,))
 
 
 class TestRealizedAxioms:

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and no module
+imports an underscore name from another."""
 
 import ast
 import pathlib
@@ -24,6 +25,17 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
+def private_imports(source: str) -> list:
+    """Underscore names a module imports from others, in sorted order."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and node.module != "__future__"
+    )
+
+
 def test_the_package_modules_are_found():
     assert len(MODULES) >= 10
 
@@ -42,3 +54,19 @@ def test_the_check_sees_unused_imports():
         "    return json.dumps(x)\n"
     )
     assert unused_imports(source) == ["Optional", "os"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_private_import(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_private_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "from .engine import Bounds, _saturate\n"
+        "from .library import _schema as schema\n"
+    )
+    assert private_imports(source) == ["_saturate", "_schema"]
