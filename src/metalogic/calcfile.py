@@ -44,7 +44,7 @@ The path ``builtin:<name>`` bypasses files: ``builtin:kleene``,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .engine import (
@@ -71,6 +71,7 @@ from .syntax import (
     first_order_alphabet,
     parse_formula,
     propositional_alphabet,
+    schema_alphabet,
 )
 
 
@@ -195,9 +196,7 @@ def _parse_schema(raw, alphabet: Alphabet, where: str) -> Schema:
         raise CalculusFileError(f"{where}.id: expected a string, got {schema_id!r}")
     metavariables = _names(raw, "metavariables", where)
     try:
-        meta_alphabet = replace(
-            alphabet, variables=tuple(alphabet.variables) + metavariables
-        )
+        meta_alphabet = schema_alphabet(alphabet, metavariables)
     except MetalogicError as exc:
         raise CalculusFileError(f"{where}: {exc}") from exc
     pattern = _parse_formula_field(

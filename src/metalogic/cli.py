@@ -33,6 +33,7 @@ import json
 import sys
 from dataclasses import asdict, fields, replace
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .analysis import (
     BOUNDEDNESS_KINDS,
@@ -119,12 +120,36 @@ def _jsonable(value):
     return str(value)
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a JSON value with
+    string keys. The json module builds a set of self-referencing encoder
+    closures on every indented call, cyclic garbage that only the collector
+    frees; this writer makes none."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    if value and isinstance(value, (dict, list)):
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+                     for key in sorted(value)]
+            opening, closing = "{", "}"
+        else:
+            items = [_json_text(item, inner) for item in value]
+            opening, closing = "[", "]"
+        return f"{opening}{inner}{(',' + inner).join(items)}{indent}{closing}"
+    return json.dumps(value)  # booleans, floats and empty containers
+
+
 def _emit(report: dict, as_json: bool, text_lines: list):
     if as_json:
         payload = dict(report)
         payload["schema"] = REPORT_SCHEMA
         payload["timing_ms"] = None
-        print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+        print(_json_text(_jsonable(payload)))
     else:
         for line in text_lines:
             print(line)

@@ -31,9 +31,14 @@ nodes are immutable and built from existing children, and the members dict,
 its justifications and the comparison keys hold only formulas, strings and
 tuples of them. So reference counting frees all that a build discards, and
 the collector would only traverse the growing body again and again and find
-no garbage. A cycle that a caller's own rule or validator makes is collected
-once the build ends. A collector the caller turned off stays off, so a
-nested build (a validator that builds a body) leaves it as it was.
+no garbage. As the outermost build exits, everything the collector tracks
+is promoted to its oldest generation (``gc.freeze()`` then ``gc.unfreeze()``,
+two list splices), so the first young collection after a build does not walk
+the whole body the build kept. A cycle that a caller's own rule or validator
+makes, or that the caller made before the build, is collected at the next
+full collection. A collector the caller turned off stays off, so a nested
+build (a validator that builds a body) leaves it as it was and promotes
+nothing.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from .syntax import (
     enumerate_wffs,
     instantiate_schema,
     print_formula,
+    schema_alphabet,
     subformulas,
     validate_formula,
 )
@@ -168,7 +174,7 @@ def justification_premises(justification) -> tuple:
 
 def _validate_pattern(schema: Schema, alphabet: Alphabet):
     """Patterns must be wffs of the alphabet once metavariables count as atoms."""
-    augmented = replace(alphabet, variables=tuple(alphabet.variables) + schema.metavariables)
+    augmented = schema_alphabet(alphabet, schema.metavariables)
     try:
         validate_formula(schema.pattern, augmented)
     except AlphabetError as exc:
@@ -200,20 +206,11 @@ class Calculus:
             raise SchemaError(f"unknown schema mode: {self.schema_mode!r}")
         for axiom in self.axioms:
             validate_formula(axiom, self.alphabet)
-        alphabet = self.alphabet
-        declared = (alphabet.is_prop_variable, alphabet.is_constant,
-                    alphabet.is_function, alphabet.is_predicate,
-                    alphabet.is_individual_variable)
         seen_schema_ids = set()
         for schema in self.schemata:
             if schema.schema_id in seen_schema_ids:
                 raise SchemaError(f"duplicate schema id: {schema.schema_id!r}")
             seen_schema_ids.add(schema.schema_id)
-            for meta in schema.metavariables:
-                if any(is_symbol(meta) for is_symbol in declared):
-                    raise SchemaError(
-                        f"metavariable {meta!r} collides with an object symbol"
-                    )
             _validate_pattern(schema, self.alphabet)
         if (self.schema_mode == SUBSTITUTION_RULE_MODE and self.schemata
                 and "substitution" not in self.rules.identifiers()):
@@ -734,7 +731,14 @@ def _least_justified(best: Mapping) -> Iterator[tuple]:
 def _collector_paused(build):
     """Run ``build`` with the cyclic garbage collector off, and turn it back
     on however ``build`` exits, unless it was off already. The switch is
-    per process: while one thread builds, no thread's garbage is collected."""
+    per process: while one thread builds, no thread's garbage is collected.
+
+    Before the collector is turned back on, every object it tracks is
+    promoted to the oldest generation, so the young collections after the
+    build do not walk what it kept. Cyclic garbage promoted with them waits
+    for the next full collection; the package itself leaves none behind.
+    ``gc.unfreeze()`` also moves any objects frozen before the build to the
+    oldest generation: CPython has no narrower way to promote."""
 
     @functools.wraps(build)
     def paused(*args, **kwargs):
@@ -744,6 +748,8 @@ def _collector_paused(build):
         try:
             return build(*args, **kwargs)
         finally:
+            gc.freeze()
+            gc.unfreeze()
             gc.enable()
 
     return paused

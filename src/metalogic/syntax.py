@@ -470,6 +470,12 @@ class Alphabet:
         base = name.rstrip("'")
         return bool(base) and base in self.individual_variables
 
+    def declares(self, name: str) -> bool:
+        """Whether ``name`` is one of the alphabet's object symbols."""
+        return (self.is_prop_variable(name) or self.is_constant(name)
+                or self.is_function(name) or self.is_predicate(name)
+                or self.is_individual_variable(name))
+
 
 def propositional_alphabet(variables, connectives=CONNECTIVES, constants=()) -> Alphabet:
     return Alphabet(
@@ -1109,14 +1115,23 @@ class Schema:
 METAVARIABLES = ("phi", "chi", "psi")
 
 
+def schema_alphabet(alphabet: Alphabet, metavariables: tuple) -> Alphabet:
+    """The alphabet a schema pattern is written in: ``alphabet`` with the
+    metavariables added as propositional variables. A metavariable may not
+    name an object symbol."""
+    for meta in metavariables:
+        if alphabet.declares(meta):
+            raise SchemaError(f"metavariable {meta!r} collides with an object symbol")
+    return replace(alphabet, variables=alphabet.variables + tuple(metavariables))
+
+
 def parse_schema(schema_id: str, text: str, alphabet: Alphabet) -> Schema:
-    """Parse a schema pattern over the metavariables phi, chi, psi."""
-    meta_alphabet = replace(
-        alphabet, variables=tuple(alphabet.variables) + METAVARIABLES
-    )
-    pattern = parse_formula(text, meta_alphabet)
+    """Parse a schema pattern over the metavariables phi, chi, psi. One that
+    the alphabet declares as an object symbol reads as that symbol."""
+    metas = tuple(m for m in METAVARIABLES if not alphabet.declares(m))
+    pattern = parse_formula(text, schema_alphabet(alphabet, metas))
     used = formula_atoms(pattern)
-    return Schema(schema_id, pattern, tuple(m for m in METAVARIABLES if m in used))
+    return Schema(schema_id, pattern, tuple(m for m in metas if m in used))
 
 
 def _node_builder(node, parts: list, slots: dict):
@@ -1172,35 +1187,32 @@ def match_schema(schema: Schema, formula: Formula) -> Optional[dict]:
     Matching is deterministic: a metavariable atom binds the subformula at
     its position, and repeated metavariables must bind equal subformulas.
     """
-    metas = set(schema.metavariables)
+    metas = schema.metavariables
     binding = {}
-
-    def walk(pat, f):
+    stack = [(schema.pattern, formula)]  # an explicit stack: no recursion, no closure
+    while stack:
+        pat, f = stack.pop()
         pkind = type(pat)
         if pkind is Atom and pat.name in metas:
-            bound = binding.get(pat.name)
-            if bound is None:
-                binding[pat.name] = f
-                return True
-            return bound == f
+            if binding.setdefault(pat.name, f) != f:
+                return None
+            continue
         if pkind is not type(f):
-            return False
-        if pkind is Atom:
-            return pat.name == f.name
-        if pkind is PredApp:
-            return pat.name == f.name and pat.args == f.args
-        if pkind is Equality:
-            return pat.left == f.left and pat.right == f.right
+            return None
         if pkind is Negation:
-            return walk(pat.operand, f.operand)
-        if pkind is Binary:
-            return pat.op == f.op and walk(pat.left, f.left) and walk(pat.right, f.right)
-        if pkind is Quantified:
-            return (pat.quant == f.quant and pat.variable == f.variable
-                    and walk(pat.body, f.body))
-        return False
-
-    return binding if walk(schema.pattern, formula) else None
+            stack.append((pat.operand, f.operand))
+        elif pkind is Binary:
+            if pat.op != f.op:
+                return None
+            stack.append((pat.right, f.right))
+            stack.append((pat.left, f.left))
+        elif pkind is Quantified:
+            if pat.quant != f.quant or pat.variable != f.variable:
+                return None
+            stack.append((pat.body, f.body))
+        elif pat != f:  # a leaf holds no metavariable: it must match exactly
+            return None
+    return binding
 
 
 def instantiate_schema(schema: Schema, assignment: Mapping) -> Formula:

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -58,3 +59,19 @@ def random_formula(rng: random.Random, atoms, connectives, max_depth: int):
         random_formula(rng, atoms, connectives, max_depth - 1),
         random_formula(rng, atoms, connectives, max_depth - 1),
     )
+
+
+def cyclic_garbage(call) -> int:
+    """How many objects ``call()`` leaves that only the cyclic collector can
+    free. The saved garbage is dropped afterwards with the debug flag off,
+    so that one count does not carry over into the next."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.collect()

@@ -1,6 +1,7 @@
 """Definition-file parsing, builtin: shorthands, and loud failure on typos."""
 
 import json
+import re
 
 import pytest
 
@@ -228,6 +229,18 @@ class TestFormulasAndSchemata:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "schemata[0].id: expected a string" in captured.err
+
+    def test_metavariable_naming_a_variable_is_rejected(self, tmp_path, capsys):
+        data = full_data()
+        data["schemata"] = [{"id": "s1", "pattern": "(P -> Q)",
+                             "metavariables": ["P"]}]
+        message = "schemata[0]: metavariable 'P' collides with an object symbol"
+        with pytest.raises(CalculusFileError, match=re.escape(message)):
+            load(data)
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["enum-body", "--calc", str(path)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_unknown_schema_key(self):
         data = full_data()

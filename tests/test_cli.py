@@ -9,8 +9,11 @@ import os
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
+from conftest import cyclic_garbage
 from metalogic import cli
 from metalogic.cli import main
 
@@ -228,6 +231,32 @@ class TestDerive:
         assert json.loads(capsys.readouterr().out)["derivation"] is None
 
 
+class TestNoCyclicGarbage:
+    """A report leaves nothing that only the cyclic collector can free, so
+    the collections after a build find no garbage to wait for."""
+
+    @pytest.mark.parametrize("goal, code", [("(P -> P)", 0), ("(P -> Q)", 2)])
+    def test_derive_json(self, capsys, goal, code):
+        argv = ["derive", "--calc", "builtin:kleene", "--goal", goal, "--json"]
+        assert main(argv) == code  # warms the parser and the built-in
+        assert cyclic_garbage(lambda: main(argv)) == 0
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"b": [], "a": {}, "\u00e9\x00\n\u2603\U0001f600": [1.5, -0.0, True, None]})
+def test_json_text_equals_indented_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 class TestStages:
     def test_staged_run_prints_one_block_per_stage(self, capsys, staged_file):
         assert main(["stages", "--calc", staged_file]) == 0
@@ -295,6 +324,21 @@ class TestCheck:
         assert main(["check", "--calc", chain_file,
                      "--property", "consistent-with",
                      "--pattern", "(phi -> phi)"]) == 0
+
+    def test_pattern_on_a_calculus_that_declares_phi(self, capsys, tmp_path):
+        """A declared ``phi`` reads as the object variable; chi and psi stay
+        metavariables."""
+        data = dict(CHAIN, axioms=["(phi -> phi)"],
+                    language={"kind": "propositional", "variables": ["phi", "Q"],
+                              "connectives": ["implies"]})
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv = ["check", "--calc", str(path), "--property", "consistent-with",
+                "--pattern"]
+        assert main(argv + ["(Q -> Q)"]) == 0
+        assert main(argv + ["(phi -> Q)"]) == 0
+        assert main(argv + ["(chi -> chi)"]) == 1
+        assert "evidence: \"(phi -> phi)\"" in capsys.readouterr().out
 
     def test_unknown_property_is_a_usage_error(self, capsys, chain_file):
         assert main(["check", "--calc", chain_file,

@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import sys
+import weakref
 
 import pytest
 from dataclasses import replace
@@ -519,3 +520,32 @@ class TestCollectorPause:
             gc.callbacks.remove(hook)
         assert len(body) > 1000
         assert inside == []
+
+    def test_a_build_promotes_what_it_keeps_to_the_oldest_generation(self):
+        body = enumerate_body(chain_calculus(), small_bounds())
+        assert gc.get_count()[0] == 0
+        oldest = {id(obj) for obj in gc.get_objects(generation=2)}
+        assert body.theorems and all(id(theorem) in oldest for theorem in body)
+
+    def test_a_build_with_the_collector_off_promotes_nothing(self):
+        gc.disable()
+        marker = []
+        enumerate_body(chain_calculus(), small_bounds())
+        assert gc.get_count()[0] > 0
+        assert any(obj is marker for obj in gc.get_objects(generation=0))
+
+    def test_a_callers_cyclic_garbage_is_freed_by_a_full_collection(self):
+        gc.collect()
+        node = _Node()
+        node.loop = node
+        freed = weakref.ref(node)
+        del node
+        enumerate_body(chain_calculus(), small_bounds())
+        gc.collect(1)
+        assert freed() is not None
+        gc.collect()
+        assert freed() is None
+
+
+class _Node:
+    """An object that can hold a reference to itself."""

@@ -31,6 +31,7 @@ from metalogic import (
     instantiate_schema,
     match_schema,
     parse_formula,
+    parse_schema,
     print_formula,
     propositional_alphabet,
     subformulas,
@@ -38,6 +39,8 @@ from metalogic import (
     validate_formula,
     validate_term,
 )
+
+from conftest import cyclic_garbage
 
 
 class TestParsePrint:
@@ -142,6 +145,16 @@ class TestDeepFormulasBuiltInCode:
         validate_formula(negation_chain("P", 3000), alphabet)
         with pytest.raises(AlphabetError, match="undeclared atom: 'Q'"):
             validate_formula(negation_chain("Q", 3000), alphabet)
+
+    def test_match_schema_on_a_deep_pattern(self):
+        pattern, instance, other = Atom("phi"), Atom("Q"), Atom("P")
+        for _ in range(3000):
+            pattern = Binary(IMPLIES, Atom("P"), pattern)
+            instance = Binary(IMPLIES, Atom("P"), instance)
+            other = Binary(IMPLIES, Atom("Q"), other)
+        schema = Schema("deep", pattern, ("phi",))
+        assert match_schema(schema, instance) == {"phi": Atom("Q")}
+        assert match_schema(schema, other) is None
 
     def test_validate_deep_term(self):
         alphabet = first_order_alphabet(("x",), functions=(("g", 1),), predicates=(("P", 1),))
@@ -303,6 +316,16 @@ class TestSchemas:
     def test_instantiate_missing_metavariable_rejected(self):
         with pytest.raises(SchemaError):
             instantiate_schema(self.schema, {"phi": Atom("P")})
+
+    def test_match_leaves_no_cyclic_garbage(self, pq_alphabet):
+        target = parse_formula("((P & Q) -> (~Q -> (P & Q)))", pq_alphabet)
+        assert cyclic_garbage(lambda: match_schema(self.schema, target)) == 0
+
+    def test_parse_schema_reads_a_declared_metavariable_name_as_its_symbol(self):
+        schema = parse_schema("s", "(phi -> (chi -> psi))", self.alphabet)
+        assert schema.metavariables == ("psi",)
+        assert schema.pattern == Binary(IMPLIES, Atom("phi"),
+                                        Binary(IMPLIES, Atom("chi"), Atom("psi")))
 
     def test_schema_rejects_unused_metavariable(self):
         pattern = parse_formula("(phi -> phi)", self.alphabet)
