@@ -70,6 +70,7 @@ from .syntax import (
     instantiate_schema,
     print_formula,
     schema_alphabet,
+    size_vectors,
     subformulas,
     validate_formula,
 )
@@ -305,24 +306,6 @@ def positional_realization(schema: Schema, alphabet: Alphabet) -> tuple:
     return instantiate_schema(schema, assignment), _context_items(assignment)
 
 
-def _size_vectors(weights: Sequence[int], sizes: Sequence[int], budget: int) -> Iterator[tuple]:
-    """All tuples (s_1..s_k) over ``sizes`` with sum(w_i * (s_i - 1)) == budget,
-    in lexicographic order; there is at least one weight, and each is positive."""
-    head, rest = weights[0], weights[1:]
-    if not rest:
-        # the last size is fixed by what is left of the budget
-        spent, left = divmod(budget, head)
-        if not left and spent + 1 in sizes:
-            yield (spent + 1,)
-        return
-    for s in sizes:
-        spent = head * (s - 1)
-        if spent > budget:
-            break
-        for tail in _size_vectors(rest, sizes, budget - spent):
-            yield (s,) + tail
-
-
 def _name_sorted(metavariables: tuple) -> Optional[Callable]:
     """What takes pairs in declared metavariable order to name order; None
     when the two orders agree."""
@@ -353,20 +336,18 @@ def schema_instances(schemata: Sequence[Schema], pool: Sequence[Formula],
         pairs = [{size: [(m, f) for f in bucket] for size, bucket in pool_by_size.items()}
                  for m in metas]
         prepared.append((schema, weights, pairs, _name_sorted(metas)))
-    if not prepared:
+    # a schema's largest instance sets every metavariable to a largest pool
+    # formula; a schema with metavariables has no instance on an empty pool
+    largest = max(available_sizes, default=1)
+    reach = [schema.pattern.size + sum(weights) * (largest - 1)
+             for schema, weights, _, _ in prepared if available_sizes or not weights]
+    if not reach:
         return
     base_min = min(schema.pattern.size for schema, _, _, _ in prepared)
-    for target in range(base_min, max_size + 1):
+    for target in range(base_min, min(max_size, max(reach)) + 1):
         for schema, weights, pairs, name_sorted in prepared:
-            budget = target - schema.pattern.size
-            if budget < 0:
-                continue
-            if not weights:
-                if budget == 0:
-                    yield schema.pattern, SchemaJustification(schema.schema_id, ())
-                continue
             build, schema_id = schema.build, schema.schema_id
-            for vector in _size_vectors(weights, available_sizes, budget):
+            for vector in size_vectors(weights, available_sizes, target - schema.pattern.size):
                 buckets = [by_size[s] for by_size, s in zip(pairs, vector)]
                 for combo in itertools.product(*buckets):
                     assignment = combo if name_sorted is None else name_sorted(combo)

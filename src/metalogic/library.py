@@ -187,7 +187,8 @@ def _tautology_validator(base: Optional[Calculus]) -> Validator:
 
 
 def _axiom_membership_validator(base: Optional[Calculus]) -> Validator:
-    """Accept exactly the realized axioms: declared formulas and schema instances."""
+    """Accept the base's declared axioms and every instance of its schemata,
+    whatever the bounds or schema mode (so more than the realized axioms)."""
     if base is None:
         raise RuleParameterError(
             "the axiom-membership validator needs a base calculus"

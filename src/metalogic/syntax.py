@@ -44,6 +44,11 @@ string per theorem and per pool formula, and none on the inner nodes that
 schema instances and rule conclusions build around them. The canonical
 order (size, then printed text) is ``canonical_sorted``; ``canonical_key``
 is the same order as a sort key.
+
+``enumerate_wffs`` builds the language in one pass up the sizes, and its
+ceiling or the language, not the size bound, bounds the work. ``size_vectors`` is the one
+enumerator of size compositions: the argument sizes of terms and atoms here,
+and the metavariable sizes of schema instances in ``engine``.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import AlphabetError, BudgetExceededError, ParseError, SchemaError
 
@@ -503,34 +508,36 @@ def first_order_alphabet(individual_variables, *, variables=(), connectives=CONN
 # Structural queries
 # ==========================================================================
 
-def term_variables(term: Term) -> frozenset:
-    if type(term) is Var:
-        return frozenset((term.name,))
-    out = frozenset()
-    for a in term.args:
-        out |= term_variables(a)
-    return out
+def free_variables(node) -> frozenset:
+    """Free individual variables of a formula, or all variables of a term.
+    Propositional formulas have none.
+
+    The walk keeps an explicit stack, so any depth can be walked.
+    """
+    out = set()
+    stack = [(node, frozenset())]  # (node, variables bound above it)
+    while stack:
+        node, bound = stack.pop()
+        kind = type(node)
+        if kind is Var:
+            if node.name not in bound:
+                out.add(node.name)
+        elif kind is FuncApp or kind is PredApp:
+            stack.extend((a, bound) for a in node.args)
+        elif kind is Equality or kind is Binary:
+            stack.append((node.left, bound))
+            stack.append((node.right, bound))
+        elif kind is Negation:
+            stack.append((node.operand, bound))
+        elif kind is Quantified:
+            stack.append((node.body, bound | {node.variable}))
+        elif kind is not Atom:
+            raise TypeError(f"not a formula or term: {node!r}")
+    return frozenset(out)
 
 
-def free_variables(formula: Formula) -> frozenset:
-    """Free individual variables. Propositional formulas have none."""
-    kind = type(formula)
-    if kind is Atom:
-        return frozenset()
-    if kind is PredApp:
-        out = frozenset()
-        for a in formula.args:
-            out |= term_variables(a)
-        return out
-    if kind is Equality:
-        return term_variables(formula.left) | term_variables(formula.right)
-    if kind is Negation:
-        return free_variables(formula.operand)
-    if kind is Binary:
-        return free_variables(formula.left) | free_variables(formula.right)
-    if kind is Quantified:
-        return free_variables(formula.body) - frozenset((formula.variable,))
-    raise TypeError(f"not a formula: {formula!r}")
+# the variables of a term are its free variables
+term_variables = free_variables
 
 
 def formula_atoms(formula: Formula) -> frozenset:
@@ -975,103 +982,110 @@ def validate_formula(formula: Formula, alphabet: Alphabet):
 # Enumeration
 # ==========================================================================
 
-def _terms_by_size(alphabet: Alphabet, max_size: int) -> list:
-    """terms[s] lists all terms of size exactly s, 0-indexed placeholder at 0."""
-    terms = [[] for _ in range(max_size + 1)]
-    if max_size >= 1:
-        for v in alphabet.individual_variables:
-            terms[1].append(Var(v))
-        for name, arity in alphabet.functions:
-            if arity == 0:
-                terms[1].append(FuncApp(name, ()))
-    for size in range(2, max_size + 1):
-        for name, arity in alphabet.functions:
-            if arity == 0:
-                continue
-            for combo in _tuples_with_total(terms, arity, size - 1):
-                terms[size].append(FuncApp(name, combo))
-    return terms
-
-
-def _tuples_with_total(pool_by_size, arity, total):
-    """All tuples of pool entries with sizes summing to ``total``."""
-    if arity == 0:
-        if total == 0:
+def size_vectors(weights: Sequence[int], sizes: Sequence[int], budget: int) -> Iterator[tuple]:
+    """All tuples (s_1..s_k) over the ascending ``sizes`` with
+    sum(w_i * (s_i - 1)) == budget, in lexicographic order; each weight is
+    positive. No weights give the empty tuple when the budget is 0."""
+    if not weights:
+        if not budget:
             yield ()
         return
-    max_here = total - (arity - 1)
-    for first_size in range(1, max_here + 1):
-        firsts = pool_by_size[first_size] if first_size < len(pool_by_size) else []
-        if not firsts:
-            continue
-        for rest in _tuples_with_total(pool_by_size, arity - 1, total - first_size):
-            for f in firsts:
-                yield (f,) + rest
+    head, rest = weights[0], weights[1:]
+    if not rest:
+        # the last size is fixed by what is left of the budget
+        spent, left = divmod(budget, head)
+        if not left and spent + 1 in sizes:
+            yield (spent + 1,)
+        return
+    for s in sizes:
+        spent = head * (s - 1)
+        if spent > budget:
+            break
+        for tail in size_vectors(rest, sizes, budget - spent):
+            yield (s,) + tail
 
 
 def enumerate_wffs(alphabet: Alphabet, max_size: int, limit: Optional[int] = None) -> list:
     """All well-formed formulas of size at most ``max_size``.
 
-    Returned in the canonical order (size, printed form). ``limit`` is a
-    ceiling on the count; exceeding it raises BudgetExceededError.
+    Returned in the canonical order (size, printed form). One loop goes up
+    the sizes. At size s it builds the terms of size s - 1 (first-order
+    only), then the atoms, negations, quantified and binary formulas of size
+    s, each from the tables of smaller sizes, which grow by one size per
+    step. ``limit`` is a ceiling on the count: the loop raises
+    BudgetExceededError as it builds the first formula over it. The loop
+    also stops once the sizes built so far are too small to be parts of any
+    larger term or formula. So the ceiling or the language, not
+    ``max_size``, bounds the work.
     """
-    if max_size < 0:
-        return []
-    by_size = [[] for _ in range(max_size + 1)]
-    free_of = {}
-
-    def emit(size, formula, free):
-        # every emitted formula is a new one, so free_of counts them
-        if limit is not None and len(free_of) >= limit:
-            raise BudgetExceededError(f"enumeration outgrew its ceiling of {limit}")
-        by_size[size].append(formula)
-        free_of[formula] = free
-
-    if max_size >= 1:
-        for name in alphabet.variables:
-            emit(1, Atom(name), frozenset())
-        if alphabet.kind == PROPOSITIONAL:
-            for name in alphabet.constants:
-                emit(1, Atom(name), frozenset())
-
-    terms = _terms_by_size(alphabet, max_size - 1) if alphabet.kind == FIRST_ORDER else None
-    if terms is not None:
-        for name, arity in alphabet.predicates:
-            if arity == 0 and max_size >= 1:
-                emit(1, PredApp(name, ()), frozenset())
-        for size in range(2, max_size + 1):
-            for name, arity in alphabet.predicates:
-                if arity == 0:
-                    continue
-                for combo in _tuples_with_total(terms, arity, size - 1):
-                    free = frozenset()
-                    for t in combo:
-                        free |= term_variables(t)
-                    emit(size, PredApp(name, combo), free)
-            for combo in _tuples_with_total(terms, 2, size - 1):
-                emit(size, Equality(combo[0], combo[1]),
-                     term_variables(combo[0]) | term_variables(combo[1]))
-
+    first_order = alphabet.kind == FIRST_ORDER
     has_not = alphabet.has_connective(NOT)
     binary_ops = [op for op in BINARY_CONNECTIVES if alphabet.has_connective(op)]
-    quants = alphabet.quantifiers if alphabet.kind == FIRST_ORDER else ()
+    by_size = [[]]  # by_size[s]: the formulas of size s
+    terms = []  # terms[s]: the terms of size s
+    term_sizes = []  # the sizes that have a term, ascending
+    free_of = {}  # every term and formula -> its free individual variables
+    emitted = 0
+    # no term or formula has more parts than this
+    widest = max([2] + [arity for _, arity in alphabet.functions + alphabet.predicates])
+    largest = 0  # the last size at which a term or formula was built
 
-    for size in range(2, max_size + 1):
+    def emit(formula, free):
+        nonlocal emitted
+        if limit is not None and emitted >= limit:
+            raise BudgetExceededError(f"enumeration outgrew its ceiling of {limit}")
+        emitted += 1
+        by_size[-1].append(formula)
+        free_of[formula] = free
+
+    def applications(symbols, size, build):
+        """(node, free variables) for each symbol applied to terms whose
+        sizes sum to size - 1."""
+        for name, arity in symbols:
+            for vector in size_vectors((1,) * arity, term_sizes, size - 1 - arity):
+                for args in itertools.product(*[terms[s] for s in vector]):
+                    yield build(name, args), frozenset().union(*map(free_of.__getitem__, args))
+
+    for size in range(1, max_size + 1):
+        if size - 2 > widest * largest:
+            break  # the language is finite: no later term or formula fits parts this small
+        by_size.append([])
+        if first_order:
+            new_terms = list(applications(alphabet.functions, size - 1, FuncApp))
+            if size == 2:
+                new_terms += [(Var(v), frozenset((v,))) for v in alphabet.individual_variables]
+            terms.append([term for term, _ in new_terms])
+            free_of.update(new_terms)
+            if new_terms:
+                term_sizes.append(size - 1)
+            for atom, free in applications(alphabet.predicates, size, PredApp):
+                emit(atom, free)
+            for left, right in size_vectors((1, 1), term_sizes, size - 3):
+                for pair in itertools.product(terms[left], terms[right]):
+                    emit(Equality(*pair), free_of[pair[0]] | free_of[pair[1]])
+        if size == 1:
+            for name in alphabet.variables:
+                emit(Atom(name), frozenset())
+            if not first_order:
+                for name in alphabet.constants:
+                    emit(Atom(name), frozenset())
         if has_not:
             for operand in by_size[size - 1]:
-                emit(size, Negation(operand), free_of[operand])
-        for q in quants:
+                emit(Negation(operand), free_of[operand])
+        for q in alphabet.quantifiers:
             for body in by_size[size - 1]:
                 for v in alphabet.individual_variables:
                     if v in free_of[body]:
-                        emit(size, Quantified(q, v, body), free_of[body] - {v})
+                        emit(Quantified(q, v, body), free_of[body] - {v})
         for left_size in range(1, size - 1):
             right_size = size - 1 - left_size
             for op in binary_ops:
                 for left in by_size[left_size]:
                     lf = free_of[left]
                     for right in by_size[right_size]:
-                        emit(size, Binary(op, left, right), lf | free_of[right])
+                        emit(Binary(op, left, right), lf | free_of[right])
+        if by_size[-1] or first_order and terms[-1]:
+            largest = size
 
     return canonical_sorted(itertools.chain.from_iterable(by_size))
 

@@ -25,6 +25,7 @@ from metalogic import (
     GOAL_FOUND,
     IMPLIES,
     InferenceRule,
+    Negation,
     RuleParameterError,
     SATURATED,
     STAGE_CAP_HIT,
@@ -58,7 +59,8 @@ from metalogic import (
     staged_run,
     validate_derivation,
 )
-from metalogic.engine import _size_vectors
+from metalogic import engine
+from metalogic.syntax import atom_occurrences, size_vectors
 from conftest import small_bounds
 
 CHAIN_ALPHABET = propositional_alphabet(("P", "Q", "R"), connectives=(IMPLIES,))
@@ -178,6 +180,29 @@ class TestRealizedAxioms:
         sizes = [f.size for f, _ in schema_instances(kleene.schemata, pool, 9)]
         assert sizes == sorted(sizes)
         assert sizes and sizes[-1] <= 9
+
+    def test_an_empty_pool_walks_no_size(self, kleene, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "size_vectors", lambda *args: calls.append(args) or iter(()))
+        assert list(schema_instances(kleene.schemata, [], 10**6)) == []
+        assert calls == []
+
+    def test_the_stream_stops_at_the_largest_reachable_size(self, kleene, monkeypatch):
+        pool = [Atom("P"), Negation(Atom("P"))]
+        reach = max(schema.pattern.size
+                    + sum(atom_occurrences(schema.pattern)[m] for m in schema.metavariables)
+                    for schema in kleene.schemata)
+        budgets = []
+
+        def counted(weights, sizes, budget):
+            budgets.append(budget)
+            return size_vectors(weights, sizes, budget)
+
+        monkeypatch.setattr(engine, "size_vectors", counted)
+        stream = list(schema_instances(kleene.schemata, pool, 10**4))
+        assert max(f.size for f, _ in stream) == reach
+        assert len(budgets) < len(kleene.schemata) * reach
+        assert stream == list(schema_instances(kleene.schemata, pool, reach))
 
 
 class TestEnumerateBody:
@@ -422,12 +447,12 @@ class TestSizeVectors:
     def test_matches_a_brute_force_filter_in_order(self):
         rng = random.Random(8)
         for _ in range(400):
-            weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+            weights = [rng.randint(1, 4) for _ in range(rng.randint(0, 4))]
             sizes = sorted(rng.sample(range(1, 10), rng.randint(1, 6)))
             budget = rng.randint(0, 20)
             expected = [v for v in itertools.product(sizes, repeat=len(weights))
                         if sum(w * (s - 1) for w, s in zip(weights, v)) == budget]
-            assert list(_size_vectors(weights, sizes, budget)) == expected
+            assert list(size_vectors(weights, sizes, budget)) == expected
 
 
 class TestCollectorPause:

@@ -24,6 +24,7 @@ from metalogic import (
     make_validator,
     parse_formula,
     print_formula,
+    realized_axioms,
     shoenfield_fragment_calculus,
     translate,
     translation_map,
@@ -137,6 +138,13 @@ class TestValidators:
         instance = parse_formula("((P & Q) -> (R -> (P & Q)))", kleene.alphabet)
         assert validator(instance)  # a k1 instance
         assert not validator(parse_formula("(P -> Q)", kleene.alphabet))
+
+    def test_axiom_membership_accepts_every_schema_instance(self, church_p1):
+        # not a realized axiom: church_p1 realizes p1-1 only positionally
+        instance = parse_formula("((q -> q) -> (s -> (q -> q)))", church_p1.alphabet)
+        assert church_p1.schema_mode == SUBSTITUTION_RULE_MODE
+        assert instance not in realized_axioms(church_p1, Bounds())
+        assert make_validator("axiom-membership", church_p1)(instance)
 
     def test_axiom_membership_needs_base(self):
         with pytest.raises(RuleParameterError):

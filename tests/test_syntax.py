@@ -1,5 +1,7 @@
 """Formula construction, parsing, printing, enumeration, schemata."""
 
+import tracemalloc
+
 import pytest
 
 from metalogic import (
@@ -29,13 +31,16 @@ from metalogic import (
     formula_atoms,
     free_variables,
     instantiate_schema,
+    kleene_calculus,
     match_schema,
     parse_formula,
     parse_schema,
     print_formula,
     propositional_alphabet,
+    shoenfield_fragment_calculus,
     subformulas,
     substitute_prop,
+    term_variables,
     validate_formula,
     validate_term,
 )
@@ -163,6 +168,15 @@ class TestDeepFormulasBuiltInCode:
             term = FuncApp("g", (term,))
         validate_formula(PredApp("P", (term,)), alphabet)
 
+    def test_free_variables(self):
+        term = Var("x")
+        for _ in range(3000):
+            term = FuncApp("g", (term,))
+        assert free_variables(negation_chain("P", 3000)) == frozenset()
+        assert term_variables(term) == frozenset({"x"})
+        assert free_variables(Equality(term, Var("y"))) == frozenset({"x", "y"})
+        assert free_variables(Quantified(EXISTS, "x", Equality(term, Var("y")))) == frozenset({"y"})
+
 
 R_XY = PredApp("R", (Var("x"), Var("y")))
 EXISTS_ONLY = first_order_alphabet(("x", "y"), predicates=(("R", 2),),
@@ -276,6 +290,28 @@ class TestEnumeration:
     def test_limit_raises_budget_error(self, pq_alphabet):
         with pytest.raises(BudgetExceededError):
             enumerate_wffs(pq_alphabet, 5, limit=100)
+
+    def test_a_finite_language_ends_the_loop(self):
+        assert enumerate_wffs(propositional_alphabet(("P",), connectives=()), 10**9) == [Atom("P")]
+        alphabet = first_order_alphabet(("x",), connectives=(), predicates=(("R", 2),),
+                                        quantifiers=(EXISTS,))
+        assert [print_formula(f) for f in enumerate_wffs(alphabet, 10**9)] == [
+            "(x = x)", "R(x, x)", "exists x (x = x)", "exists x R(x, x)",
+        ]
+
+    @pytest.mark.parametrize("calculus", [kleene_calculus, shoenfield_fragment_calculus],
+                             ids=["kleene", "shoenfield_fragment"])
+    def test_the_ceiling_not_the_size_bounds_the_memory(self, calculus):
+        # the formulas, and first-order terms, only up to the ceiling
+        alphabet = calculus().alphabet
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                enumerate_wffs(alphabet, 10**6, limit=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSchemas:
