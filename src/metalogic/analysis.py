@@ -542,17 +542,6 @@ class FiniteRelation:
         return len(self.pairs)
 
 
-def decompose_relation(relation: FiniteRelation) -> dict:
-    """Partition into arity components: pairs with k premises land in
-    component k + 1 as (x_1, ..., x_k, z) tuples with sorted premises."""
-    components = {}
-    for premises, conclusion in relation.sorted_pairs():
-        arity = len(premises) + 1
-        row = tuple(sorted(premises, key=value_key)) + (conclusion,)
-        components.setdefault(arity, set()).add(row)
-    return {arity: frozenset(rows) for arity, rows in components.items()}
-
-
 # kind: (failure detail, holds detail)
 _BOUNDEDNESS_DETAILS = {
     "bounded": ("a pair has {n} premises, more than {m}",
@@ -695,51 +684,3 @@ def relation_from_lines(text: str) -> FiniteRelation:
         tokens.add(conclusion)
         pairs.add((frozenset(premises), conclusion))
     return FiniteRelation(frozenset(tokens), frozenset(pairs))
-
-
-# ==========================================================================
-# Abstract calculi over arbitrary carriers
-# ==========================================================================
-
-@dataclass(frozen=True)
-class AbstractCalculus:
-    """A base set and a finitely based relation over an opaque carrier."""
-
-    carrier: frozenset
-    base: frozenset
-    relation: FiniteRelation
-
-    def __post_init__(self):
-        object.__setattr__(self, "carrier", frozenset(self.carrier))
-        object.__setattr__(self, "base", frozenset(self.base))
-        if not self.base <= self.carrier:
-            raise RuleParameterError("the base must be a subset of the carrier")
-        if not self.relation.carrier <= self.carrier:
-            raise RuleParameterError(
-                "the relation's carrier must be within the calculus carrier"
-            )
-
-
-def apply_abstract(calculus: AbstractCalculus, closure: str = "single") -> frozenset:
-    """single: T = F(A), exactly one relation application to the base.
-    iterated: the least fixpoint of S -> A union F(S)."""
-    if closure not in ("single", "iterated"):
-        raise RuleParameterError(
-            f"closure must be 'single' or 'iterated', got {closure!r}"
-        )
-    pairs = calculus.relation.pairs
-
-    def step(current: frozenset) -> frozenset:
-        return frozenset(
-            conclusion for premises, conclusion in pairs
-            if premises <= current
-        )
-
-    if closure == "single":
-        return step(calculus.base)
-    current = calculus.base
-    while True:
-        next_set = calculus.base | step(current)
-        if next_set == current:
-            return current
-        current = next_set

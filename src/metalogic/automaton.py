@@ -291,55 +291,3 @@ def automaton_to_text(nfa: EpsilonNFA) -> str:
         token = _EPSILON_TOKEN if symbol is EPSILON else symbol
         lines.append(f"trans\t{source}\t{token}\t{target}")
     return "\n".join(lines) + "\n"
-
-
-def automaton_from_text(text: str) -> EpsilonNFA:
-    declared_count = None
-    start = None
-    accepting = []
-    transitions = []
-    states = set()
-    symbols = set()
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        tag = fields[0]
-        if tag == "states" and len(fields) == 2:
-            try:
-                declared_count = int(fields[1])
-            except ValueError:
-                raise MetalogicError(
-                    f"line {line_number}: state count is not an integer"
-                ) from None
-        elif tag == "start" and len(fields) == 2:
-            start = fields[1]
-            states.add(start)
-        elif tag == "accept":
-            accepting = [name for name in fields[1:] if name]
-            states.update(accepting)
-        elif tag == "trans" and len(fields) == 4:
-            _, source, token, target = fields
-            symbol = EPSILON if token == _EPSILON_TOKEN else token
-            if symbol is not EPSILON and len(symbol) != 1:
-                raise MetalogicError(
-                    f"line {line_number}: symbol must be one character or "
-                    f"{_EPSILON_TOKEN!r}, got {token!r}"
-                )
-            states.update((source, target))
-            if symbol is not EPSILON:
-                symbols.add(symbol)
-            transitions.append((source, symbol, target))
-        else:
-            raise MetalogicError(
-                f"line {line_number}: unrecognized declaration {tag!r}"
-            )
-    if start is None:
-        raise MetalogicError("the automaton text declares no start state")
-    if declared_count is not None and declared_count != len(states):
-        raise MetalogicError(
-            f"declared state count {declared_count} disagrees with the "
-            f"{len(states)} states mentioned"
-        )
-    return EpsilonNFA(states, symbols, transitions, start, accepting)

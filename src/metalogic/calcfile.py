@@ -349,8 +349,3 @@ def read_calculus_file(path: str) -> CalculusFile:
     except json.JSONDecodeError as exc:
         raise CalculusFileError(f"{path} is not valid JSON: {exc}") from exc
     return parse_calculus_data(data)
-
-
-def load_calculus_file(path: str) -> Calculus:
-    """The calculus alone; see read_calculus_file for bounds and stages."""
-    return read_calculus_file(path).calculus

@@ -587,17 +587,6 @@ def render_justification(justification, premise_indices: tuple = ()) -> str:
     return text
 
 
-def render_derivation(derivation: Derivation) -> str:
-    """One node per line: index, formula, justification."""
-    lines = []
-    for index, node in enumerate(derivation.nodes):
-        lines.append(
-            f"{index + 1}. {print_formula(node.formula)}  "
-            f"[{render_justification(node.justification, node.premise_indices)}]"
-        )
-    return "\n".join(lines)
-
-
 # ==========================================================================
 # Saturation driver
 # ==========================================================================

@@ -21,8 +21,8 @@ negation ~x as an implication into f, and p1_to_p2 inverts that on the
 image fragment (a residual bare f becomes the canonical contradiction
 ~(p -> p), so the round trip is not the identity on all of P1).
 
-Each kind of built-in is one table, read by its lookup function and its
-name list: ``_CALCULI``, ``_VALIDATORS`` and ``_TRANSLATIONS``.
+Each kind of built-in is one table, read by its lookup function:
+``_CALCULI``, ``_VALIDATORS`` and ``_TRANSLATIONS``.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .syntax import (
     parse_schema,
     print_formula,
     propositional_alphabet,
-    validate_formula,
 )
 
 # ==========================================================================
@@ -303,10 +302,6 @@ def builtin_spec_params(name: str, args) -> dict:
     return params
 
 
-def builtin_calculus_names() -> tuple:
-    return tuple(_CALCULI)
-
-
 # ==========================================================================
 # Translation maps
 # ==========================================================================
@@ -319,17 +314,6 @@ class TranslationMap:
     source_alphabet: Alphabet
     target_alphabet: Alphabet
     fn: Callable[[Formula], Formula]
-
-    def __call__(self, formula: Formula) -> Formula:
-        return self.fn(formula)
-
-
-def translate(formula: Formula, translation: TranslationMap) -> Formula:
-    """Apply a translation map, checking both alphabet memberships."""
-    validate_formula(formula, translation.source_alphabet)
-    image = translation.fn(formula)
-    validate_formula(image, translation.target_alphabet)
-    return image
 
 
 _F = Atom("f")

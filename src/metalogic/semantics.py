@@ -1,8 +1,7 @@
 """Classical two-valued evaluation of propositional formulas.
 
 Declared constant symbols (for instance the falsum constant of an
-implication-and-falsum language) evaluate to False unless an assignment
-explicitly overrides them.
+implication-and-falsum language) evaluate to False.
 """
 
 from __future__ import annotations
@@ -46,10 +45,7 @@ def _truth_column(formula: Formula, columns: Mapping[str, int], full: int) -> in
         if op == IFF:
             return full & ~(left ^ right)
     elif kind is Atom:
-        try:
-            return columns[formula.name]
-        except KeyError:
-            raise EvaluationError(f"unassigned atom: {formula.name!r}") from None
+        return columns[formula.name]
     elif kind is Negation:
         # ~~x has the column of x: a negation chain is peeled in a loop, so
         # that a deep chain does not recurse
@@ -106,15 +102,6 @@ class _FreshColumns(dict):
             raise _TooManyAtoms
         self[name] = column
         return column
-
-
-def evaluate_prop(formula: Formula, assignment: Mapping[str, bool],
-                  constants: frozenset = frozenset()) -> bool:
-    """The formula's value in one row; the assignment overrides constants."""
-    columns = dict.fromkeys(constants, 0)
-    for name, value in assignment.items():
-        columns[name] = 1 if value else 0
-    return _truth_column(formula, columns, 1) == 1
 
 
 def is_tautology(formula: Formula, constants: frozenset = frozenset()) -> bool:

@@ -58,7 +58,13 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import AlphabetError, BudgetExceededError, ParseError, SchemaError
+from .errors import (
+    AlphabetError,
+    BudgetExceededError,
+    ParseError,
+    RuleParameterError,
+    SchemaError,
+)
 
 NOT = "not"
 AND = "and"
@@ -534,10 +540,6 @@ def free_variables(node) -> frozenset:
         elif kind is not Atom:
             raise TypeError(f"not a formula or term: {node!r}")
     return frozenset(out)
-
-
-# the variables of a term are its free variables
-term_variables = free_variables
 
 
 def formula_atoms(formula: Formula) -> frozenset:
@@ -1018,6 +1020,9 @@ def enumerate_wffs(alphabet: Alphabet, max_size: int, limit: Optional[int] = Non
     larger term or formula. So the ceiling or the language, not
     ``max_size``, bounds the work.
     """
+    if type(max_size) is not int or max_size < 0:
+        raise RuleParameterError(
+            f"max_size must be an integer >= 0, got {max_size!r}")
     first_order = alphabet.kind == FIRST_ORDER
     has_not = alphabet.has_connective(NOT)
     binary_ops = [op for op in BINARY_CONNECTIVES if alphabet.has_connective(op)]

@@ -4,7 +4,6 @@ import pytest
 from dataclasses import replace
 
 from metalogic import (
-    AbstractCalculus,
     Bounds,
     Calculus,
     FiniteRelation,
@@ -12,11 +11,9 @@ from metalogic import (
     MetalogicError,
     RuleParameterError,
     Verdict,
-    apply_abstract,
     check_boundedness,
     check_property,
     compare_calculi,
-    decompose_relation,
     identity_map,
     make_rule,
     parse_formula,
@@ -286,20 +283,6 @@ class TestFiniteRelations:
         )
         assert relation.range_tokens() == frozenset({"z"})
 
-    def test_decompose_by_premise_count(self):
-        relation = FiniteRelation(
-            frozenset({"a", "b", "z"}),
-            {
-                (frozenset(), "z"),
-                (frozenset({"a"}), "z"),
-                (frozenset({"a", "b"}), "z"),
-            },
-        )
-        components = decompose_relation(relation)
-        assert set(components) == {1, 2, 3}
-        assert components[3] == frozenset({("a", "b", "z")})
-
-
 class TestBoundedness:
     def build(self, *pairs):
         carrier = set()
@@ -400,46 +383,3 @@ class TestRelationInterchange:
     def test_non_string_tokens_rejected(self):
         with pytest.raises(MetalogicError):
             relation_from_lines('{"conclusion": 3, "premises": []}')
-
-
-class TestAbstractCalculi:
-    def relation(self):
-        return FiniteRelation(
-            frozenset({"a", "b", "c"}),
-            {
-                (frozenset({"a"}), "b"),
-                (frozenset({"b"}), "c"),
-            },
-        )
-
-    def test_single_application(self):
-        calculus = AbstractCalculus(
-            carrier=frozenset({"a", "b", "c"}),
-            base=frozenset({"a"}),
-            relation=self.relation(),
-        )
-        # single application is F(A) alone; the base is not replayed
-        assert apply_abstract(calculus, closure="single") == frozenset({"b"})
-
-    def test_iterated_reaches_fixpoint(self):
-        calculus = AbstractCalculus(
-            carrier=frozenset({"a", "b", "c"}),
-            base=frozenset({"a"}),
-            relation=self.relation(),
-        )
-        assert apply_abstract(calculus, closure="iterated") == frozenset({"a", "b", "c"})
-
-    def test_unknown_closure_mode(self):
-        calculus = AbstractCalculus(
-            carrier=frozenset({"a"}), base=frozenset({"a"}),
-            relation=FiniteRelation(frozenset({"a"}), frozenset()),
-        )
-        with pytest.raises(RuleParameterError):
-            apply_abstract(calculus, closure="transfinite")
-
-    def test_base_must_live_in_carrier(self):
-        with pytest.raises(RuleParameterError):
-            AbstractCalculus(
-                carrier=frozenset({"a"}), base=frozenset({"x"}),
-                relation=FiniteRelation(frozenset({"a"}), frozenset()),
-            )

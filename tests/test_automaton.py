@@ -14,7 +14,6 @@ from metalogic import (
     EpsilonNFA,
     MetalogicError,
     RuleParameterError,
-    automaton_from_text,
     automaton_to_text,
     build_body_automaton,
     build_deterministic_body_automaton,
@@ -258,15 +257,6 @@ class TestInterchange:
             "trans\tq0\tx\ta1\n"
         )
 
-    def test_round_trip(self):
-        original = build_body_automaton(body("P", "~P", "(P -> Q)"))
-        restored = automaton_from_text(automaton_to_text(original))
-        assert restored.states == original.states
-        assert restored.symbols == original.symbols
-        assert restored.transitions == original.transitions
-        assert restored.start == original.start
-        assert restored.accepting == original.accepting
-
     def test_copies_and_pickles_are_equal_and_frozen(self):
         original = BRANCHING
         for clone in (copy.copy(original), copy.deepcopy(original),
@@ -275,38 +265,3 @@ class TestInterchange:
             assert clone.transitions == original.transitions
         with pytest.raises(AttributeError):
             original.start = "b"
-
-    def test_round_trip_preserves_the_language(self):
-        original = build_deterministic_body_automaton(
-            body("~~P", "(Q -> Q)"))
-        restored = automaton_from_text(automaton_to_text(original))
-        assert nfa_language_upto(restored, 8) == nfa_language_upto(original, 8)
-
-    def test_blank_lines_are_skipped(self):
-        nfa = automaton_from_text("\nstart\tq0\n\n")
-        assert nfa.start == "q0"
-        assert nfa.states == frozenset({"q0"})
-
-    def test_bad_state_count_reports_its_line(self):
-        with pytest.raises(MetalogicError, match="line 1.*not an integer"):
-            automaton_from_text("states\tmany\nstart\tq0\n")
-
-    def test_unknown_declaration_reports_its_line(self):
-        with pytest.raises(MetalogicError, match="line 2.*'loop'"):
-            automaton_from_text("start\tq0\nloop\tq0\n")
-
-    def test_malformed_trans_line_is_unrecognized(self):
-        with pytest.raises(MetalogicError, match="line 2"):
-            automaton_from_text("start\tq0\ntrans\tq0\tq1\n")
-
-    def test_multicharacter_symbols_are_rejected(self):
-        with pytest.raises(MetalogicError, match="one character"):
-            automaton_from_text("start\tq0\ntrans\tq0\tab\tq0\n")
-
-    def test_missing_start_is_an_error(self):
-        with pytest.raises(MetalogicError, match="no start state"):
-            automaton_from_text("states\t0\n")
-
-    def test_declared_count_must_match(self):
-        with pytest.raises(MetalogicError, match="disagrees"):
-            automaton_from_text("states\t5\nstart\tq0\n")

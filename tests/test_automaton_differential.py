@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from metalogic import (
     EPSILON,
     EpsilonNFA,
-    automaton_from_text,
     automaton_to_text,
     nfa_accepts,
     nfa_language_upto,
@@ -122,15 +121,18 @@ class TestAgainstTheTripleScan:
 class TestIdentity:
     @SETTINGS
     @given(automata())
-    def test_text_round_trip(self, drawn):
-        _, _, triples, start, accepting = drawn
-        # the text names only the states and symbols that lines mention
-        states = {start, *accepting}
-        for source, _, target in triples:
-            states.update((source, target))
-        symbols = {label for _, label, _ in triples if label is not EPSILON}
+    def test_text_dump_states_the_automaton(self, drawn):
+        states, symbols, triples, start, accepting = drawn
         nfa = EpsilonNFA(states, symbols, triples, start, accepting)
-        assert automaton_from_text(automaton_to_text(nfa)) == nfa
+        lines = automaton_to_text(nfa).splitlines()
+        assert lines[:3] == [f"states\t{len(nfa.states)}", f"start\t{start}",
+                             "\t".join(["accept", *sorted(nfa.accepting)])]
+        fields = [line.split("\t") for line in lines[3:]]
+        assert all(len(f) == 4 and f[0] == "trans" for f in fields)
+        dumped = [(source, EPSILON if label == "eps" else label, target)
+                  for _, source, label, target in fields]
+        assert len(dumped) == len(nfa.transitions)
+        assert set(dumped) == nfa.transitions
 
     @SETTINGS
     @given(automata(), st.randoms(use_true_random=False))

@@ -11,7 +11,6 @@ from metalogic import (
     RuleParameterError,
     apply_rule,
     builtin_rule_names,
-    load_calculus_file,
     make_rule,
     make_validator,
     parse_calculus_data,
@@ -418,36 +417,36 @@ class TestBuiltinShorthands:
         assert loaded.staged is None
 
     def test_lv_with_base_and_validator(self):
-        calculus = load_calculus_file("builtin:lv,kleene,always-true")
+        calculus = read_calculus_file("builtin:lv,kleene,always-true").calculus
         assert calculus.name == "lv(kleene, always-true)"
 
     def test_lv_default_validator(self):
-        calculus = load_calculus_file("builtin:lv,kleene")
+        calculus = read_calculus_file("builtin:lv,kleene").calculus
         assert calculus.name == "lv(kleene, tautology)"
 
     def test_lv_rejects_extra_arguments(self):
         with pytest.raises(CalculusFileError, match="at most base and validator"):
-            load_calculus_file("builtin:lv,kleene,tautology,more")
+            read_calculus_file("builtin:lv,kleene,tautology,more")
 
     def test_free_takes_a_size_cap(self):
-        calculus = load_calculus_file("builtin:free,3")
+        calculus = read_calculus_file("builtin:free,3").calculus
         assert len(calculus.axioms) == 3
 
     def test_free_requires_its_cap(self):
         with pytest.raises(CalculusFileError, match="needs a size cap"):
-            load_calculus_file("builtin:free")
+            read_calculus_file("builtin:free")
 
     def test_free_cap_must_be_an_integer(self):
         with pytest.raises(CalculusFileError, match="must be an integer"):
-            load_calculus_file("builtin:free,huge")
+            read_calculus_file("builtin:free,huge")
 
     def test_plain_builtins_take_no_arguments(self):
         with pytest.raises(CalculusFileError, match="takes no parameters"):
-            load_calculus_file("builtin:kleene,extra")
+            read_calculus_file("builtin:kleene,extra")
 
     def test_unknown_builtin_name(self):
         with pytest.raises(CalculusFileError):
-            load_calculus_file("builtin:hilbert")
+            read_calculus_file("builtin:hilbert")
 
 
 class TestFiles:
@@ -459,10 +458,10 @@ class TestFiles:
         assert loaded.bounds == Bounds(3, 9, 400, 2)
         assert len(loaded.staged.stages) == 2
 
-    def test_load_calculus_file_returns_the_calculus_alone(self, tmp_path):
+    def test_read_calculus_file_returns_the_calculus_alone(self, tmp_path):
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(full_data()), encoding="utf-8")
-        calculus = load_calculus_file(str(path))
+        calculus = read_calculus_file(str(path)).calculus
         assert calculus.name == "chain"
 
     def test_invalid_json_is_reported_with_the_path(self, tmp_path):

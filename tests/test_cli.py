@@ -145,6 +145,10 @@ class TestEnumLang:
     def test_missing_size_is_a_usage_error(self, capsys):
         assert main(["enum-lang", "--calc", "builtin:kleene"]) == 3
 
+    def test_negative_size_exits_3(self, capsys):
+        assert main(["enum-lang", "--calc", "builtin:kleene", "--size", "-1"]) == 3
+        assert "max_size must be an integer >= 0, got -1" in capsys.readouterr().err
+
     def test_unknown_pool_variable_exits_3(self, capsys):
         assert main(["enum-lang", "--calc", "builtin:kleene", "--size", "1",
                      "--pool-vars", "Z"]) == 3

@@ -38,7 +38,6 @@ from metalogic import (
     RuleJustification,
     Schema,
     builtin_calculus,
-    builtin_calculus_names,
     check_property,
     compose,
     consequence_step,
@@ -55,6 +54,7 @@ from metalogic import (
     realized_axioms,
     rule_system,
 )
+from metalogic.library import _CALCULI
 
 
 def _printed(value):
@@ -313,7 +313,7 @@ CLOSURE_BOUNDS = (Bounds(3, 7, 5000, 3), Bounds(4, 9, 5000, 3),
 
 
 def test_every_builtin_is_checked_for_closure():
-    assert set(SATURATING_BUILTINS) == set(builtin_calculus_names())
+    assert set(SATURATING_BUILTINS) == set(_CALCULI)
 
 
 @pytest.mark.parametrize("name", sorted(SATURATING_BUILTINS))

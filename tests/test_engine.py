@@ -52,7 +52,6 @@ from metalogic import (
     print_formula,
     propositional_alphabet,
     realized_axioms,
-    render_derivation,
     render_justification,
     rule_system,
     schema_instances,
@@ -282,14 +281,6 @@ class TestDerivations:
     def test_identity_proof_revalidates(self, kleene):
         _, outcome = self.derive_identity(kleene)
         validate_derivation(outcome.derivation, kleene)
-
-    def test_rendering_numbers_every_node(self, kleene):
-        _, outcome = self.derive_identity(kleene)
-        lines = render_derivation(outcome.derivation).splitlines()
-        assert len(lines) == 5
-        assert lines[0].startswith("1. (P -> (P -> P))")
-        assert lines[-1].startswith("5. (P -> P)")
-        assert "modus_ponens: 1, 4" in lines[-1]
 
     def test_tampered_stage_detected(self, kleene):
         _, outcome = self.derive_identity(kleene)

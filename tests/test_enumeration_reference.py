@@ -30,6 +30,7 @@ from metalogic import (
     Negation,
     PredApp,
     Quantified,
+    RuleParameterError,
     Var,
     enumerate_wffs,
     first_order_alphabet,
@@ -63,8 +64,10 @@ def _argument_tuples(terms, arity, total):
 
 def reference_wffs(alphabet, max_size, limit=None):
     """Every formula of size at most ``max_size``, canonically sorted; more
-    than ``limit`` of them raise BudgetExceededError with the enumerator's
-    message."""
+    than ``limit`` of them raise BudgetExceededError, and a negative size
+    RuleParameterError, each with the enumerator's message."""
+    if max_size < 0:
+        raise RuleParameterError(f"max_size must be an integer >= 0, got {max_size!r}")
     first_order = alphabet.kind == "first-order"
     binary_ops = [op for op in (AND, OR, IMPLIES, IFF) if op in alphabet.connectives]
     terms, formulas = [], []
@@ -113,11 +116,13 @@ def reference_wffs(alphabet, max_size, limit=None):
 
 
 def _outcome(build, *args):
-    """The list, or the ceiling error's message."""
+    """The list, or the ceiling or size error's message."""
     try:
         return build(*args)
     except BudgetExceededError as error:
         return ("ceiling", str(error))
+    except RuleParameterError as error:
+        return ("size", str(error))
 
 
 def _subset(options):

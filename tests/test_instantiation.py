@@ -34,12 +34,12 @@ from metalogic import (
     SchemaJustification,
     Var,
     builtin_calculus,
-    builtin_calculus_names,
     instantiation_pool,
     parse_formula,
     propositional_alphabet,
     schema_instances,
 )
+from metalogic.library import _CALCULI
 from metalogic.syntax import _replace_atoms
 
 
@@ -89,7 +89,7 @@ SCHEMATIC = ("kleene", "church_p1", "church_p2", "shoenfield_fragment", "lv")
 
 
 def test_every_schematic_builtin_is_checked():
-    assert set(builtin_calculus_names()) - set(SCHEMATIC) == {"free"}
+    assert set(_CALCULI) - set(SCHEMATIC) == {"free"}
     assert not builtin_calculus("free", size_cap=3).schemata
 
 

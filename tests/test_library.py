@@ -6,15 +6,19 @@ import pytest
 
 import metalogic
 from metalogic import (
+    AND,
+    AlphabetError,
     Atom,
+    Binary,
     Bounds,
+    IMPLIES,
+    Negation,
     ON_DEMAND_MODE,
     RuleParameterError,
     SATURATED,
     SUBSTITUTION_RULE_MODE,
     UnknownCalculusError,
     builtin_calculus,
-    builtin_calculus_names,
     derive,
     enumerate_body,
     enumerate_wffs,
@@ -26,7 +30,6 @@ from metalogic import (
     print_formula,
     realized_axioms,
     shoenfield_fragment_calculus,
-    translate,
     translation_map,
 )
 from conftest import small_bounds
@@ -65,7 +68,7 @@ class TestRosters:
         assert len(calculus.schemata) == 1  # excluded middle
 
     def test_registry_names(self):
-        names = builtin_calculus_names()
+        names = metalogic.library._CALCULI
         for name in ("kleene", "church_p1", "church_p2", "shoenfield_fragment",
                      "lv", "free"):
             assert name in names
@@ -179,29 +182,31 @@ class TestTranslations:
         p1, p2 = church_translation_fixture()
         to_p1 = translation_map("p2_to_p1")
         source = parse_formula("((~p -> ~q) -> (q -> p))", p2.alphabet)
-        image = translate(source, to_p1)
+        image = to_p1.fn(source)
         assert print_formula(image) == "(((p -> f) -> (q -> f)) -> (q -> p))"
 
     def test_p1_to_p2_rewrites_f_consequent_and_bare_f(self):
         p1, p2 = church_translation_fixture()
         to_p2 = translation_map("p1_to_p2")
-        negated = translate(parse_formula("(q -> f)", p1.alphabet), to_p2)
+        negated = to_p2.fn(parse_formula("(q -> f)", p1.alphabet))
         assert print_formula(negated) == "~q"
-        canonical = translate(Atom("f"), to_p2)
+        canonical = to_p2.fn(Atom("f"))
         assert print_formula(canonical) == "~(p -> p)"
 
-    def test_translate_validates_the_source(self):
-        p1, p2 = church_translation_fixture()
+    def test_p2_to_p1_rejects_a_connective_p2_lacks(self):
         to_p1 = translation_map("p2_to_p1")
-        f_formula = parse_formula("(f -> p)", p1.alphabet)
-        with pytest.raises(Exception) as err:
-            translate(f_formula, to_p1)
-        assert "f" in str(err.value)
+        with pytest.raises(AlphabetError, match=r"not a P2 formula: \(p & q\)"):
+            to_p1.fn(Negation(Binary(AND, Atom("p"), Atom("q"))))
+
+    def test_p1_to_p2_rejects_a_negation(self):
+        to_p2 = translation_map("p1_to_p2")
+        with pytest.raises(AlphabetError, match=r"not a P1 formula: ~q"):
+            to_p2.fn(Binary(IMPLIES, Atom("p"), Negation(Atom("q"))))
 
     def test_identity_map(self, kleene):
         mapping = identity_map(kleene.alphabet)
         formula = parse_formula("(P | ~Q)", kleene.alphabet)
-        assert translate(formula, mapping) == formula
+        assert mapping.fn(formula) == formula
         assert mapping.identifier == "identity"
 
     def test_unknown_map(self):
@@ -215,8 +220,8 @@ class TestTranslations:
         there = translation_map("p2_to_p1")
         back = translation_map("p1_to_p2")
         source = parse_formula("(~p -> (q -> ~p))", p2.alphabet)
-        once = translate(translate(source, there), back)
-        twice = translate(translate(once, there), back)
+        once = back.fn(there.fn(source))
+        twice = back.fn(there.fn(once))
         assert once == twice == source
 
 

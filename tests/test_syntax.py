@@ -20,6 +20,7 @@ from metalogic import (
     FuncApp,
     Negation,
     ParseError,
+    RuleParameterError,
     PredApp,
     Quantified,
     Schema,
@@ -40,7 +41,6 @@ from metalogic import (
     shoenfield_fragment_calculus,
     subformulas,
     substitute_prop,
-    term_variables,
     validate_formula,
     validate_term,
 )
@@ -173,7 +173,7 @@ class TestDeepFormulasBuiltInCode:
         for _ in range(3000):
             term = FuncApp("g", (term,))
         assert free_variables(negation_chain("P", 3000)) == frozenset()
-        assert term_variables(term) == frozenset({"x"})
+        assert free_variables(term) == frozenset({"x"})
         assert free_variables(Equality(term, Var("y"))) == frozenset({"x", "y"})
         assert free_variables(Quantified(EXISTS, "x", Equality(term, Var("y")))) == frozenset({"y"})
 
@@ -290,6 +290,11 @@ class TestEnumeration:
     def test_limit_raises_budget_error(self, pq_alphabet):
         with pytest.raises(BudgetExceededError):
             enumerate_wffs(pq_alphabet, 5, limit=100)
+
+    @pytest.mark.parametrize("size", [-1, True, 1.5, "2"])
+    def test_size_must_be_a_non_negative_integer(self, pq_alphabet, size):
+        with pytest.raises(RuleParameterError, match="max_size must be an integer >= 0"):
+            enumerate_wffs(pq_alphabet, size)
 
     def test_a_finite_language_ends_the_loop(self):
         assert enumerate_wffs(propositional_alphabet(("P",), connectives=()), 10**9) == [Atom("P")]
