@@ -617,6 +617,8 @@ def relation_from_calculus(calculus: Calculus, premise_pool: Iterable[Formula],
         raise RuleParameterError(
             f"max_premises must be an integer >= 0, got {max_premises!r}")
     pool = canonical_sorted(set(premise_pool))
+    # the extra axioms leave the instantiation pool as it is
+    instances = instantiation_pool(calculus, bounds)
     pairs = set()
     statuses = []
     tokens = set(pool)
@@ -626,7 +628,7 @@ def relation_from_calculus(calculus: Calculus, premise_pool: Iterable[Formula],
             extended = replace(
                 calculus, axioms=calculus.axioms + tuple(subset)
             )
-            body = enumerate_body(extended, bounds)
+            body = enumerate_body(extended, bounds, pool=instances)
             premises = frozenset(subset)
             statuses.append((premises, body.status))
             for theorem in body.theorems:

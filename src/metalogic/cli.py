@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import weakref
 from dataclasses import asdict, fields, replace
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -98,8 +99,39 @@ _VERDICT_EXIT = {
 }
 
 
+def _weak(obj):
+    if obj is None or isinstance(obj, weakref.ProxyType):
+        return obj
+    return weakref.proxy(obj)
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help formatter, without reference cycles.
+
+    argparse makes a formatter for every argument it adds and every usage
+    line it prints, then drops it. Its sections point back at the formatter
+    and at their parent sections, which hold them, so each dropped formatter
+    would wait for the cyclic collector. Here a section holds both through
+    weak proxies, and ``format_help``, the last call a formatter gets, lets
+    go of the sections, whose items hold the formatter's bound methods."""
+
+    class _Section(argparse.HelpFormatter._Section):
+        def __init__(self, formatter, parent, heading=None):
+            super().__init__(_weak(formatter), _weak(parent), heading)
+
+    def format_help(self):
+        try:
+            return super().format_help()
+        finally:
+            self._root_section = self._current_section = None
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the documented code is 3."""
+    """argparse exits 2 on usage errors; the documented code is 3. Its
+    formatters leave no cyclic garbage."""
+
+    def _get_formatter(self):
+        return _HelpFormatter(prog=self.prog)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -8,6 +8,10 @@ applications over what is already present. Runs end in one of three states:
     stage-cap-hit               the stage limit ended the run first
     budget-exceeded             the distinct-theorem budget ended the run first
 
+The last allowed stage's layer is never admitted, so it is scanned only up
+to its first conclusion outside the body: that one conclusion tells the
+stage cap from saturation, exactly as the whole layer would.
+
 Budget exhaustion is an explicit outcome, never a silent truncation: a body
 whose status is budget-exceeded makes no completeness promise, and callers
 that need monotonicity or saturation arguments must check the status.
@@ -663,12 +667,16 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
                 run.found = True
                 return run
         frontier = list(itertools.islice(members, first_new, None))
-        # Gather the next layer before looking at the stage cap: an empty
-        # layer means saturation even when this was the last allowed stage.
+        layer = _layer(contexts_by_rule, members, frontier, bounds.max_formula_size)
+        if run.stages >= bounds.max_stage:
+            # The last layer is never admitted: it only tells saturation
+            # apart from the stage cap, and its first new conclusion decides.
+            new = any(conclusion not in members for *_, conclusion in layer)
+            run.status = STAGE_CAP_HIT if new else SATURATED
+            return run
         # conclusion -> (key, premises, context) of its least justification
         best = {}
-        for rule, premises, context, conclusion in _layer(
-                contexts_by_rule, members, frontier, bounds.max_formula_size):
+        for rule, premises, context, conclusion in layer:
             if conclusion in members:
                 continue
             items = _context_items(context)
@@ -678,9 +686,6 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
                 best[conclusion] = (key, premises, items)
         if not best:
             run.status = SATURATED
-            return run
-        if run.stages >= bounds.max_stage:
-            run.status = STAGE_CAP_HIT
             return run
         run.stages += 1
         admissions = _least_justified(best)
@@ -726,9 +731,12 @@ def _collector_paused(build):
 
 
 @_collector_paused
-def enumerate_body(calculus: Calculus, bounds: Bounds = DEFAULT_BOUNDS) -> BoundedBody:
-    """Build the bounded body of the calculus."""
-    pool = instantiation_pool(calculus, bounds)
+def enumerate_body(calculus: Calculus, bounds: Bounds = DEFAULT_BOUNDS, *,
+                   pool: Optional[Sequence[Formula]] = None) -> BoundedBody:
+    """Build the bounded body of the calculus; ``pool`` reuses its
+    ``instantiation_pool`` across calculi that differ only in axioms."""
+    if pool is None:
+        pool = instantiation_pool(calculus, bounds)
     run = _saturate(
         realized_axiom_stream(calculus, bounds, pool),
         calculus.rules, pool, calculus.alphabet.variables, bounds,

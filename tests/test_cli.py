@@ -245,6 +245,24 @@ class TestNoCyclicGarbage:
         assert main(argv) == code  # warms the parser and the built-in
         assert cyclic_garbage(lambda: main(argv)) == 0
 
+    def test_the_first_call_builds_the_parser(self, capsys):
+        argv = ["parse", "--calc", "builtin:kleene", "(P -> P)"]
+        main(argv)  # warms the built-in
+        cli._build_parser.cache_clear()
+        assert cyclic_garbage(lambda: main(argv)) == 0
+        assert cli._build_parser.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["enum-lang", "--bogus"], 3),
+        (["bogus"], 3),
+        (["derive", "--calc", "builtin:kleene"], 3),
+        (["--help"], 0),
+        (["check", "--help"], 0),
+    ])
+    def test_usage_errors_and_help(self, capsys, argv, code):
+        assert main(argv) == code
+        assert cyclic_garbage(lambda: main(argv)) == 0
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),

@@ -11,13 +11,19 @@ give the same members, stages, canonical justifications and status.
 
 ``reference_closed_wrt_axioms`` decides closed-wrt-axioms from a second
 realization of the axioms, which the check itself reads off stage 1.
+
+The reference builds the last allowed layer whole; the engine stops it at
+its first conclusion outside the body. The stage-cap sweeps at the end make
+every stage of a run the last one in turn.
 """
 
 import itertools
 import random
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import random_formula
 from metalogic import (
@@ -41,6 +47,7 @@ from metalogic import (
     check_property,
     compose,
     consequence_step,
+    derive,
     enumerate_body,
     formula_atoms,
     inference_closure,
@@ -53,7 +60,9 @@ from metalogic import (
     realized_axiom_stream,
     realized_axioms,
     rule_system,
+    subformulas,
 )
+from metalogic.cli import main
 from metalogic.library import _CALCULI
 
 
@@ -453,3 +462,95 @@ def test_closed_wrt_axioms_matches_realized_axioms_on_random_calculi(seed):
     bounds = Bounds(3, rng.choice((6, 7, 9)), 5000, rng.choice((1, 2, 3)))
     _assert_closed_wrt_axioms_matches(calculus, bounds)
     assert_same(enumerate_body(calculus, bounds), reference_body(calculus, bounds))
+
+
+# ==========================================================================
+# The stage cap swept: the last layer stops at its first new conclusion
+# ==========================================================================
+
+SWEPT_RULES = ("modus_ponens", "cut", "cancellation", "identity", "extension",
+               "associativity_left")
+
+
+def staged_calculus(rng):
+    """Concrete axioms, sometimes an on-demand schema, and one to three
+    rules, parametric and strategy-free ones included: runs that take
+    several stages to saturate."""
+    axioms = {random_formula(rng, ("P", "Q"), (NOT, OR, IMPLIES, IMPLIES), 3)
+              for _ in range(rng.randint(1, 5))}
+    schemata = ()
+    if rng.random() < 0.3:
+        pattern = random_formula(rng, ("phi", "P"), (NOT, OR, IMPLIES), 2)
+        if "phi" in formula_atoms(pattern):
+            schemata = (Schema("s", pattern, ("phi",)),)
+    rules = [make_rule(name) for name in rng.sample(SWEPT_RULES, rng.randint(1, 3))]
+    if rng.random() < 0.2:
+        rules.append(DISJOIN)
+    return Calculus(alphabet=PQ_OR, axioms=tuple(sorted(axioms, key=print_formula)),
+                    schemata=schemata, rules=rule_system(*rules),
+                    pool_variables=("P", "Q")[:rng.randint(1, 2)])
+
+
+def swept_stage_caps(build, bounds):
+    """``bounds`` with every stage cap from 1 to one past the stage at which
+    the run with a high cap ends."""
+    last = build(replace(bounds, max_stage=12)).stage_count
+    return [replace(bounds, max_stage=cap) for cap in range(1, last + 2)]
+
+
+SWEPT_BOUNDS = st.builds(lambda size, budget: Bounds(1, size, budget, 1),
+                         st.sampled_from((5, 6, 7, 8)), st.sampled_from((40, 2000)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), SWEPT_BOUNDS)
+def test_swept_stage_caps_match_the_reference_bodies(rng, bounds):
+    calculus = staged_calculus(rng)
+    for capped in swept_stage_caps(lambda b: enumerate_body(calculus, b), bounds):
+        assert_same(enumerate_body(calculus, capped), reference_body(calculus, capped))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), SWEPT_BOUNDS)
+def test_swept_stage_caps_match_the_reference_closures(rng, bounds):
+    premises = {random_formula(rng, ("P", "Q"), (NOT, OR, IMPLIES), 2)
+                for _ in range(rng.randint(1, 5))}
+    rules = [make_rule(name) for name in rng.sample(SWEPT_RULES, rng.randint(1, 3))]
+    system = rule_system(*rules, *rng.sample((DISJOIN, NEGATE_PARAMETER), rng.randint(0, 1)))
+
+    def closure(b):
+        return inference_closure(system, premises, b, variables=("P", "Q"))
+
+    for capped in swept_stage_caps(closure, bounds):
+        assert_same(closure(capped), reference_closure(system, premises, capped, ("P", "Q")))
+
+
+def test_a_last_layer_of_members_only_is_saturation():
+    calculus = Calculus(alphabet=PQ_OR, axioms=tuple(_wffs("P", "(P -> P)")),
+                        rules=rule_system(make_rule("modus_ponens")))
+    bounds = Bounds(1, 9, 2000, 1)
+    body = enumerate_body(calculus, bounds)
+    last_layer = consequence_step(calculus.rules, body.theorems)
+    assert last_layer and last_layer <= body.as_set()
+    assert body.status == SATURATED
+    assert_same(body, reference_body(calculus, bounds))
+
+
+def test_a_goal_one_stage_past_the_cap_is_stage_cap_hit():
+    calculus = builtin_calculus("kleene")
+    goal = parse_formula("(P -> P)", calculus.alphabet)
+    bounds = Bounds(4, 17, 5000, 1)
+    reached = derive(calculus, goal, bounds)
+    assert reached.found
+    capped = replace(bounds, max_stage=reached.stages_run - 1)
+    outcome = derive(calculus, goal, capped)
+    pool = instantiation_pool(calculus, capped, subformulas(goal))
+    members, status, stages = reference_saturate(
+        realized_axiom_stream(calculus, capped, pool), calculus.rules, pool,
+        calculus.alphabet.variables, capped)
+    assert goal not in members
+    assert status == outcome.status == STAGE_CAP_HIT
+    assert (outcome.theorems_seen, outcome.stages_run) == (len(members), stages)
+    argv = ["derive", "--calc", "builtin:kleene", "--goal", "(P -> P)", "--json",
+            "--max-stage", str(capped.max_stage), "--max-size", "17", "--pool-size", "1"]
+    assert main(argv) == 2

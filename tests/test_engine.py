@@ -256,6 +256,24 @@ class TestEnumerateBody:
                                                    instantiation_pool_size=1))
         assert all(f.size <= 5 for f in body.theorems)
 
+    def test_the_last_stage_stops_at_its_first_new_conclusion(self, monkeypatch):
+        # The whole last layer of this run holds some 80,000 conclusions,
+        # none of which the body would admit.
+        built = 0
+        conclusions = InferenceRule.conclusions
+
+        def counted(rule, premises, context=None):
+            nonlocal built
+            out = conclusions(rule, premises, context)
+            built += len(out)
+            return out
+
+        monkeypatch.setattr(InferenceRule, "conclusions", counted)
+        calculus = replace(builtin_calculus("church_p2"), pool_variables=("p", "q"))
+        body = enumerate_body(calculus, Bounds(3, 17, 200000, 5))
+        assert (body.status, body.stage_count, len(body)) == (STAGE_CAP_HIT, 3, 5716)
+        assert built < 10000
+
 
 class TestDerivations:
     KLEENE_IDENTITY_PROOF = [
