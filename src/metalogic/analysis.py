@@ -671,7 +671,7 @@ def relation_from_lines(text: str) -> FiniteRelation:
             record = json.loads(line)
             premises = record["premises"]
             conclusion = record["conclusion"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise MetalogicError(
                 f"bad relation record on line {line_number}: {exc}"
             ) from exc

@@ -196,7 +196,7 @@ def _parse_schema(raw, alphabet: Alphabet, where: str) -> Schema:
         raise CalculusFileError(f"{where}.id: expected a string, got {schema_id!r}")
     metavariables = _names(raw, "metavariables", where)
     try:
-        meta_alphabet = schema_alphabet(alphabet, metavariables)
+        meta_alphabet = schema_alphabet(alphabet, tuple(dict.fromkeys(metavariables)))
     except MetalogicError as exc:
         raise CalculusFileError(f"{where}: {exc}") from exc
     pattern = _parse_formula_field(
@@ -346,6 +346,6 @@ def read_calculus_file(path: str) -> CalculusFile:
             data = json.load(handle)
     except OSError as exc:
         raise CalculusFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; deep nesting
         raise CalculusFileError(f"{path} is not valid JSON: {exc}") from exc
     return parse_calculus_data(data)

@@ -31,10 +31,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import weakref
 from dataclasses import asdict, fields, replace
 from functools import cache
-from json.encoder import encode_basestring_ascii
 
 from .analysis import (
     BOUNDEDNESS_KINDS,
@@ -99,39 +97,8 @@ _VERDICT_EXIT = {
 }
 
 
-def _weak(obj):
-    if obj is None or isinstance(obj, weakref.ProxyType):
-        return obj
-    return weakref.proxy(obj)
-
-
-class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's help formatter, without reference cycles.
-
-    argparse makes a formatter for every argument it adds and every usage
-    line it prints, then drops it. Its sections point back at the formatter
-    and at their parent sections, which hold them, so each dropped formatter
-    would wait for the cyclic collector. Here a section holds both through
-    weak proxies, and ``format_help``, the last call a formatter gets, lets
-    go of the sections, whose items hold the formatter's bound methods."""
-
-    class _Section(argparse.HelpFormatter._Section):
-        def __init__(self, formatter, parent, heading=None):
-            super().__init__(_weak(formatter), _weak(parent), heading)
-
-    def format_help(self):
-        try:
-            return super().format_help()
-        finally:
-            self._root_section = self._current_section = None
-
-
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the documented code is 3. Its
-    formatters leave no cyclic garbage."""
-
-    def _get_formatter(self):
-        return _HelpFormatter(prog=self.prog)
+    """argparse exits 2 on usage errors; the documented code is 3."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -152,36 +119,12 @@ def _jsonable(value):
     return str(value)
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for a JSON value with
-    string keys. The json module builds a set of self-referencing encoder
-    closures on every indented call, cyclic garbage that only the collector
-    frees; this writer makes none."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return repr(value)
-    if value is None:
-        return "null"
-    if value and isinstance(value, (dict, list)):
-        inner = indent + "  "
-        if isinstance(value, dict):
-            items = [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
-                     for key in sorted(value)]
-            opening, closing = "{", "}"
-        else:
-            items = [_json_text(item, inner) for item in value]
-            opening, closing = "[", "]"
-        return f"{opening}{inner}{(',' + inner).join(items)}{indent}{closing}"
-    return json.dumps(value)  # booleans, floats and empty containers
-
-
 def _emit(report: dict, as_json: bool, text_lines: list):
     if as_json:
         payload = dict(report)
         payload["schema"] = REPORT_SCHEMA
         payload["timing_ms"] = None
-        print(_json_text(_jsonable(payload)))
+        print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -466,8 +409,11 @@ def _cmd_relation(args) -> int:
 
 
 def _cmd_relation_check(args) -> int:
-    with open(args.relation, "r", encoding="utf-8") as handle:
-        relation = relation_from_lines(handle.read())
+    try:
+        with open(args.relation, "r", encoding="utf-8") as handle:
+            relation = relation_from_lines(handle.read())
+    except (ValueError, MetalogicError) as exc:  # not UTF-8, or a bad record
+        raise MetalogicError(f"{args.relation}: {exc}") from exc
     verdict = check_boundedness(relation, args.m, args.kind)
     report = {
         "command": "relation-check",

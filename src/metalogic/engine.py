@@ -35,14 +35,16 @@ nodes are immutable and built from existing children, and the members dict,
 its justifications and the comparison keys hold only formulas, strings and
 tuples of them. So reference counting frees all that a build discards, and
 the collector would only traverse the growing body again and again and find
-no garbage. As the outermost build exits, everything the collector tracks
-is promoted to its oldest generation (``gc.freeze()`` then ``gc.unfreeze()``,
-two list splices), so the first young collection after a build does not walk
-the whole body the build kept. A cycle that a caller's own rule or validator
-makes, or that the caller made before the build, is collected at the next
-full collection. A collector the caller turned off stays off, so a nested
-build (a validator that builds a body) leaves it as it was and promotes
-nothing.
+no garbage. As the outermost build starts, the young generations are
+collected, so cyclic garbage the caller made before the build is freed then,
+unless it had already aged into the oldest generation. As it exits,
+everything the collector tracks is promoted to its oldest generation
+(``gc.freeze()`` then ``gc.unfreeze()``, two list splices), so the first
+young collection after a build does not walk the whole body the build kept.
+A cycle that a caller's own rule or validator makes during the build is
+collected at the next full collection. A collector the caller turned off
+stays off, so a nested build (a validator that builds a body) leaves it as
+it was, collects nothing and promotes nothing.
 """
 
 from __future__ import annotations
@@ -708,10 +710,14 @@ def _collector_paused(build):
     on however ``build`` exits, unless it was off already. The switch is
     per process: while one thread builds, no thread's garbage is collected.
 
-    Before the collector is turned back on, every object it tracks is
-    promoted to the oldest generation, so the young collections after the
-    build do not walk what it kept. Cyclic garbage promoted with them waits
-    for the next full collection; the package itself leaves none behind.
+    Just before the collector is turned off, the young generations are
+    collected, so cyclic garbage made before the build is freed (unless it
+    had already aged into the oldest generation) and the promotion below
+    carries only what the build itself kept. Before the collector is turned
+    back on, every object it tracks is promoted to the oldest generation, so
+    the young collections after the build do not walk what it kept. Cyclic
+    garbage that a custom rule or validator makes during the build is
+    promoted with it and waits for the next full collection.
     ``gc.unfreeze()`` also moves any objects frozen before the build to the
     oldest generation: CPython has no narrower way to promote."""
 
@@ -719,6 +725,7 @@ def _collector_paused(build):
     def paused(*args, **kwargs):
         if not gc.isenabled():
             return build(*args, **kwargs)
+        gc.collect(1)
         gc.disable()
         try:
             return build(*args, **kwargs)

@@ -518,8 +518,7 @@ def length_filtered(rule: InferenceRule, cap: int) -> InferenceRule:
 
 def validated_mp(validator: Validator) -> InferenceRule:
     """Modus ponens that fires only when the validator accepts the minor premise."""
-    if not isinstance(validator, Validator):
-        raise RuleParameterError("validated_mp needs a Validator")
+    check_parameter(PARAM_VALIDATOR, validator, "validated_mp validator")
 
     def conclude(premises, context):
         conclusion = _mp_conclude(premises, context)

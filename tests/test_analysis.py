@@ -380,6 +380,11 @@ class TestRelationInterchange:
             relation_from_lines(good + "\n" + '{"oops": 1}')
         assert "line 2" in str(err.value)
 
+    def test_record_nested_past_the_decoder_reports_line_number(self):
+        good = '{"conclusion": "z", "premises": ["a"]}'
+        with pytest.raises(MetalogicError, match="line 2: maximum recursion"):
+            relation_from_lines(good + "\n" + "[" * 100_000 + "]" * 100_000)
+
     def test_non_string_tokens_rejected(self):
         with pytest.raises(MetalogicError):
             relation_from_lines('{"conclusion": 3, "premises": []}')

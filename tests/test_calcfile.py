@@ -241,6 +241,14 @@ class TestFormulasAndSchemata:
         assert main(["enum-body", "--calc", str(path)]) == 3
         assert message in capsys.readouterr().err
 
+    def test_repeated_metavariable_is_reported_by_the_schema(self):
+        data = full_data()
+        data["schemata"] = [{"id": "s1", "pattern": "(phi -> phi)",
+                             "metavariables": ["phi", "phi"]}]
+        message = "schemata[0]: duplicate metavariable in schema 's1'"
+        with pytest.raises(CalculusFileError, match=re.escape(message)):
+            load(data)
+
     def test_unknown_schema_key(self):
         data = full_data()
         data["schemata"] = [{"id": "s1", "pattern": "phi",

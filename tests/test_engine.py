@@ -568,17 +568,42 @@ class TestCollectorPause:
         assert gc.get_count()[0] > 0
         assert any(obj is marker for obj in gc.get_objects(generation=0))
 
-    def test_a_callers_cyclic_garbage_is_freed_by_a_full_collection(self):
+    def test_a_callers_cyclic_garbage_is_freed_as_a_build_starts(self):
         gc.collect()
         node = _Node()
         node.loop = node
         freed = weakref.ref(node)
         del node
         enumerate_body(chain_calculus(), small_bounds())
-        gc.collect(1)
-        assert freed() is not None
-        gc.collect()
         assert freed() is None
+
+    def test_no_collection_runs_in_a_build_with_the_collector_off_or_nested(self):
+        started = []
+        nested = []
+
+        def hook(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        def accepts(formula):
+            before = len(started)
+            enumerate_body(chain_calculus(), small_bounds())
+            nested.append(len(started) - before)
+            return True
+
+        calculus = lv_calculus(chain_calculus(), Validator("nested", accepts))
+        gc.callbacks.append(hook)
+        try:
+            gc.disable()
+            enumerate_body(chain_calculus(), small_bounds())
+            off = list(started)
+            gc.enable()
+            enumerate_body(calculus, small_bounds())
+        finally:
+            gc.callbacks.remove(hook)
+        assert off == []
+        assert nested and not any(nested)
+        assert started[:1] == [1]  # the outer build's own young collection
 
 
 class _Node:

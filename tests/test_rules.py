@@ -140,6 +140,11 @@ class TestCombinators:
         assert conclusions(rule, wff("(P -> P)"),
                            wff("((P -> P) -> Q)")) == {"Q"}
 
+    def test_validated_mp_needs_a_validator(self):
+        with pytest.raises(RuleParameterError,
+                           match="validated_mp validator: expected a validator"):
+            validated_mp("tautology")
+
     def test_validated_mp_validates_only_matching_pairs(self):
         seen = []
         rule = validated_mp(Validator("recording",
