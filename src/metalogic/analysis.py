@@ -35,6 +35,7 @@ from .engine import (
     SATURATED,
     consequence_step,
     enumerate_body,
+    fixed_axioms,
     instantiation_pool,
     realized_axioms,
     value_key,
@@ -395,7 +396,7 @@ def _check_transitively_closed(calculus, body, bounds, params) -> Verdict:
 
 
 def _check_closed_wrt_axioms(calculus, body, bounds, params) -> Verdict:
-    oversize = [a for a in calculus.axioms
+    oversize = [a for a, _ in fixed_axioms(calculus)
                 if a.size > bounds.max_formula_size]
     if oversize:
         return inconclusive(

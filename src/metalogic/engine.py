@@ -360,25 +360,30 @@ def schema_instances(schemata: Sequence[Schema], pool: Sequence[Formula],
                     yield build(combo), SchemaJustification(schema_id, assignment)
 
 
+def fixed_axioms(calculus: Calculus) -> Iterator[tuple]:
+    """The stage-1 axioms that need no instantiation pool, with their
+    justifications and at any size: the concrete axioms, then in
+    substitution-rule mode each schema's positional realization."""
+    for axiom in calculus.axioms:
+        yield axiom, AxiomJustification()
+    if calculus.schema_mode == SUBSTITUTION_RULE_MODE:
+        for schema in calculus.schemata:
+            formula, assignment = positional_realization(schema, calculus.alphabet)
+            yield formula, SchemaJustification(schema.schema_id, assignment)
+
+
 def realized_axiom_stream(calculus: Calculus, bounds: Bounds,
                           pool: Sequence[Formula]) -> Iterator[tuple]:
-    """Stage-1 content: concrete axioms, then schema realizations/instances.
+    """Stage-1 content: the fixed axioms, then on-demand schema instances.
 
     Axioms larger than the size cap are dropped here; the bounded body can
     only ever contain formulas within the cap.
     """
-    for axiom in calculus.axioms:
-        if axiom.size <= bounds.max_formula_size:
-            yield axiom, AxiomJustification()
-    if not calculus.schemata:
-        return
-    if calculus.schema_mode == SUBSTITUTION_RULE_MODE:
-        for schema in calculus.schemata:
-            formula, assignment = positional_realization(schema, calculus.alphabet)
-            if formula.size <= bounds.max_formula_size:
-                yield formula, SchemaJustification(schema.schema_id, assignment)
-        return
-    yield from schema_instances(calculus.schemata, pool, bounds.max_formula_size)
+    for formula, justification in fixed_axioms(calculus):
+        if formula.size <= bounds.max_formula_size:
+            yield formula, justification
+    if calculus.schemata and calculus.schema_mode != SUBSTITUTION_RULE_MODE:
+        yield from schema_instances(calculus.schemata, pool, bounds.max_formula_size)
 
 
 def realized_axioms(calculus: Calculus, bounds: Bounds) -> list:
@@ -564,7 +569,9 @@ def validate_derivation(derivation: Derivation, calculus: Calculus) -> None:
                     f"node {index + 1} is not a conclusion of {j.rule_id!r} "
                     f"on its stated premises"
                 )
-            expected = 1 + max(derivation.nodes[p].stage for p in node.premise_indices)
+            # a conclusion of no premises enters at the first pass, stage 2
+            expected = 1 + max((derivation.nodes[p].stage for p in node.premise_indices),
+                               default=1)
             if node.stage != expected:
                 raise DerivationError(
                     f"node {index + 1} has stage {node.stage}, expected {expected}"

@@ -160,18 +160,16 @@ _FREE_DEFAULT_ALPHABET = propositional_alphabet(("P",), connectives=(NOT,))
 
 
 def free_calculus(size_cap: Optional[int] = None,
-                  alphabet: Optional[Alphabet] = None,
-                  rules: Optional[RuleSystem] = None) -> Calculus:
-    """A calculus whose axiom set is the whole language up to the size cap."""
+                  alphabet: Optional[Alphabet] = None) -> Calculus:
+    """A calculus whose axiom set is the whole language up to the size cap,
+    with the identity rule."""
     check_parameter(PARAM_INT, size_cap, "the free calculus needs a size cap")
     if alphabet is None:
         alphabet = _FREE_DEFAULT_ALPHABET
-    if rules is None:
-        rules = rule_system(make_rule("identity"))
     return Calculus(
         alphabet=alphabet,
         axioms=tuple(enumerate_wffs(alphabet, size_cap)),
-        rules=rules,
+        rules=rule_system(make_rule("identity")),
         name=f"free({size_cap})",
     )
 
@@ -268,7 +266,7 @@ def builtin_calculus(name: str, **params) -> Calculus:
     """Look up a built-in calculus by name.
 
     ``lv`` takes ``base`` and ``validator``; ``free`` takes ``size_cap`` and
-    optional ``alphabet`` and ``rules``. The other names take no parameters,
+    an optional ``alphabet``. The other names take no parameters,
     and each is built once per process: calculi are immutable.
     """
     factory, spec_params = _calculus_entry(name)

@@ -27,8 +27,9 @@ below cap; validated_mp(validator) is modus ponens gated on the validator
 accepting the minor premise.
 
 ``make_rule``, ``rule_parameters`` and ``builtin_rule_names`` read two
-tables: ``_RULES`` has one row per rule built without parameters, and
-``_PARAMETRIC_RULES`` a factory and parameter kinds per parametric rule.
+tables: ``_RULES`` holds the shared record of each rule built without
+parameters, and ``_PARAMETRIC_RULES`` a factory and parameter kinds per
+parametric rule.
 
 Rule identity (for rule-system comparison) is the identifier string, which
 encodes bound parameters and combinator structure.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional
 
 from .errors import ArityError, RuleParameterError, UnknownRuleError
@@ -65,29 +66,33 @@ PARAM_INT = "int"
 PARAM_VALIDATOR = "validator"
 
 
+@dataclass(frozen=True)
 class Validator:
     """A named decidable predicate on formulas, used by validated_mp."""
 
-    __slots__ = ("name", "_fn")
-
-    def __init__(self, name: str, fn: Callable[[Formula], bool]):
-        self.name = name
-        self._fn = fn
+    name: str
+    fn: Callable[[Formula], bool]
 
     def __call__(self, formula: Formula) -> bool:
-        return bool(self._fn(formula))
+        return bool(self.fn(formula))
 
     def __repr__(self):
         return f"Validator({self.name!r})"
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class InferenceRule:
     """A deterministic partial mapping from premise tuples to conclusion sets.
 
-    ``conclude(premises, context)`` returns an iterable of conclusions.
+    ``identifier`` is the rule's identity: equality and hash read it alone.
+    ``arity`` is the number of premises. ``conclude(premises, context)``
+    returns an iterable of conclusions, empty when the rule is inapplicable.
     ``parameter_kinds`` lists (name, kind) slots the context must fill, with
     kind one of "formula" (drawn from the instantiation pool) or "variable"
     (drawn from the alphabet's propositional variables).
+    ``requires_connectives`` are the connectives a calculus using the rule
+    must declare. Rules are frozen, because they are shared, for instance
+    by every copy of a built-in calculus.
 
     ``strategy``, when present, is called as ``strategy(universe, frontier,
     contexts, size_cap)`` and enumerates candidate (premises, context) pairs
@@ -105,32 +110,18 @@ class InferenceRule:
     conclusion or turn one equal to the premise into something new.
     """
 
-    __slots__ = ("identifier", "arity", "parameter_kinds",
-                 "requires_connectives", "_conclude", "_strategy")
+    identifier: str
+    arity: int
+    conclude: Callable
+    parameter_kinds: tuple = ()
+    requires_connectives: frozenset = frozenset()
+    strategy: Optional[Callable] = None
 
-    def __init__(self, identifier: str, arity: int, conclude,
-                 parameter_kinds=(), requires_connectives=(), strategy=None):
-        if arity < 0:
-            raise RuleParameterError(f"rule arity must be >= 0, got {arity}")
-        init = object.__setattr__
-        init(self, "identifier", identifier)
-        init(self, "arity", arity)
-        init(self, "parameter_kinds", tuple(parameter_kinds))
-        init(self, "requires_connectives", frozenset(requires_connectives))
-        init(self, "_conclude", conclude)
-        init(self, "_strategy", strategy)
-
-    def __setattr__(self, name, value):
-        # Rules are shared, for instance by every copy of a built-in calculus.
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __setstate__(self, state):
-        # copy and pickle restore the slots here instead of by assignment
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+    def __post_init__(self):
+        if self.arity < 0:
+            raise RuleParameterError(f"rule arity must be >= 0, got {self.arity}")
+        object.__setattr__(self, "parameter_kinds", tuple(self.parameter_kinds))
+        object.__setattr__(self, "requires_connectives", frozenset(self.requires_connectives))
 
     def conclusions(self, premises: tuple, context: Optional[dict] = None) -> frozenset:
         """All conclusions of this rule on the premise tuple; empty if inapplicable."""
@@ -150,7 +141,7 @@ class InferenceRule:
                 raise RuleParameterError(
                     f"rule {self.identifier!r} is missing parameters {missing}"
                 )
-        return frozenset(self._conclude(premises, context))
+        return frozenset(self.conclude(premises, context))
 
     def candidate_applications(self, universe: Mapping, frontier: list, contexts,
                                size_cap: Optional[int] = None) -> Iterator[tuple]:
@@ -167,8 +158,8 @@ class InferenceRule:
         strategies, and substitution prunes its parameters by the
         conclusion's size.
         """
-        if self._strategy is not None:
-            yield from self._strategy(universe, frontier, contexts, size_cap)
+        if self.strategy is not None:
+            yield from self.strategy(universe, frontier, contexts, size_cap)
             return
         if self.arity == 0:
             for ctx in contexts:
@@ -375,22 +366,21 @@ def _identity_conclude(premises, context):
 # The registry
 # --------------------------------------------------------------------------
 
-# Rules as make_rule builds them without parameters: name -> (arity,
-# conclude, parameter kinds, connectives, strategy), the InferenceRule
-# arguments after the identifier. Unbound extension draws psi from the pool.
-_RULES = {
-    "modus_ponens": (2, _mp_conclude, (), (IMPLIES,), _mp_strategy),
-    "substitution": (1, _substitution_conclude,
-                     (("variable", PARAM_VARIABLE), ("formula", PARAM_FORMULA)),
-                     (), _substitution_strategy),
-    "extension": (1, _extension_conclude, (("psi", PARAM_FORMULA),), (OR,), None),
-    "cancellation": (1, _cancellation_conclude, (), (OR,), None),
-    "associativity_left": (1, _assoc_left_conclude, (), (OR,), None),
-    "associativity_right": (1, _assoc_right_conclude, (), (OR,), None),
-    "cut": (2, _cut_conclude, (), (OR, NOT), _cut_strategy),
-    "exists_introduction": (1, _exists_intro_conclude, (), (IMPLIES,), None),
-    "identity": (1, _identity_conclude, (), (), None),
-}
+# The rules make_rule builds without parameters, one shared record each.
+# Unbound extension draws psi from the pool.
+_RULES = {rule.identifier: rule for rule in (
+    InferenceRule("modus_ponens", 2, _mp_conclude, (), (IMPLIES,), _mp_strategy),
+    InferenceRule("substitution", 1, _substitution_conclude,
+                  (("variable", PARAM_VARIABLE), ("formula", PARAM_FORMULA)),
+                  strategy=_substitution_strategy),
+    InferenceRule("extension", 1, _extension_conclude, (("psi", PARAM_FORMULA),), (OR,)),
+    InferenceRule("cancellation", 1, _cancellation_conclude, (), (OR,)),
+    InferenceRule("associativity_left", 1, _assoc_left_conclude, (), (OR,)),
+    InferenceRule("associativity_right", 1, _assoc_right_conclude, (), (OR,)),
+    InferenceRule("cut", 2, _cut_conclude, (), (OR, NOT), _cut_strategy),
+    InferenceRule("exists_introduction", 1, _exists_intro_conclude, (), (IMPLIES,)),
+    InferenceRule("identity", 1, _identity_conclude),
+)}
 
 
 def _bound_extension(psi):
@@ -424,7 +414,7 @@ def make_rule(name: str, **params) -> InferenceRule:
             raise RuleParameterError(f"rule {name!r} takes no parameter {key!r}")
         check_parameter(declared[key], value, f"rule {name!r} parameter {key!r}")
     if name in _RULES and not params:
-        return InferenceRule(name, *_RULES[name])
+        return _RULES[name]
     missing = sorted(declared.keys() - params.keys())
     if missing:
         raise RuleParameterError(f"rule {name!r} needs parameters {missing}")
@@ -493,7 +483,7 @@ def compose(first: InferenceRule, second: InferenceRule) -> InferenceRule:
         conclude,
         parameter_kinds=first.parameter_kinds,
         requires_connectives=first.requires_connectives | second.requires_connectives,
-        strategy=_with_cap(first._strategy, lambda size_cap: None),
+        strategy=_with_cap(first.strategy, lambda size_cap: None),
     )
 
 
@@ -511,7 +501,7 @@ def length_filtered(rule: InferenceRule, cap: int) -> InferenceRule:
         conclude,
         parameter_kinds=rule.parameter_kinds,
         requires_connectives=rule.requires_connectives,
-        strategy=_with_cap(rule._strategy, lambda size_cap: (
+        strategy=_with_cap(rule.strategy, lambda size_cap: (
             None if size_cap is None else min(size_cap, cap - 1))),
     )
 

@@ -1,4 +1,5 @@
-"""Object-language syntax: alphabets, formulas, parsing, printing, enumeration.
+"""Object-language syntax: alphabets, terms and formulas, parsing, printing,
+validation, enumeration.
 
 Surface grammar (ASCII canonical, Unicode synonyms accepted on input):
 
@@ -35,10 +36,10 @@ operand of an & or | chain. Deeper input is a ParseError, so the recursive
 parser and the recursive tree walkers that later visit the formula stay
 within Python's stack.
 
-Printed text is cached only on the formula ``print_formula`` is called on
-(likewise ``print_term``). Subformulas are printed by a walk that reads
-their cached text where it is set and stores none, so a subformula holds a
-string only if it was itself printed as a formula. A bounded body prints
+Printed text is cached only on the formula or term ``print_formula`` is
+called on. Subformulas and subterms are printed by a walk that reads their
+cached text where it is set and stores none, so a subformula holds a
+string only if it was itself printed as a root. A bounded body prints
 its theorems and its instantiation pool as such, to sort them: it keeps one
 string per theorem and per pool formula, and none on the inner nodes that
 schema instances and rule conclusions build around them. The canonical
@@ -100,7 +101,7 @@ class Term:
         return self._hash
 
     def __repr__(self):
-        return print_term(self)
+        return print_formula(self)
 
 
 class Var(Term):
@@ -300,60 +301,43 @@ class Quantified(Formula):
 # Printing
 # ==========================================================================
 
-def _term_text(term: Term) -> str:
-    """The printed term; reads any cached text, writes none."""
-    cached = term._printed
+def _text(node) -> str:
+    """The printed term or formula; reads any cached text, writes none."""
+    cached = node._printed
     if cached is not None:
         return cached
-    if type(term) is FuncApp and term.args:
-        return "%s(%s)" % (term.name, ", ".join(map(_term_text, term.args)))
-    return term.name
-
-
-def _formula_text(formula: Formula) -> str:
-    """The printed formula; reads any cached text, writes none."""
-    cached = formula._printed
-    if cached is not None:
-        return cached
-    kind = type(formula)
+    kind = type(node)
     if kind is Binary:
         return "(%s %s %s)" % (
-            _formula_text(formula.left),
-            _BINARY_SYMBOL[formula.op],
-            _formula_text(formula.right),
+            _text(node.left),
+            _BINARY_SYMBOL[node.op],
+            _text(node.right),
         )
-    if kind is Atom:
-        return formula.name
+    if kind is Atom or kind is Var:
+        return node.name
     if kind is Negation:
-        return "~" + _formula_text(formula.operand)
+        return "~" + _text(node.operand)
     if kind is Quantified:
-        return "%s %s %s" % (formula.quant, formula.variable, _formula_text(formula.body))
-    if kind is PredApp:
-        if formula.args:
-            return "%s(%s)" % (formula.name, ", ".join(map(_term_text, formula.args)))
-        return formula.name
+        return "%s %s %s" % (node.quant, node.variable, _text(node.body))
+    if kind is PredApp or kind is FuncApp:
+        if node.args:
+            return "%s(%s)" % (node.name, ", ".join(map(_text, node.args)))
+        return node.name
     if kind is Equality:
-        return "(%s = %s)" % (_term_text(formula.left), _term_text(formula.right))
-    raise TypeError(f"not a formula: {formula!r}")
+        return "(%s = %s)" % (_text(node.left), _text(node.right))
+    raise TypeError(f"not a formula or term: {node!r}")
 
 
-def print_term(term: Term) -> str:
-    """The printed term, cached on this term only."""
-    cached = term._printed
-    if cached is None:
-        cached = term._printed = _term_text(term)
-    return cached
+def print_formula(formula) -> str:
+    """Fully parenthesized ASCII canonical form of a formula or a term;
+    parse of a printed formula is the identity.
 
-
-def print_formula(formula: Formula) -> str:
-    """Fully parenthesized ASCII canonical form; parse of it is the identity.
-
-    The text is cached on ``formula`` alone: its subformulas are printed by
-    a walk that reads their cached text where it is set and stores none.
+    The text is cached on ``formula`` alone: its subformulas and subterms
+    are printed by a walk that reads their cached text and stores none.
     """
     cached = formula._printed
     if cached is None:
-        cached = formula._printed = _formula_text(formula)
+        cached = formula._printed = _text(formula)
     return cached
 
 
@@ -904,80 +888,84 @@ def parse_formula(text: str, alphabet: Alphabet) -> Formula:
 # Validation
 # ==========================================================================
 
-def validate_term(term: Term, alphabet: Alphabet):
-    if alphabet.kind != FIRST_ORDER:
-        raise AlphabetError("terms require a first-order alphabet")
-    stack = [term]
-    while stack:
-        term = stack.pop()
-        if type(term) is Var:
-            if not alphabet.is_individual_variable(term.name):
-                raise AlphabetError(f"undeclared individual variable: {term.name!r}")
-            continue
-        if not alphabet.is_function(term.name):
-            raise AlphabetError(f"undeclared function symbol: {term.name!r}")
-        if len(term.args) != alphabet.function_arity(term.name):
-            raise AlphabetError(
-                f"function {term.name!r} expects {alphabet.function_arity(term.name)} "
-                f"argument(s), got {len(term.args)}"
-            )
-        stack.extend(reversed(term.args))
+# First-order node kinds, and what a propositional alphabet says of each.
+_FIRST_ORDER_ONLY = {
+    Var: "terms require a first-order alphabet",
+    FuncApp: "terms require a first-order alphabet",
+    PredApp: "predicate application in a propositional language",
+    Equality: "equality in a propositional language",
+    Quantified: "quantifier in a propositional language",
+}
 
 
-def validate_formula(formula: Formula, alphabet: Alphabet):
-    """Check that every symbol is declared and every node is well formed.
+def validate_formula(formula, alphabet: Alphabet):
+    """Check that every symbol of a formula or a term is declared and every
+    node is well formed.
 
-    The walk keeps an explicit stack, so any depth can be checked; it goes
-    in pre-order, left to right, and reports the first bad node it meets.
+    The walk keeps one explicit stack of formulas and terms, so any depth
+    can be checked; it goes in pre-order, left to right, and reports the
+    first bad node it meets.
     """
+    first_order = alphabet.kind == FIRST_ORDER
     stack = [formula]
+    # Terms have only terms below them, so the term arguments pushed and not
+    # yet checked are always the top ``terms`` entries of the stack.
+    terms = 1 if isinstance(formula, Term) else 0
     while stack:
-        formula = stack.pop()
-        kind = type(formula)
-        if kind is Atom:
-            if not (alphabet.is_prop_variable(formula.name)
-                    or (alphabet.kind == PROPOSITIONAL and alphabet.is_constant(formula.name))):
-                raise AlphabetError(f"undeclared atom: {formula.name!r}")
-        elif kind is PredApp:
-            if alphabet.kind != FIRST_ORDER:
-                raise AlphabetError("predicate application in a propositional language")
-            if not alphabet.is_predicate(formula.name):
-                raise AlphabetError(f"undeclared predicate symbol: {formula.name!r}")
-            if len(formula.args) != alphabet.predicate_arity(formula.name):
-                raise AlphabetError(
-                    f"predicate {formula.name!r} expects {alphabet.predicate_arity(formula.name)} "
-                    f"argument(s), got {len(formula.args)}"
-                )
-            for a in formula.args:
-                validate_term(a, alphabet)
-        elif kind is Equality:
-            if alphabet.kind != FIRST_ORDER:
-                raise AlphabetError("equality in a propositional language")
-            validate_term(formula.left, alphabet)
-            validate_term(formula.right, alphabet)
+        node = stack.pop()
+        kind = type(node)
+        if terms:
+            terms -= 1
+            if kind is not Var and kind is not FuncApp:
+                raise TypeError(f"not a term: {node!r}")
+        elif kind is Var or kind is FuncApp:
+            raise TypeError(f"not a formula: {node!r}")
+        if kind is Binary:
+            if not alphabet.has_connective(node.op):
+                raise AlphabetError(f"connective {node.op!r} is not declared in this alphabet")
+            stack.append(node.right)
+            stack.append(node.left)
         elif kind is Negation:
             if not alphabet.has_connective(NOT):
                 raise AlphabetError("negation is not declared in this alphabet")
-            stack.append(formula.operand)
-        elif kind is Binary:
-            if not alphabet.has_connective(formula.op):
-                raise AlphabetError(f"connective {formula.op!r} is not declared in this alphabet")
-            stack.append(formula.right)
-            stack.append(formula.left)
-        elif kind is Quantified:
-            if alphabet.kind != FIRST_ORDER:
-                raise AlphabetError("quantifier in a propositional language")
-            if formula.quant not in alphabet.quantifiers:
-                raise AlphabetError(f"quantifier {formula.quant!r} is not declared in this alphabet")
-            if not alphabet.is_individual_variable(formula.variable):
-                raise AlphabetError(f"undeclared individual variable: {formula.variable!r}")
-            if formula.variable not in free_variables(formula.body):
+            stack.append(node.operand)
+        elif kind is Atom:
+            if not (alphabet.is_prop_variable(node.name)
+                    or (not first_order and alphabet.is_constant(node.name))):
+                raise AlphabetError(f"undeclared atom: {node.name!r}")
+        elif kind not in _FIRST_ORDER_ONLY:
+            raise TypeError(f"not a formula or term: {node!r}")
+        elif not first_order:
+            raise AlphabetError(_FIRST_ORDER_ONLY[kind])
+        elif kind is Var:
+            if not alphabet.is_individual_variable(node.name):
+                raise AlphabetError(f"undeclared individual variable: {node.name!r}")
+        elif kind is FuncApp or kind is PredApp:
+            symbol, arities = (("function", alphabet._function_arity) if kind is FuncApp
+                               else ("predicate", alphabet._predicate_arity))
+            arity = arities.get(node.name)
+            if arity is None:
+                raise AlphabetError(f"undeclared {symbol} symbol: {node.name!r}")
+            if len(node.args) != arity:
                 raise AlphabetError(
-                    f"bound variable {formula.variable!r} does not occur free in the quantifier body"
+                    f"{symbol} {node.name!r} expects {arity} argument(s), got {len(node.args)}"
                 )
-            stack.append(formula.body)
-        else:
-            raise TypeError(f"not a formula: {formula!r}")
+            stack.extend(reversed(node.args))
+            terms += len(node.args)
+        elif kind is Equality:
+            stack.append(node.right)
+            stack.append(node.left)
+            terms += 2
+        else:  # Quantified
+            if node.quant not in alphabet.quantifiers:
+                raise AlphabetError(f"quantifier {node.quant!r} is not declared in this alphabet")
+            if not alphabet.is_individual_variable(node.variable):
+                raise AlphabetError(f"undeclared individual variable: {node.variable!r}")
+            if node.variable not in free_variables(node.body):
+                raise AlphabetError(
+                    f"bound variable {node.variable!r} does not occur free in the quantifier body"
+                )
+            stack.append(node.body)
 
 
 # ==========================================================================

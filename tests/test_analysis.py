@@ -131,8 +131,42 @@ class TestCompare:
         with pytest.raises(RuleParameterError):
             compare_calculi("moral", mp_calculus("P"), mp_calculus("P"))
 
+    def test_algorithmic_difference_in_truncated_streams_is_inconclusive(self):
+        # a budget of one keeps one realized axiom per side, Q against P
+        verdict = compare_calculi("algorithmic", mp_calculus("Q", "P"),
+                                  mp_calculus("P", "Q"), small_bounds(node_budget=1))
+        assert verdict.is_inconclusive
+        assert verdict.detail.endswith("the difference is not definitive")
+        assert verdict.evidence == {"undecided": ["P", "Q"]}
+
+    def test_algorithmic_agreement_in_truncated_streams_is_inconclusive(self):
+        verdict = compare_calculi("algorithmic", mp_calculus("P", "Q"),
+                                  mp_calculus("P", "Q"), small_bounds(node_budget=1))
+        assert verdict.is_inconclusive
+        assert verdict.detail == "realized axiom streams were budget-truncated"
+
+    def test_logical_across_alphabets_needs_a_translation_map(self, kleene, church_p1):
+        with pytest.raises(MetalogicError, match="a translation map is required"):
+            compare_calculi("logical", kleene, church_p1, small_bounds())
+
 
 class TestProperties:
+    @pytest.mark.parametrize("name", ["admissible", "complete-wrt-map"])
+    def test_a_language_over_the_node_budget_is_inconclusive(self, kleene, name):
+        verdict = check_property(kleene, name, Bounds(2, 9, 50, 1))
+        assert verdict.is_inconclusive
+        assert verdict.detail == ("the language itself exceeds the node budget "
+                                  "at this size cap")
+
+    def test_completely_closed_is_inconclusive_through_an_oversized_axiom(self):
+        calculus = mp_calculus("P", "(P -> Q)", "(P -> (Q -> (P -> Q)))")
+        verdict = check_property(calculus, "completely-closed",
+                                 small_bounds(max_formula_size=5))
+        assert verdict.is_inconclusive
+        assert verdict.detail.startswith("closed-wrt-axioms: some declared axioms "
+                                         "exceed the size cap")
+        assert verdict.evidence == {"oversized_axioms": ["(P -> (Q -> (P -> Q)))"]}
+
     def test_admissible_holds_for_small_saturated_body(self):
         verdict = check_property(mp_calculus("P"), "admissible",
                                  small_bounds(max_formula_size=3))

@@ -10,7 +10,9 @@ give the same members, stages, canonical justifications and status.
 ``consequence_step`` must reproduce, budget error included.
 
 ``reference_closed_wrt_axioms`` decides closed-wrt-axioms from a second
-realization of the axioms, which the check itself reads off stage 1.
+realization of the axioms, which the check itself reads off stage 1. A
+declared axiom, or in substitution-rule mode a schema's positional
+realization, over the size cap makes the verdict inconclusive.
 
 The reference builds the last allowed layer whole; the engine stops it at
 its first conclusion outside the body. The stage-cap sweeps at the end make
@@ -33,6 +35,7 @@ from metalogic import (
     OR,
     SATURATED,
     STAGE_CAP_HIT,
+    SUBSTITUTION_RULE_MODE,
     Bounds,
     BudgetExceededError,
     Calculus,
@@ -55,6 +58,7 @@ from metalogic import (
     length_filtered,
     make_rule,
     parse_formula,
+    positional_realization,
     print_formula,
     propositional_alphabet,
     realized_axiom_stream,
@@ -401,7 +405,11 @@ def test_budgets_around_stage_one_end_in_stage_one_and_two():
 def reference_closed_wrt_axioms(calculus, bounds):
     """(outcome, evidence, detail) from ``realized_axioms`` and the body."""
     body = enumerate_body(calculus, bounds)
-    oversize = [a for a in calculus.axioms if a.size > bounds.max_formula_size]
+    axioms = list(calculus.axioms)
+    if calculus.schema_mode == SUBSTITUTION_RULE_MODE:
+        axioms += [positional_realization(s, calculus.alphabet)[0]
+                   for s in calculus.schemata]
+    oversize = [a for a in axioms if a.size > bounds.max_formula_size]
     if oversize:
         return ("inconclusive",
                 {"oversized_axioms": [print_formula(a) for a in oversize[:5]]},

@@ -350,6 +350,53 @@ class TestDerivations:
         validate_derivation(derivation, calculus)
         assert derivation.nodes[-1].stage == 3
 
+    def test_a_conclusion_of_no_premises_validates_at_stage_two(self):
+        q = parse_formula("Q", CHAIN_ALPHABET)
+        calculus = Calculus(
+            alphabet=CHAIN_ALPHABET,
+            axioms=(parse_formula("P", CHAIN_ALPHABET),),
+            rules=rule_system(InferenceRule("always_q", 0, lambda premises, context: (q,))),
+        )
+        outcome = derive(calculus, q, small_bounds())
+        assert outcome.found
+        (node,) = [n for n in outcome.derivation.nodes if n.formula == q]
+        assert node.stage == 2 and node.premise_indices == ()
+        validate_derivation(outcome.derivation, calculus)
+        early = replace(outcome.derivation, nodes=tuple(
+            replace(n, stage=1) if n is node else n for n in outcome.derivation.nodes))
+        with pytest.raises(DerivationError, match="has stage 1, expected 2"):
+            validate_derivation(early, calculus)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda nodes, leaf, step: {step: replace(nodes[step], premise_indices=(
+            step,) + nodes[step].premise_indices[1:])},
+         "references node {step1}, which does not precede it"),
+        (lambda nodes, leaf, step: {leaf: replace(nodes[leaf], premise_indices=(0,))},
+         "node {leaf1} is a leaf but lists premises"),
+        (lambda nodes, leaf, step: {leaf: replace(nodes[leaf], stage=2)},
+         "node {leaf1} is a leaf but has stage 2"),
+        (lambda nodes, leaf, step: {step: replace(nodes[step], premise_indices=tuple(
+            reversed(nodes[step].premise_indices)))},
+         "node {step1} premise references disagree with its justification"),
+        (lambda nodes, leaf, step: {step: replace(nodes[step], formula=nodes[0].formula)},
+         "node {step1} is not a conclusion of 'modus_ponens'"),
+    ], ids=["forward-reference", "leaf-with-premises", "leaf-at-stage-2",
+            "premises-disagree", "not-a-conclusion"])
+    def test_mutants_of_a_derivation_are_rejected(self, mutate, message):
+        calculus = chain_calculus()
+        outcome = derive(calculus, parse_formula("R", CHAIN_ALPHABET), small_bounds())
+        nodes = outcome.derivation.nodes
+        validate_derivation(outcome.derivation, calculus)
+        # the second leaf, and the first node a rule concluded
+        leaf = [i for i, n in enumerate(nodes) if not n.premise_indices][1]
+        step = next(i for i, n in enumerate(nodes) if n.premise_indices)
+        changed = mutate(nodes, leaf, step)
+        mutant = replace(outcome.derivation, nodes=tuple(
+            changed.get(i, n) for i, n in enumerate(nodes)))
+        with pytest.raises(DerivationError,
+                           match=message.format(leaf1=leaf + 1, step1=step + 1)):
+            validate_derivation(mutant, calculus)
+
     def test_substitution_mode_leaf_must_be_the_positional_realization(self):
         # An instance of p1-1 that no bounded church_p1 body holds at stage 1.
         calculus = church_p1_calculus()

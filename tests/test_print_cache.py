@@ -24,7 +24,6 @@ from metalogic import (
     Binary,
     Bounds,
     Equality,
-    Formula,
     FuncApp,
     Negation,
     PredApp,
@@ -38,7 +37,6 @@ from metalogic import (
     first_order_alphabet,
     parse_formula,
     print_formula,
-    print_term,
     propositional_alphabet,
 )
 
@@ -136,10 +134,6 @@ def rebuilt(node):
     return Quantified(node.quant, node.variable, rebuilt(node.body))
 
 
-def _print(node) -> str:
-    return print_formula(node) if isinstance(node, Formula) else print_term(node)
-
-
 class TestCanonicalSorted:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(propositional_formulas(), first_order_formulas()),
@@ -167,7 +161,7 @@ class TestPrintCache:
         printed_first = set()
         for pick in picks:
             node = nodes[pick % len(nodes)]
-            _print(node)
+            print_formula(node)
             printed_first.add(id(node))
         text = print_formula(formula)
         assert text == reference
@@ -177,7 +171,7 @@ class TestPrintCache:
         # only the root and the nodes printed as roots hold text
         for node in nodes:
             cached = node is formula or id(node) in printed_first
-            assert (node._printed is not None) == cached, _print(node)
+            assert (node._printed is not None) == cached, print_formula(node)
 
 
 class TestBodyMemory:

@@ -214,6 +214,18 @@ class TestImmutability:
         assert builtin_calculus("kleene").rules.identifiers() == {"modus_ponens"}
 
 
+class TestSharedRecords:
+    def test_make_rule_returns_one_shared_record_per_builtin(self):
+        assert make_rule("cut") is make_rule("cut")
+        assert make_rule("extension") is not make_rule("extension", psi=wff("P"))
+
+    def test_a_validator_refuses_assignment(self):
+        validator = always_true_validator()
+        with pytest.raises(AttributeError):
+            validator.name = "changed"
+        assert validator.name == "always-true" and validator(wff("P")) is True
+
+
 class TestRuleSystem:
     def test_duplicate_identifiers_rejected(self):
         with pytest.raises(RuleParameterError):

@@ -42,7 +42,6 @@ from metalogic import (
     subformulas,
     substitute_prop,
     validate_formula,
-    validate_term,
 )
 
 from conftest import cyclic_garbage
@@ -240,11 +239,24 @@ class TestValidation:
     def test_validate_term_rejects_bad_terms(self, term, message):
         alphabet = first_order_alphabet(("x",), functions=(("g", 1),))
         with pytest.raises(AlphabetError, match=message):
-            validate_term(term, alphabet)
+            validate_formula(term, alphabet)
 
     def test_validate_term_needs_a_first_order_alphabet(self):
         with pytest.raises(AlphabetError, match="terms require a first-order alphabet"):
-            validate_term(Var("x"), propositional_alphabet(("P",)))
+            validate_formula(Var("x"), propositional_alphabet(("P",)))
+
+    @pytest.mark.parametrize("node, message", [
+        (Negation(Var("x")), "not a formula: x"),
+        (Binary(AND, Atom("P"), FuncApp("g", (Var("x"),))), "not a formula: g\\(x\\)"),
+        (PredApp("R", (Atom("P"),)), "not a term: P"),
+        (FuncApp("g", (Negation(Atom("P")),)), "not a term: ~P"),
+    ], ids=["term-under-negation", "term-under-and", "atom-as-argument",
+            "formula-as-argument"])
+    def test_validate_rejects_ill_sorted_nodes(self, node, message):
+        alphabet = first_order_alphabet(("x",), variables=("P",), functions=(("g", 1),),
+                                        predicates=(("R", 1),))
+        with pytest.raises(TypeError, match=message):
+            validate_formula(node, alphabet)
 
     def test_alphabet_rejects_duplicate_variables(self):
         with pytest.raises(AlphabetError):
