@@ -31,7 +31,6 @@ from .engine import (
     Bounds,
     Calculus,
     DEFAULT_BOUNDS,
-    RuleJustification,
     SATURATED,
     consequence_step,
     enumerate_body,
@@ -419,11 +418,9 @@ def _check_closed_wrt_axioms(calculus, body, bounds, params) -> Verdict:
 
 
 def _check_closed_wrt_rules(calculus, body, bounds, params) -> Verdict:
-    used = set()
-    for theorem in body.theorems:
-        justification = body.justification_of(theorem)
-        if isinstance(justification, RuleJustification):
-            used.add(justification.rule_id)
+    # Only theorems past stage 1 cite a rule; stage-1 records are not built.
+    used = {body.justification_of(theorem).rule_id for theorem in body.theorems
+            if body.stage_of(theorem) > 1}
     unused = sorted(frozenset(calculus.rules.identifiers()) - used)
     if not unused:
         return holds(

@@ -27,6 +27,18 @@ search adds the goal's subformulas). Instances are emitted in ascending
 instance-size order interleaved across schemata, so a budget cut keeps the
 small instances of every schema rather than all instances of the first.
 
+A body maps each member to its entry, a ``(stage, justification)`` pair.
+Stage-1 members that share a justification object share one entry: every
+on-demand instance of a schema, and in substitution-rule mode its positional
+realization, holds the ``(1, schema)`` entry of the ``Schema`` it came from,
+and the concrete axioms share one entry too. The ``SchemaJustification``
+record of a schema member is built only when it is asked for
+(``BoundedBody.justification_of``, ``derivation_of``): its assignment is read
+back from the formula by ``match_schema``. That is exact, since every
+metavariable occurs in its pattern, so an instance binds each one way, and
+the stream's first schema for a formula is the one its entry holds. Members
+of later stages each hold their own ``RuleJustification``.
+
 Every body is built with CPython's cyclic garbage collector paused
 (``_collector_paused`` on ``enumerate_body``, ``inference_closure`` and
 ``derive``): the pool, stage 1, every application layer, the canonical sort
@@ -53,8 +65,7 @@ import functools
 import gc
 import itertools
 from dataclasses import dataclass, field, fields, replace
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     AlphabetError,
@@ -74,6 +85,7 @@ from .syntax import (
     canonical_sorted,
     enumerate_wffs,
     instantiate_schema,
+    match_schema,
     print_formula,
     schema_alphabet,
     size_vectors,
@@ -127,6 +139,8 @@ class SchemaJustification:
     """The formula is an instance of an axiom schema.
 
     ``assignment`` is a name-sorted tuple of (metavariable, formula) pairs.
+    A body does not store this record: its entry holds the ``Schema``, and
+    the record is built from the formula each time it is asked for.
     """
 
     schema_id: str
@@ -164,10 +178,12 @@ def value_key(value) -> str:
     return print_formula(value) if isinstance(value, Formula) else str(value)
 
 
-def _justification_key(rule_id: str, premises: tuple, context: tuple) -> tuple:
-    """Order on the rule justifications of one conclusion; the canonical first
-    derivation is the minimum."""
-    return (rule_id, tuple(print_formula(p) for p in premises),
+def _tie_key(premises: tuple, context: tuple) -> tuple:
+    """Order on the justifications of one conclusion that cite the same rule.
+
+    The canonical first derivation cites the least rule id, and among
+    applications of that rule the least key; ``context`` is name-sorted."""
+    return (tuple(print_formula(p) for p in premises),
             tuple((name, value_key(v)) for name, v in context))
 
 
@@ -312,22 +328,15 @@ def positional_realization(schema: Schema, alphabet: Alphabet) -> tuple:
     return instantiate_schema(schema, assignment), _context_items(assignment)
 
 
-def _name_sorted(metavariables: tuple) -> Optional[Callable]:
-    """What takes pairs in declared metavariable order to name order; None
-    when the two orders agree."""
-    order = sorted(range(len(metavariables)), key=metavariables.__getitem__)
-    return None if order == list(range(len(order))) else itemgetter(*order)
-
-
 def schema_instances(schemata: Sequence[Schema], pool: Sequence[Formula],
                      max_size: int) -> Iterator[tuple]:
-    """Stream (formula, SchemaJustification) in ascending instance size.
+    """Stream (formula, schema) in ascending instance size.
 
     Instances of all schemata are interleaved so that truncating the stream
     after N items keeps the N smallest instances overall (ties broken by
     schema position, then metavariable size vector, then pool order).
-    Every instance's assignment is built from (metavariable, formula) pairs
-    made once per call, so instances share their pairs.
+    An item names only the ``Schema`` it instantiates: a body stores that,
+    and builds the instance's ``SchemaJustification`` when asked for it.
     """
     pool_by_size = {}
     for f in pool:
@@ -341,35 +350,35 @@ def schema_instances(schemata: Sequence[Schema], pool: Sequence[Formula],
         # per metavariable: pool size -> that bucket's (metavariable, formula) pairs
         pairs = [{size: [(m, f) for f in bucket] for size, bucket in pool_by_size.items()}
                  for m in metas]
-        prepared.append((schema, weights, pairs, _name_sorted(metas)))
+        prepared.append((schema, weights, pairs))
     # a schema's largest instance sets every metavariable to a largest pool
     # formula; a schema with metavariables has no instance on an empty pool
     largest = max(available_sizes, default=1)
     reach = [schema.pattern.size + sum(weights) * (largest - 1)
-             for schema, weights, _, _ in prepared if available_sizes or not weights]
+             for schema, weights, _ in prepared if available_sizes or not weights]
     if not reach:
         return
-    base_min = min(schema.pattern.size for schema, _, _, _ in prepared)
+    base_min = min(schema.pattern.size for schema, _, _ in prepared)
     for target in range(base_min, min(max_size, max(reach)) + 1):
-        for schema, weights, pairs, name_sorted in prepared:
-            build, schema_id = schema.build, schema.schema_id
+        for schema, weights, pairs in prepared:
+            build = schema.build
             for vector in size_vectors(weights, available_sizes, target - schema.pattern.size):
                 buckets = [by_size[s] for by_size, s in zip(pairs, vector)]
                 for combo in itertools.product(*buckets):
-                    assignment = combo if name_sorted is None else name_sorted(combo)
-                    yield build(combo), SchemaJustification(schema_id, assignment)
+                    yield build(combo), schema
 
 
 def fixed_axioms(calculus: Calculus) -> Iterator[tuple]:
-    """The stage-1 axioms that need no instantiation pool, with their
-    justifications and at any size: the concrete axioms, then in
-    substitution-rule mode each schema's positional realization."""
+    """The stage-1 axioms that need no instantiation pool, at any size: each
+    concrete axiom with one shared ``AxiomJustification``, then in
+    substitution-rule mode each schema's positional realization with its
+    ``Schema``, as ``schema_instances`` gives it."""
+    justification = AxiomJustification()
     for axiom in calculus.axioms:
-        yield axiom, AxiomJustification()
+        yield axiom, justification
     if calculus.schema_mode == SUBSTITUTION_RULE_MODE:
         for schema in calculus.schemata:
-            formula, assignment = positional_realization(schema, calculus.alphabet)
-            yield formula, SchemaJustification(schema.schema_id, assignment)
+            yield positional_realization(schema, calculus.alphabet)[0], schema
 
 
 def realized_axiom_stream(calculus: Calculus, bounds: Bounds,
@@ -404,6 +413,16 @@ def realized_axioms(calculus: Calculus, bounds: Bounds) -> list:
 # Bounded bodies
 # ==========================================================================
 
+def _record(formula: Formula, justification):
+    """The justification record of a member entry's justification: a
+    ``Schema`` becomes the formula's ``SchemaJustification``, its
+    name-sorted assignment read back by ``match_schema``."""
+    if type(justification) is not Schema:
+        return justification
+    binding = match_schema(justification, formula)
+    return SchemaJustification(justification.schema_id, tuple(sorted(binding.items())))
+
+
 class BoundedBody:
     """The staged theorem set of one bounded run.
 
@@ -411,6 +430,11 @@ class BoundedBody:
     justifications are queryable, and ``derivation_of`` reconstructs a full
     proof DAG. ``stage_sets[n-1]`` is the cumulative stage T_n; it is
     rebuilt from the first stages on each access rather than stored.
+
+    Each member maps to a ``(stage, justification)`` entry. A stage-1
+    schema member's entry holds its ``Schema``, shared by all its instances;
+    ``justification_of`` and ``derivation_of`` build the
+    ``SchemaJustification`` from the formula on each call.
     """
 
     __slots__ = ("status", "bounds", "_members", "theorems", "stage_count")
@@ -446,7 +470,7 @@ class BoundedBody:
         return self._entry(formula)[0]
 
     def justification_of(self, formula: Formula):
-        return self._entry(formula)[1]
+        return _record(formula, self._entry(formula)[1])
 
     def _entry(self, formula: Formula) -> tuple:
         try:
@@ -503,13 +527,13 @@ def _build_derivation(members: dict, goal: Formula) -> Derivation:
         formula, expanded = stack.pop()
         if formula in index_of:
             continue
-        _, justification = members[formula]
+        stage, justification = members[formula]
         premises = justification_premises(justification)
         if expanded or not premises:
             indices = tuple(index_of[p] for p in premises)
             index_of[formula] = len(nodes)
             nodes.append(DerivationNode(
-                formula, justification, indices, members[formula][0]
+                formula, _record(formula, justification), indices, stage
             ))
         else:
             stack.append((formula, True))
@@ -662,16 +686,16 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
     contexts_by_rule = tuple(
         (rule, _rule_contexts(rule, pool, variables)) for rule in rules
     )
-    admissions = seed_stream
+    admissions = _stage_one(seed_stream)
     while True:
         first_new = len(members)
-        for formula, justification in admissions:
+        for formula, entry in admissions:
             if formula in members:
                 continue
             if len(members) >= bounds.node_budget:
                 run.status = BUDGET_EXCEEDED
                 return run
-            members[formula] = (run.stages, justification)
+            members[formula] = entry
             if stop_goal is not None and formula == stop_goal:
                 run.found = True
                 return run
@@ -683,29 +707,48 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
             new = any(conclusion not in members for *_, conclusion in layer)
             run.status = STAGE_CAP_HIT if new else SATURATED
             return run
-        # conclusion -> (key, premises, context) of its least justification
+        # conclusion -> (rule id, premises, context items, tie key) of its
+        # least justification so far. Rule ids decide most comparisons; the
+        # printed tie key is built only when two candidates cite one rule.
         best = {}
         for rule, premises, context, conclusion in layer:
             if conclusion in members:
                 continue
-            items = _context_items(context)
-            key = _justification_key(rule.identifier, premises, items)
+            rule_id = rule.identifier
             held = best.get(conclusion)
-            if held is None or key < held[0]:
-                best[conclusion] = (key, premises, items)
+            if held is None or rule_id < held[0]:
+                best[conclusion] = (rule_id, premises, _context_items(context), None)
+            elif rule_id == held[0]:
+                items = _context_items(context)
+                key = _tie_key(premises, items)
+                held_key = held[3] or _tie_key(held[1], held[2])
+                best[conclusion] = ((rule_id, premises, items, key) if key < held_key
+                                    else (*held[:3], held_key))
         if not best:
             run.status = SATURATED
             return run
         run.stages += 1
-        admissions = _least_justified(best)
+        admissions = _least_justified(best, run.stages)
 
 
-def _least_justified(best: Mapping) -> Iterator[tuple]:
-    """(conclusion, RuleJustification) pairs of a gathered layer, in
+def _stage_one(seeds) -> Iterator[tuple]:
+    """(formula, entry) for each seed: seeds with one justification object,
+    such as the instances of one schema, share one ``(1, justification)``
+    entry."""
+    entries = {}  # id of a justification -> its entry, which keeps it alive
+    for formula, justification in seeds:
+        entry = entries.get(id(justification))
+        if entry is None:
+            entry = entries[id(justification)] = (1, justification)
+        yield formula, entry
+
+
+def _least_justified(best: Mapping, stage: int) -> Iterator[tuple]:
+    """(conclusion, (stage, RuleJustification)) for a gathered layer, in
     canonical order."""
     for conclusion in canonical_sorted(best):
-        key, premises, items = best[conclusion]
-        yield conclusion, RuleJustification(key[0], premises, items)
+        rule_id, premises, items, _ = best[conclusion]
+        yield conclusion, (stage, RuleJustification(rule_id, premises, items))
 
 
 # ==========================================================================
@@ -805,8 +848,9 @@ def inference_closure(rules: RuleSystem, premises: Iterable[Formula],
     premise_list = canonical_sorted(set(premises))
     pool = (canonical_sorted(set(parameter_pool))
             if parameter_pool is not None else premise_list)
+    justification = PremiseJustification()
     seeds = (
-        (f, PremiseJustification())
+        (f, justification)
         for f in premise_list if f.size <= bounds.max_formula_size
     )
     run = _saturate(seeds, rules, pool, variables, bounds)

@@ -316,7 +316,13 @@ def _text(node) -> str:
     if kind is Atom or kind is Var:
         return node.name
     if kind is Negation:
-        return "~" + _text(node.operand)
+        # A loop down the negation chain, to its first node that is not an
+        # uncached negation, so that a deep chain does not recurse.
+        depth = 0
+        while type(node) is Negation and node._printed is None:
+            node = node.operand
+            depth += 1
+        return "~" * depth + _text(node)
     if kind is Quantified:
         return "%s %s %s" % (node.quant, node.variable, _text(node.body))
     if kind is PredApp or kind is FuncApp:
@@ -597,8 +603,18 @@ def _replace_atoms(formula: Formula, mapping: Mapping) -> Formula:
             return formula
         return Binary(formula.op, left, right)
     if kind is Negation:
-        inner = _replace_atoms(formula.operand, mapping)
-        return formula if inner is formula.operand else Negation(inner)
+        # A loop down the negation chain, so that a deep chain does not
+        # recurse once per negation.
+        inner, depth = formula, 0
+        while type(inner) is Negation:
+            inner = inner.operand
+            depth += 1
+        replaced = _replace_atoms(inner, mapping)
+        if replaced is inner:
+            return formula
+        for _ in range(depth):
+            replaced = Negation(replaced)
+        return replaced
     if kind is Quantified:
         body = _replace_atoms(formula.body, mapping)
         return formula if body is formula.body else Quantified(formula.quant, formula.variable, body)

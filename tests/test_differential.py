@@ -14,6 +14,11 @@ realization of the axioms, which the check itself reads off stage 1. A
 declared axiom, or in substitution-rule mode a schema's positional
 realization, over the size cap makes the verdict inconclusive.
 
+The reference seeds stage 1 with full justification records: the concrete
+axioms, each positional realization, and ``reference_schema_instances``.
+The engine stores a schema member's ``Schema`` alone and reads its
+assignment back when asked, so its records must equal the reference's.
+
 The reference builds the last allowed layer whole; the engine stops it at
 its first conclusion outside the body. The stage-cap sweeps at the end make
 every stage of a run the last one in turn.
@@ -36,6 +41,7 @@ from metalogic import (
     SATURATED,
     STAGE_CAP_HIT,
     SUBSTITUTION_RULE_MODE,
+    AxiomJustification,
     Bounds,
     BudgetExceededError,
     Calculus,
@@ -46,6 +52,7 @@ from metalogic import (
     PremiseJustification,
     RuleJustification,
     Schema,
+    SchemaJustification,
     builtin_calculus,
     check_property,
     compose,
@@ -61,13 +68,13 @@ from metalogic import (
     positional_realization,
     print_formula,
     propositional_alphabet,
-    realized_axiom_stream,
     realized_axioms,
     rule_system,
     subformulas,
 )
 from metalogic.cli import main
 from metalogic.library import _CALCULI
+from test_instantiation import reference_schema_instances
 
 
 def _printed(value):
@@ -125,9 +132,22 @@ def reference_saturate(seeds, rules, pool, variables, bounds):
             members[conclusion] = (stage, best[conclusion][1])
 
 
+def reference_seeds(calculus, bounds, pool):
+    """Stage 1 as (formula, justification record), within the size cap."""
+    cap = bounds.max_formula_size
+    fixed = [(axiom, AxiomJustification()) for axiom in calculus.axioms]
+    if calculus.schema_mode == SUBSTITUTION_RULE_MODE:
+        for schema in calculus.schemata:
+            formula, assignment = positional_realization(schema, calculus.alphabet)
+            fixed.append((formula, SchemaJustification(schema.schema_id, assignment)))
+    yield from ((f, j) for f, j in fixed if f.size <= cap)
+    if calculus.schema_mode != SUBSTITUTION_RULE_MODE:
+        yield from reference_schema_instances(calculus.schemata, pool, cap)
+
+
 def reference_body(calculus, bounds):
     pool = instantiation_pool(calculus, bounds)
-    return reference_saturate(realized_axiom_stream(calculus, bounds, pool),
+    return reference_saturate(reference_seeds(calculus, bounds, pool),
                               calculus.rules, pool, calculus.alphabet.variables, bounds)
 
 
@@ -554,7 +574,7 @@ def test_a_goal_one_stage_past_the_cap_is_stage_cap_hit():
     outcome = derive(calculus, goal, capped)
     pool = instantiation_pool(calculus, capped, subformulas(goal))
     members, status, stages = reference_saturate(
-        realized_axiom_stream(calculus, capped, pool), calculus.rules, pool,
+        reference_seeds(calculus, capped, pool), calculus.rules, pool,
         calculus.alphabet.variables, capped)
     assert goal not in members
     assert status == outcome.status == STAGE_CAP_HIT

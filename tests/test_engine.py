@@ -35,6 +35,7 @@ from metalogic import (
     StagedAxioms,
     Validator,
     builtin_calculus,
+    check_property,
     church_p1_calculus,
     compose,
     consequence_step,
@@ -51,6 +52,7 @@ from metalogic import (
     positional_realization,
     print_formula,
     propositional_alphabet,
+    realized_axiom_stream,
     realized_axioms,
     render_justification,
     rule_system,
@@ -273,6 +275,72 @@ class TestEnumerateBody:
         body = enumerate_body(calculus, Bounds(3, 17, 200000, 5))
         assert (body.status, body.stage_count, len(body)) == (STAGE_CAP_HIT, 3, 5716)
         assert built < 10000
+
+    def test_printed_keys_only_break_ties_within_one_rule(self, monkeypatch):
+        # A printed key for every new in-cap candidate would be 7,041 keys.
+        keys = []
+        tie_key = engine._tie_key
+        monkeypatch.setattr(engine, "_tie_key",
+                            lambda *args: keys.append(args) or tie_key(*args))
+        calculus = replace(builtin_calculus("church_p2"), pool_variables=("p", "q"))
+        body = enumerate_body(calculus, Bounds(3, 17, 200000, 5))
+        assert len(body) == 5716
+        assert 0 < len(keys) < 3000
+
+
+class TestMemberEntries:
+    """A member maps to a (stage, justification) entry; stage-1 members that
+    share a justification object share one entry."""
+
+    BOUNDS = Bounds(3, 15, 20000, 3)
+
+    def kleene_body(self):
+        calculus = replace(kleene_calculus(), pool_variables=("P", "R"))
+        return calculus, enumerate_body(calculus, self.BOUNDS)
+
+    def test_a_kleene_body_keeps_one_stage_one_entry_per_schema(self):
+        calculus, body = self.kleene_body()
+        stage_one = [entry for entry in body._members.values() if entry[0] == 1]
+        assert len(stage_one) > 10 * len(calculus.schemata)
+        assert len({id(entry) for entry in stage_one}) <= len(calculus.schemata)
+        assert {entry[1] for entry in stage_one} <= set(calculus.schemata)
+
+    @pytest.mark.parametrize("name", ["kleene", "church_p1", "shoenfield_fragment"])
+    def test_run_members_unpack_as_stage_and_justification(self, name):
+        calculus = builtin_calculus(name)
+        calculus = replace(calculus, pool_variables=calculus.alphabet.variables[:2])
+        pool = instantiation_pool(calculus, self.BOUNDS)
+        run = engine._saturate(realized_axiom_stream(calculus, self.BOUNDS, pool),
+                               calculus.rules, pool, calculus.alphabet.variables,
+                               self.BOUNDS)
+        closure = engine._saturate(((f, engine.PremiseJustification()) for f in pool),
+                                   calculus.rules, pool, (), self.BOUNDS)
+        for members in (run.members, closure.members):
+            assert members
+            for stage, _ in members.values():
+                assert type(stage) is int and stage >= 1
+
+    def test_closed_wrt_rules_resolves_no_leaf(self, monkeypatch):
+        calls = []
+        matched = engine.match_schema
+        monkeypatch.setattr(engine, "match_schema",
+                            lambda *args: calls.append(args) or matched(*args))
+        calculus = replace(kleene_calculus(), pool_variables=("P", "R"))
+        verdict = check_property(calculus, "closed-wrt-rules", self.BOUNDS)
+        assert verdict.is_holds
+        assert calls == []
+        body = enumerate_body(calculus, self.BOUNDS)
+        body.justification_of(body.new_at_stage(1)[0])
+        assert len(calls) == 1
+
+    def test_a_schema_record_is_built_on_each_request(self):
+        _, body = self.kleene_body()
+        leaf = body.new_at_stage(1)[-1]
+        first, second = body.justification_of(leaf), body.justification_of(leaf)
+        assert first == second and first is not second
+        assert isinstance(first, SchemaJustification)
+        derived = body.new_at_stage(2)[0]
+        assert body.justification_of(derived) is body.justification_of(derived)
 
 
 class TestDerivations:

@@ -3,9 +3,10 @@
 ``reference_schema_instances`` is the straightforward stream: for each
 target size and schema, every metavariable size vector, every pool
 combination, an assignment dict, the instance from ``_replace_atoms`` and
-the name-sorted assignment. ``schema_instances`` must give the same
-(formula, justification) sequence, order included, and each schema's
-compiled builder must agree with ``_replace_atoms``.
+the name-sorted assignment. ``schema_instances`` yields (formula, schema);
+with the assignment read back from the formula, as a body reads it, it
+must give the same (formula, justification) sequence, order included, and
+each schema's compiled builder must agree with ``_replace_atoms``.
 """
 
 import copy
@@ -24,7 +25,9 @@ from metalogic import (
     IFF,
     IMPLIES,
     OR,
+    ON_DEMAND_MODE,
     Atom,
+    AxiomJustification,
     Binary,
     Bounds,
     Negation,
@@ -34,11 +37,15 @@ from metalogic import (
     SchemaJustification,
     Var,
     builtin_calculus,
+    derive,
+    enumerate_body,
     instantiation_pool,
     parse_formula,
     propositional_alphabet,
     schema_instances,
+    subformulas,
 )
+from metalogic.engine import _record
 from metalogic.library import _CALCULI
 from metalogic.syntax import _replace_atoms
 
@@ -85,6 +92,12 @@ def reference_schema_instances(schemata, pool, max_size):
                                                tuple(sorted(assignment.items()))))
 
 
+def as_record(item):
+    """A stream item as a body reads it back: the formula and its record."""
+    formula, schema = item
+    return formula, _record(formula, schema)
+
+
 SCHEMATIC = ("kleene", "church_p1", "church_p2", "shoenfield_fragment", "lv")
 
 
@@ -103,9 +116,64 @@ def test_schema_instances_match_the_reference(name, pool_size):
     expected = itertools.islice(reference_schema_instances(calculus.schemata, pool, 13), 20000)
     count = 0
     for item, ref_item in itertools.zip_longest(got, expected):
-        assert item == ref_item
+        assert as_record(item) == ref_item
         count += 1
     assert count > 0 or not pool
+
+
+ON_DEMAND = ("kleene", "shoenfield_fragment", "lv")
+
+
+def first_records(calculus, pool, max_size, wanted):
+    """The first record the reference stage-1 stream, the concrete axioms
+    and then ``reference_schema_instances``, gives for each wanted formula."""
+    stream = itertools.chain(
+        ((axiom, AxiomJustification()) for axiom in calculus.axioms),
+        reference_schema_instances(calculus.schemata, pool, max_size))
+    first = {}
+    for formula, record in stream:
+        if formula in wanted and formula not in first:
+            first[formula] = record
+            if len(first) == len(wanted):
+                break
+    return first
+
+
+def test_every_on_demand_builtin_is_checked():
+    on_demand = {name for name in set(_CALCULI) - {"free"}
+                 if builtin_calculus(name).schema_mode == ON_DEMAND_MODE
+                 and builtin_calculus(name).schemata}
+    assert on_demand == set(ON_DEMAND)
+
+
+@pytest.mark.parametrize("bounds", [Bounds(1, 9, 200000, 2), Bounds(1, 11, 3000, 3),
+                                    Bounds(2, 13, 1500, 4)], ids=str)
+@pytest.mark.parametrize("name", ON_DEMAND)
+def test_justification_of_is_the_first_reference_record(name, bounds):
+    calculus = builtin_calculus(name)
+    calculus = replace(calculus, pool_variables=calculus.alphabet.variables[:2])
+    body = enumerate_body(calculus, bounds)
+    leaves = body.new_at_stage(1)
+    assert leaves
+    expected = first_records(calculus, instantiation_pool(calculus, bounds),
+                             bounds.max_formula_size, set(leaves))
+    assert {f: body.justification_of(f) for f in leaves} == expected
+
+
+def test_justification_of_on_a_derive_pool_is_the_first_reference_record():
+    calculus = builtin_calculus("kleene")
+    goal = parse_formula("(P -> P)", calculus.alphabet)
+    bounds = Bounds(4, 17, 5000, 1)
+    pool = instantiation_pool(calculus, bounds, subformulas(goal))
+    body = enumerate_body(calculus, bounds, pool=pool)
+    leaves = body.new_at_stage(1)
+    expected = first_records(calculus, pool, bounds.max_formula_size, set(leaves))
+    assert {f: body.justification_of(f) for f in leaves} == expected
+    outcome = derive(calculus, goal, bounds)
+    assert outcome.found
+    for node in outcome.derivation.nodes:
+        if node.stage == 1:
+            assert node.justification == expected[node.formula]
 
 
 def test_declared_order_is_not_name_order():
@@ -116,7 +184,7 @@ def test_declared_order_is_not_name_order():
     schema = Schema("s", parse_formula("(psi -> (phi -> (chi | f)))", meta),
                     ("psi", "phi", "chi"))
     pool = [Atom("P"), Atom("Q"), parse_formula("~P", alphabet)]
-    got = list(schema_instances([schema], pool, 10))
+    got = [as_record(item) for item in schema_instances([schema], pool, 10)]
     assert got == list(reference_schema_instances([schema], pool, 10))
     assert all([name for name, _ in j.assignment] == ["chi", "phi", "psi"] for _, j in got)
 
@@ -125,8 +193,8 @@ def test_a_schema_without_metavariables_is_its_pattern():
     pattern = parse_formula("(P -> P)", propositional_alphabet(("P",)))
     schema = Schema("c", pattern, ())
     assert schema.build(()) is pattern
-    assert list(schema_instances([schema], [Atom("P")], 5)) == [
-        (pattern, SchemaJustification("c", ()))]
+    assert list(schema_instances([schema], [Atom("P")], 5)) == [(pattern, schema)]
+    assert as_record((pattern, schema)) == (pattern, SchemaJustification("c", ()))
 
 
 def test_copied_and_pickled_schemata_build_the_same_instances():

@@ -27,6 +27,7 @@ from metalogic import (
     SchemaError,
     Var,
     canonical_key,
+    canonical_sorted,
     enumerate_wffs,
     first_order_alphabet,
     formula_atoms,
@@ -159,6 +160,29 @@ class TestDeepFormulasBuiltInCode:
         schema = Schema("deep", pattern, ("phi",))
         assert match_schema(schema, instance) == {"phi": Atom("Q")}
         assert match_schema(schema, other) is None
+
+    def test_print_a_negation_chain(self):
+        chain = negation_chain("P", 3000)
+        assert print_formula(chain) == "~" * 3000 + "P"
+        assert canonical_key(chain) == (3001, "~" * 3000 + "P")
+        assert canonical_sorted([chain, Atom("P")]) == [Atom("P"), chain]
+
+    def test_print_a_negation_chain_over_cached_text(self):
+        inner = negation_chain("P", 1500)
+        assert print_formula(inner) == "~" * 1500 + "P"
+        outer = inner
+        for _ in range(1500):
+            outer = Negation(outer)
+        assert print_formula(outer) == "~" * 3000 + "P"
+        assert print_formula(Binary(AND, outer, Atom("Q"))) == "(" + "~" * 3000 + "P & Q)"
+
+    def test_substitute_prop_in_a_negation_chain(self):
+        chain = negation_chain("P", 3000)
+        assert substitute_prop(chain, "P", Atom("Q")) == negation_chain("Q", 3000)
+        assert substitute_prop(chain, "Q", Atom("P")) is chain
+        wrapped = Binary(AND, chain, Atom("P"))
+        assert substitute_prop(wrapped, "P", Negation(Atom("Q"))) == Binary(
+            AND, negation_chain("Q", 3001), Negation(Atom("Q")))
 
     def test_validate_deep_term(self):
         alphabet = first_order_alphabet(("x",), functions=(("g", 1),), predicates=(("P", 1),))
