@@ -106,6 +106,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _jsonable(value):
+    """Verdict evidence as JSON values: formulas printed, sets sorted."""
     if isinstance(value, Formula):
         return print_formula(value)
     if isinstance(value, dict):
@@ -119,12 +120,12 @@ def _jsonable(value):
     return str(value)
 
 
-def _emit(report: dict, as_json: bool, text_lines: list):
-    if as_json:
-        payload = dict(report)
-        payload["schema"] = REPORT_SCHEMA
-        payload["timing_ms"] = None
-        print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+def _emit(args, report: dict, text_lines: list):
+    """Print a subcommand's report once, as built: ``--json`` adds what
+    every machine report carries, otherwise the text lines are printed."""
+    if args.json:
+        report.update(command=args.subcommand, schema=REPORT_SCHEMA, timing_ms=None)
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -207,75 +208,61 @@ def _derivation_payload(derivation) -> list:
     ]
 
 
-def _verdict_payload(verdict: Verdict) -> dict:
-    return {
-        "verdict": verdict.outcome,
-        "evidence": _jsonable(verdict.evidence),
-        "detail": verdict.detail,
-    }
-
-
-def _verdict_text(payload: dict) -> list:
-    """The text lines of a ``_verdict_payload``."""
-    lines = [f"verdict: {payload['verdict']}"]
-    if payload["detail"]:
-        lines.append(f"detail: {payload['detail']}")
-    if payload["evidence"] is not None:
-        lines.append(f"evidence: {json.dumps(payload['evidence'], sort_keys=True)}")
-    return lines
+def _verdict_report(report: dict, verdict: Verdict) -> tuple:
+    """A verdict command's (report, text lines, exit code): ``report`` with
+    the verdict, its evidence and its detail added."""
+    evidence = _jsonable(verdict.evidence)
+    report.update(verdict=verdict.outcome, evidence=evidence, detail=verdict.detail)
+    lines = [f"verdict: {verdict.outcome}"]
+    if verdict.detail:
+        lines.append(f"detail: {verdict.detail}")
+    if evidence is not None:
+        lines.append(f"evidence: {json.dumps(evidence, sort_keys=True)}")
+    return report, lines, _VERDICT_EXIT[verdict.outcome]
 
 
 # ==========================================================================
-# Subcommand implementations
+# Subcommand implementations: each returns (report, text lines, exit code)
+# and prints nothing; ``main`` prints the report.
 # ==========================================================================
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> tuple:
     _, calculus, _ = _load_calculus(args)
     formula = parse_formula(args.formula, calculus.alphabet)
-    report = {
-        "command": "parse",
-        "formula": print_formula(formula),
-        "size": formula.size,
-    }
-    _emit(report, args.json,
-          [f"{print_formula(formula)}", f"size: {formula.size}"])
-    return EXIT_HOLDS
+    printed = print_formula(formula)
+    report = {"formula": printed, "size": formula.size}
+    return report, [printed, f"size: {formula.size}"], EXIT_HOLDS
 
 
-def _cmd_enum_lang(args) -> int:
+def _cmd_enum_lang(args) -> tuple:
     _, calculus, bounds = _load_calculus(args)
     formulas = enumerate_wffs(calculus.alphabet, args.size,
                               limit=bounds.node_budget)
     printed = [print_formula(f) for f in formulas]
     report = {
-        "command": "enum-lang",
         "max_size": args.size,
         "count": len(printed),
         "formulas": printed,
     }
-    _emit(report, args.json, [f"count: {len(printed)}"] + printed)
-    return EXIT_HOLDS
+    return report, [f"count: {len(printed)}"] + printed, EXIT_HOLDS
 
 
-def _cmd_enum_body(args) -> int:
+def _cmd_enum_body(args) -> tuple:
     _, calculus, bounds = _load_calculus(args)
     body = enumerate_body(calculus, bounds)
     report = {
-        "command": "enum-body",
         "calculus": calculus.name,
         "bounds": asdict(bounds),
         "body": _body_payload(body),
     }
-    _emit(report, args.json, _body_text(report["body"]))
-    return _STATUS_EXIT[body.status]
+    return report, _body_text(report["body"]), _STATUS_EXIT[body.status]
 
 
-def _cmd_derive(args) -> int:
+def _cmd_derive(args) -> tuple:
     _, calculus, bounds = _load_calculus(args)
     goal = parse_formula(args.goal, calculus.alphabet)
     outcome = derive(calculus, goal, bounds)
     report = {
-        "command": "derive",
         "calculus": calculus.name,
         "goal": print_formula(goal),
         "bounds": asdict(bounds),
@@ -295,11 +282,10 @@ def _cmd_derive(args) -> int:
     else:
         lines = ["the goal was not found within the bounds"]
         code = _STATUS_EXIT[outcome.status]
-    _emit(report, args.json, [f"status: {report['status']}"] + lines)
-    return code
+    return report, [f"status: {outcome.status}"] + lines, code
 
 
-def _cmd_stages(args) -> int:
+def _cmd_stages(args) -> tuple:
     loaded, calculus, bounds = _load_calculus(args)
     if loaded.staged is None:
         raise CalculusFileError(
@@ -308,7 +294,6 @@ def _cmd_stages(args) -> int:
         )
     bodies = staged_run(calculus, loaded.staged, bounds)
     report = {
-        "command": "stages",
         "calculus": calculus.name,
         "bounds": asdict(bounds),
         "stages": [_body_payload(body) for body in bodies],
@@ -317,13 +302,11 @@ def _cmd_stages(args) -> int:
     for index, payload in enumerate(report["stages"], start=1):
         text.append(f"stage {index}:")
         text.extend("  " + line for line in _body_text(payload))
-    _emit(report, args.json, text)
-    if any(body.status == BUDGET_EXCEEDED for body in bodies):
-        return EXIT_BUDGET
-    return EXIT_HOLDS
+    budget_hit = any(body.status == BUDGET_EXCEEDED for body in bodies)
+    return report, text, EXIT_BUDGET if budget_hit else EXIT_HOLDS
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple:
     loaded_a, calculus_a, bounds = _load_calculus(args, "calc_a")
     _, calculus_b, bounds_b = _load_calculus(args, "calc_b")
     if loaded_a.bounds is None:
@@ -331,20 +314,16 @@ def _cmd_compare(args) -> int:
     translation = translation_map(args.map) if args.map else None
     verdict = compare_calculi(args.kind, calculus_a, calculus_b,
                               bounds, translation)
-    report = {
-        "command": "compare",
+    return _verdict_report({
         "kind": args.kind,
         "calculus_a": calculus_a.name,
         "calculus_b": calculus_b.name,
         "map": args.map,
         "bounds": asdict(bounds),
-    }
-    report.update(_verdict_payload(verdict))
-    _emit(report, args.json, _verdict_text(report))
-    return _VERDICT_EXIT[verdict.outcome]
+    }, verdict)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     _, calculus, bounds = _load_calculus(args)
     params = {}
     if args.member:
@@ -362,18 +341,14 @@ def _cmd_check(args) -> int:
     elif args.property == "complete-wrt-rules":
         params["rules"] = calculus.rules
     verdict = check_property(calculus, args.property, bounds, **params)
-    report = {
-        "command": "check",
+    return _verdict_report({
         "calculus": calculus.name,
         "property": args.property,
         "bounds": asdict(bounds),
-    }
-    report.update(_verdict_payload(verdict))
-    _emit(report, args.json, _verdict_text(report))
-    return _VERDICT_EXIT[verdict.outcome]
+    }, verdict)
 
 
-def _cmd_relation(args) -> int:
+def _cmd_relation(args) -> tuple:
     _, calculus, bounds = _load_calculus(args)
     pool = [parse_formula(text, calculus.alphabet)
             for text in args.premise]
@@ -389,7 +364,6 @@ def _cmd_relation(args) -> int:
         for premises, status in sample.statuses
     ]
     report = {
-        "command": "relation",
         "calculus": calculus.name,
         "bounds": asdict(bounds),
         "pair_count": len(sample.relation),
@@ -402,39 +376,32 @@ def _cmd_relation(args) -> int:
         text.append(f"written to {args.out}")
     else:
         text.append(serialized.rstrip("\n"))
-    _emit(report, args.json, text)
-    if any(s["status"] == BUDGET_EXCEEDED for s in statuses):
-        return EXIT_BUDGET
-    return EXIT_HOLDS
+    budget_hit = any(s["status"] == BUDGET_EXCEEDED for s in statuses)
+    return report, text, EXIT_BUDGET if budget_hit else EXIT_HOLDS
 
 
-def _cmd_relation_check(args) -> int:
+def _cmd_relation_check(args) -> tuple:
     try:
         with open(args.relation, "r", encoding="utf-8") as handle:
             relation = relation_from_lines(handle.read())
     except (ValueError, MetalogicError) as exc:  # not UTF-8, or a bad record
         raise MetalogicError(f"{args.relation}: {exc}") from exc
     verdict = check_boundedness(relation, args.m, args.kind)
-    report = {
-        "command": "relation-check",
+    return _verdict_report({
         "relation": args.relation,
         "m": args.m,
         "kind": args.kind,
         "pair_count": len(relation),
-    }
-    report.update(_verdict_payload(verdict))
-    _emit(report, args.json, _verdict_text(report))
-    return _VERDICT_EXIT[verdict.outcome]
+    }, verdict)
 
 
-def _cmd_automaton(args) -> int:
+def _cmd_automaton(args) -> tuple:
     _, calculus, bounds = _load_calculus(args)
     body = enumerate_body(calculus, bounds)
     build = (build_deterministic_body_automaton if args.deterministic
              else build_body_automaton)
     nfa = build(body.theorems)
     report = {
-        "command": "automaton",
         "calculus": calculus.name,
         "bounds": asdict(bounds),
         "body_status": body.status,
@@ -445,18 +412,15 @@ def _cmd_automaton(args) -> int:
         accepted = nfa_accepts(nfa, args.accept)
         report["word"] = args.accept
         report["accepted"] = accepted
-        _emit(report, args.json,
-              [f"word: {args.accept}", f"accepted: {accepted}"])
-        return EXIT_HOLDS if accepted else EXIT_FAILS
+        return (report, [f"word: {args.accept}", f"accepted: {accepted}"],
+                EXIT_HOLDS if accepted else EXIT_FAILS)
     if args.language_upto is not None:
         words = sorted(nfa_language_upto(nfa, args.language_upto))
         report["language"] = words
-        _emit(report, args.json, [f"words: {len(words)}"] + words)
-        return EXIT_HOLDS
+        return report, [f"words: {len(words)}"] + words, EXIT_HOLDS
     serialized = automaton_to_text(nfa)
     report["automaton"] = serialized
-    _emit(report, args.json, [serialized.rstrip("\n")])
-    return EXIT_HOLDS
+    return report, [serialized.rstrip("\n")], EXIT_HOLDS
 
 
 # ==========================================================================
@@ -566,7 +530,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        report, text_lines, code = args.handler(args)
+        _emit(args, report, text_lines)
+        return code
     except BudgetExceededError as exc:
         print(f"metalogic: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

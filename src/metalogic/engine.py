@@ -240,9 +240,11 @@ class Calculus:
             raise SchemaError(
                 "substitution-rule schema mode requires the substitution rule"
             )
-        for v in self.pool_variables:
+        for i, v in enumerate(self.pool_variables):
             if v not in self.alphabet.variables:
                 raise AlphabetError(f"pool variable {v!r} is not declared")
+            if v in self.pool_variables[:i]:
+                raise AlphabetError(f"pool variable {v!r} is listed twice")
         missing = frozenset()
         for rule in self.rules:
             missing |= rule.requires_connectives - frozenset(self.alphabet.connectives)
@@ -345,25 +347,20 @@ def schema_instances(schemata: Sequence[Schema], pool: Sequence[Formula],
     prepared = []
     for schema in schemata:
         occurrences = atom_occurrences(schema.pattern)
-        metas = schema.metavariables
-        weights = [occurrences[m] for m in metas]
-        # per metavariable: pool size -> that bucket's (metavariable, formula) pairs
-        pairs = [{size: [(m, f) for f in bucket] for size, bucket in pool_by_size.items()}
-                 for m in metas]
-        prepared.append((schema, weights, pairs))
+        prepared.append((schema, [occurrences[m] for m in schema.metavariables]))
     # a schema's largest instance sets every metavariable to a largest pool
     # formula; a schema with metavariables has no instance on an empty pool
     largest = max(available_sizes, default=1)
     reach = [schema.pattern.size + sum(weights) * (largest - 1)
-             for schema, weights, _ in prepared if available_sizes or not weights]
+             for schema, weights in prepared if available_sizes or not weights]
     if not reach:
         return
-    base_min = min(schema.pattern.size for schema, _, _ in prepared)
+    base_min = min(schema.pattern.size for schema, _ in prepared)
     for target in range(base_min, min(max_size, max(reach)) + 1):
-        for schema, weights, pairs in prepared:
+        for schema, weights in prepared:
             build = schema.build
             for vector in size_vectors(weights, available_sizes, target - schema.pattern.size):
-                buckets = [by_size[s] for by_size, s in zip(pairs, vector)]
+                buckets = [pool_by_size[s] for s in vector]
                 for combo in itertools.product(*buckets):
                     yield build(combo), schema
 
@@ -838,22 +835,20 @@ def consequence_step(rules: RuleSystem, premises: Iterable[Formula], *,
 @_collector_paused
 def inference_closure(rules: RuleSystem, premises: Iterable[Formula],
                       bounds: Bounds = DEFAULT_BOUNDS, *,
-                      parameter_pool: Optional[Iterable[Formula]] = None,
                       variables: Sequence[str] = ()) -> BoundedBody:
     """Iterated consequence to fixpoint or bounds, with premises seeded.
 
     The premises are members of the result (the closure relation contains
-    its arguments) even when no rule would re-derive them.
+    its arguments) even when no rule would re-derive them. Parametric rules
+    draw formula parameters from the premises.
     """
     premise_list = canonical_sorted(set(premises))
-    pool = (canonical_sorted(set(parameter_pool))
-            if parameter_pool is not None else premise_list)
     justification = PremiseJustification()
     seeds = (
         (f, justification)
         for f in premise_list if f.size <= bounds.max_formula_size
     )
-    run = _saturate(seeds, rules, pool, variables, bounds)
+    run = _saturate(seeds, rules, premise_list, variables, bounds)
     return BoundedBody(run.members, run.stages, run.status, bounds)
 
 

@@ -50,18 +50,15 @@ from .syntax import (
     Atom,
     Binary,
     EXISTS,
-    Equality,
     Formula,
-    FuncApp,
     IMPLIES,
     NOT,
     Negation,
     OR,
-    PredApp,
-    Var,
     enumerate_wffs,
     first_order_alphabet,
     match_schema,
+    parse_formula,
     parse_schema,
     print_formula,
     propositional_alphabet,
@@ -71,10 +68,13 @@ from .syntax import (
 # The built-in calculi
 # ==========================================================================
 
-def _schematic(name: str, alphabet: Alphabet, texts, rule_names, mode) -> Calculus:
-    """A calculus given by (schema id, pattern text) pairs and rule names."""
+def _schematic(name: str, alphabet: Alphabet, texts, rule_names, mode,
+               axioms=()) -> Calculus:
+    """A calculus given by (schema id, pattern text) pairs, rule names and
+    concrete axiom texts."""
     return Calculus(
         alphabet=alphabet,
+        axioms=tuple(parse_formula(text, alphabet) for text in axioms),
         schemata=tuple(parse_schema(sid, text, alphabet) for sid, text in texts),
         rules=rule_system(*map(make_rule, rule_names)),
         schema_mode=mode,
@@ -124,36 +124,22 @@ def church_p2_calculus() -> Calculus:
 
 @cache
 def shoenfield_fragment_calculus() -> Calculus:
-    alphabet = first_order_alphabet(
+    return _schematic("shoenfield_fragment", first_order_alphabet(
         ("x", "y", "z"),
         connectives=(NOT, AND, OR, IMPLIES),
         functions=(("g", 1),),
         predicates=(("P", 1),),
         quantifiers=(EXISTS,),
-    )
-    x, y = Var("x"), Var("y")
-    axioms = (
-        Equality(x, x),
-        Binary(IMPLIES, Equality(x, y),
-               Equality(FuncApp("g", (x,)), FuncApp("g", (y,)))),
-        Binary(IMPLIES, Equality(x, y),
-               Binary(IMPLIES, PredApp("P", (x,)), PredApp("P", (y,)))),
-    )
-    return Calculus(
-        alphabet=alphabet,
-        axioms=axioms,
-        schemata=(parse_schema("excluded-middle", "phi | ~phi", alphabet),),
-        rules=rule_system(
-            make_rule("extension"),
-            make_rule("cancellation"),
-            make_rule("associativity_left"),
-            make_rule("associativity_right"),
-            make_rule("cut"),
-            make_rule("exists_introduction"),
-        ),
-        schema_mode=ON_DEMAND_MODE,
-        name="shoenfield_fragment",
-    )
+    ), (
+        ("excluded-middle", "phi | ~phi"),
+    ), (
+        "extension", "cancellation", "associativity_left",
+        "associativity_right", "cut", "exists_introduction",
+    ), ON_DEMAND_MODE, axioms=(
+        "x = x",
+        "x = y -> g(x) = g(y)",
+        "x = y -> (P(x) -> P(y))",
+    ))
 
 
 _FREE_DEFAULT_ALPHABET = propositional_alphabet(("P",), connectives=(NOT,))

@@ -1107,8 +1107,8 @@ def enumerate_wffs(alphabet: Alphabet, max_size: int, limit: Optional[int] = Non
 class Schema:
     """A formula pattern whose listed atoms stand for arbitrary formulas.
 
-    ``build`` is the pattern compiled once: ``build(pairs)`` is the instance
-    under a tuple of (metavariable, formula) pairs in declared metavariable
+    ``build`` is the pattern compiled once: ``build(formulas)`` is the
+    instance under a tuple of formulas, one per metavariable in declared
     order. Subtrees of the pattern with no metavariable are shared with it.
     """
 
@@ -1163,23 +1163,23 @@ def _node_builder(node, parts: list, slots: dict):
     kind = type(node)
     if kind is Atom:
         i = slots.get(node.name)
-        return None if i is None else (lambda pairs: pairs[i][1])
+        return None if i is None else (lambda formulas: formulas[i])
     if not any(parts):
         return None
     if kind is Negation:
         (operand,) = parts
-        return lambda pairs: Negation(operand(pairs))
+        return lambda formulas: Negation(operand(formulas))
     if kind is Quantified:
         quant, variable, (body,) = node.quant, node.variable, parts
-        return lambda pairs: Quantified(quant, variable, body(pairs))
+        return lambda formulas: Quantified(quant, variable, body(formulas))
     op, (left, right) = node.op, parts
     if left is None:
         fixed = node.left
-        return lambda pairs: Binary(op, fixed, right(pairs))
+        return lambda formulas: Binary(op, fixed, right(formulas))
     if right is None:
         fixed = node.right
-        return lambda pairs: Binary(op, left(pairs), fixed)
-    return lambda pairs: Binary(op, left(pairs), right(pairs))
+        return lambda formulas: Binary(op, left(formulas), fixed)
+    return lambda formulas: Binary(op, left(formulas), right(formulas))
 
 
 def _compile_pattern(pattern: Formula, metavariables: tuple) -> Callable:
@@ -1201,7 +1201,7 @@ def _compile_pattern(pattern: Formula, metavariables: tuple) -> Callable:
         stack.pop()
         compiled[id(node)] = _node_builder(node, [compiled[id(c)] for c in children], slots)
     root = compiled[id(pattern)]
-    return root if root is not None else (lambda pairs: pattern)
+    return root if root is not None else (lambda formulas: pattern)
 
 
 def match_schema(schema: Schema, formula: Formula) -> Optional[dict]:
@@ -1243,4 +1243,4 @@ def instantiate_schema(schema: Schema, assignment: Mapping) -> Formula:
     missing = [m for m in schema.metavariables if m not in assignment]
     if missing:
         raise SchemaError(f"schema {schema.schema_id!r} is missing assignments for {missing}")
-    return schema.build(tuple((m, assignment[m]) for m in schema.metavariables))
+    return schema.build(tuple(assignment[m] for m in schema.metavariables))

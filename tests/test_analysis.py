@@ -1,5 +1,7 @@
 """Verdicts, calculus comparison, the property battery, finite relations."""
 
+import re
+
 import pytest
 from dataclasses import replace
 
@@ -212,6 +214,24 @@ class TestProperties:
         assert verdict.evidence == axiom
         assert verdict.detail.startswith("semantically unsatisfiable member")
 
+    def test_consistent_strict_skips_a_theorem_over_the_atom_cap(self):
+        # 21 variables: is_tautology refuses the truth table, so the
+        # unsatisfiable member is skipped and the saturated body holds
+        names = tuple(f"P{i}" for i in range(1, 22))
+        alphabet = propositional_alphabet(names)
+        rest = names[1]
+        for name in names[2:]:
+            rest = f"({rest} & {name})"
+        axiom = parse_formula(f"((P1 & ~P1) & {rest})", alphabet)
+        calculus = Calculus(alphabet=alphabet, axioms=(axiom,),
+                            rules=rule_system(make_rule("identity")))
+        verdict = check_property(
+            calculus, "consistent", small_bounds(max_formula_size=100),
+            strict=True,
+        )
+        assert verdict.is_holds
+        assert verdict.evidence == {"theorems_scanned": 1}
+
     def test_consistent_holds_on_saturated_clean_body(self):
         verdict = check_property(mp_calculus("P"), "consistent", small_bounds())
         assert verdict.is_holds
@@ -227,6 +247,15 @@ class TestProperties:
     def test_consistent_with_needs_exactly_one_parameter(self):
         with pytest.raises(RuleParameterError):
             check_property(mp_calculus("P"), "consistent-with", small_bounds())
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("consistent-with", {"pattern": "(phi -> phi)"}, "pattern must be a schema"),
+        ("complete-wrt-rules", {"rules": rule_system(make_rule("modus_ponens"))},
+         "complete-wrt-rules needs rules (a rule system) and targets"),
+    ], ids=["pattern-not-a-schema", "no-targets"])
+    def test_parameter_rejections(self, name, params, message):
+        with pytest.raises(RuleParameterError, match=re.escape(message)):
+            check_property(mp_calculus("P"), name, small_bounds(), **params)
 
     def test_complete_wrt_map_on_free_body(self):
         from metalogic import free_calculus

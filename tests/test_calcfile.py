@@ -179,6 +179,29 @@ class TestLanguage:
         with pytest.raises(CalculusFileError, match="'pool_variables' must be a list"):
             load(data)
 
+    def test_repeated_pool_variable_is_named(self, tmp_path, capsys):
+        data = full_data()
+        data["pool_variables"] = ["P", "P"]
+        message = "pool variable 'P' is listed twice"
+        with pytest.raises(CalculusFileError, match=re.escape(message)):
+            load(data)
+        path = tmp_path / "repeated-pool-variable.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["enum-body", "--calc", str(path)]) == 3
+        assert capsys.readouterr().err == f"metalogic: error: {message}\n"
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("schemata", ["(phi -> phi)"], "schemata[0]"),
+        ("rules", ["modus_ponens"], "rules[0]"),
+        ("bounds", [3, 9, 400, 2], "bounds"),
+    ], ids=["schema", "rule", "bounds"])
+    def test_entries_must_be_objects(self, key, value, where):
+        data = full_data()
+        data[key] = value
+        with pytest.raises(CalculusFileError,
+                           match=re.escape(f"{where}: expected an object")):
+            load(data)
+
 
 class TestFormulasAndSchemata:
     def test_axiom_parse_errors_carry_their_index(self):

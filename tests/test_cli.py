@@ -197,6 +197,12 @@ class TestEnumBody:
                      "--pool-vars", "P,Z"]) == 3
         assert "unknown variables: Z" in capsys.readouterr().err
 
+    def test_repeated_pool_variable_exits_3_naming_it(self, capsys):
+        assert main(["enum-body", "--calc", "builtin:kleene",
+                     "--pool-vars", "P,P"]) == 3
+        assert capsys.readouterr().err == (
+            "metalogic: error: pool variable 'P' is listed twice\n")
+
     def test_missing_calculus_file_exits_3(self, capsys, tmp_path):
         assert main(["enum-body", "--calc", str(tmp_path / "no.json")]) == 3
         assert "cannot read" in capsys.readouterr().err

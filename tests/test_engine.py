@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import re
 import sys
 import weakref
 
@@ -124,6 +125,30 @@ class TestCalculusValidation:
     def test_undeclared_pool_variable_rejected(self, kleene):
         with pytest.raises(AlphabetError):
             replace(kleene, pool_variables=("Z",))
+
+    @pytest.mark.parametrize("reject, error, message", [
+        (lambda: replace(kleene_calculus(), pool_variables=("P", "P")),
+         AlphabetError, "pool variable 'P' is listed twice"),
+        (lambda: replace(chain_calculus(), schema_mode="lazy"),
+         SchemaError, "unknown schema mode: 'lazy'"),
+        (lambda: kleene_calculus().schema_by_id("k99"),
+         SchemaError, "no schema with id 'k99'"),
+        (lambda: kleene_calculus().rule_by_id("cut"),
+         RuleParameterError, "no rule with identifier 'cut'"),
+        (lambda: positional_realization(kleene_calculus().schemata[1],
+                                        propositional_alphabet(("P",))),
+         SchemaError, "schema 'k2' has 3 metavariables but the alphabet "
+                      "declares only 1 variables"),
+        (lambda: consequence_step(
+            rule_system(InferenceRule("counted", 1, lambda premises, context: (),
+                                      parameter_kinds=(("n", "int"),))),
+            [Atom("P")]),
+         RuleParameterError, "rule 'counted' declares unknown parameter kind 'int'"),
+    ], ids=["repeated-pool-variable", "schema-mode", "schema-id", "rule-id",
+            "positional-realization", "parameter-kind"])
+    def test_rejections(self, reject, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            reject()
 
     @pytest.mark.parametrize("alphabet, meta", [
         (propositional_alphabet(("P",), constants=("f",)), "P"),

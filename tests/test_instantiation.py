@@ -200,10 +200,10 @@ def test_a_schema_without_metavariables_is_its_pattern():
 def test_copied_and_pickled_schemata_build_the_same_instances():
     pool = [Atom("P"), Negation(Atom("Q"))]
     for schema in builtin_calculus("kleene").schemata:
-        pairs = tuple(zip(schema.metavariables, pool + pool))
+        formulas = tuple(pool + pool)[:len(schema.metavariables)]
         for twin in (copy.deepcopy(schema), pickle.loads(pickle.dumps(schema))):
             assert twin == schema
-            assert twin.build(pairs) == schema.build(pairs)
+            assert twin.build(formulas) == schema.build(formulas)
 
 
 METAVARIABLES = ("phi", "chi", "psi")
@@ -241,7 +241,7 @@ def test_builder_agrees_with_replace_atoms(pattern, data):
     metas = tuple(data.draw(st.permutations(present)))
     schema = Schema("h", pattern, metas)
     assignment = {m: data.draw(values()) for m in metas}
-    built = schema.build(tuple((m, assignment[m]) for m in metas))
+    built = schema.build(tuple(assignment[m] for m in metas))
     assert built == _replace_atoms(pattern, assignment)
     if not metas:
         assert built is pattern

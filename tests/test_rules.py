@@ -3,12 +3,14 @@
 import copy
 import itertools
 import pickle
+import re
 
 import pytest
 
 from metalogic import (
     ArityError,
     Atom,
+    InferenceRule,
     RuleParameterError,
     UnknownRuleError,
     Validator,
@@ -186,6 +188,18 @@ class TestCombinators:
             make_rule("compose", first=make_rule("identity"))
         with pytest.raises(RuleParameterError, match=r"needs parameters \['validator'\]"):
             make_rule("validated_mp")
+
+    @pytest.mark.parametrize("reject, message", [
+        (lambda: InferenceRule("backwards", -1, lambda premises, context: ()),
+         "rule arity must be >= 0, got -1"),
+        (lambda: make_rule("extension").conclusions((wff("P"),), {"phi": wff("Q")}),
+         "rule 'extension' is missing parameters ['psi']"),
+        (lambda: compose(make_rule("cancellation"), make_rule("extension")),
+         "compose: second rule 'extension' has unbound parameters"),
+    ], ids=["negative-arity", "missing-parameter", "unbound-second"])
+    def test_rejections(self, reject, message):
+        with pytest.raises(RuleParameterError, match=re.escape(message)):
+            reject()
 
 
 class TestImmutability:

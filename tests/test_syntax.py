@@ -1,5 +1,6 @@
 """Formula construction, parsing, printing, enumeration, schemata."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -11,6 +12,8 @@ from metalogic import (
     IMPLIES,
     NOT,
     OR,
+    PROPOSITIONAL,
+    Alphabet,
     AlphabetError,
     ArityError,
     Atom,
@@ -289,6 +292,25 @@ class TestValidation:
     def test_alphabet_rejects_variable_constant_clash(self):
         with pytest.raises(AlphabetError):
             propositional_alphabet(("P",), constants=("P",))
+
+    @pytest.mark.parametrize("declare, message", [
+        (lambda: Alphabet("modal"), "unknown language kind: 'modal'"),
+        (lambda: propositional_alphabet(("P",), connectives=("xor",)),
+         "unknown connective: 'xor'"),
+        (lambda: first_order_alphabet(("x",), quantifiers=("some",)),
+         "unknown quantifier: 'some'"),
+        (lambda: Alphabet(PROPOSITIONAL, variables=("P",), predicates=(("R", 1),)),
+         "propositional alphabets declare no first-order symbols"),
+        (lambda: propositional_alphabet(("",)), "bad symbol name: ''"),
+        (lambda: propositional_alphabet(("forall",)),
+         "symbol name collides with a keyword: 'forall'"),
+        (lambda: first_order_alphabet(("x",), predicates=(("R", -1),)),
+         "bad symbol declaration: 'R'/-1"),
+    ], ids=["kind", "connective", "quantifier", "propositional-first-order",
+            "empty-name", "keyword", "arity"])
+    def test_alphabet_rejects_bad_declarations(self, declare, message):
+        with pytest.raises(AlphabetError, match=re.escape(message)):
+            declare()
 
 
 # The closed-form counts below were worked out by hand from the grammar
