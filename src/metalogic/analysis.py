@@ -40,7 +40,7 @@ from .engine import (
     value_key,
 )
 from .errors import BudgetExceededError, MetalogicError, RuleParameterError
-from .library import TranslationMap, identity_map
+from .library import TranslationMap
 from .semantics import is_tautology
 from .syntax import (
     Binary,
@@ -112,8 +112,10 @@ def _settled(body, verdict: Verdict, detail: str, **evidence) -> Verdict:
 COMPARISON_KINDS = ("logical", "algorithmic", "axiomatic")
 
 
-def _image(formulas: Iterable[Formula], translation: TranslationMap,
+def _image(formulas: Iterable[Formula], translation: Optional[TranslationMap],
            size_cap: int) -> frozenset:
+    if translation is None:  # the identity: the formulas are within the cap
+        return frozenset(formulas)
     return frozenset(
         w for w in (translation.fn(f) for f in formulas)
         if w.size <= size_cap
@@ -133,6 +135,9 @@ def compare_calculi(kind: str, c: Calculus, d: Calculus,
     algorithmic  logical, plus f(realized axioms of C) = realized axioms of D
     axiomatic    same alphabet; bodies equal and rule identifier sets equal
 
+    No ``translation`` (None) means the identity, over one shared alphabet;
+    any map given is a translation, whatever its identifier.
+
     A difference witness is definitive (fails) only when the side it is
     missing from saturated; for a non-identity translation only the forward
     direction can be witnessed, because a formula absent from the translated
@@ -147,19 +152,17 @@ def compare_calculi(kind: str, c: Calculus, d: Calculus,
         raise MetalogicError(
             "axiomatic comparison requires both calculi to share one alphabet"
         )
-    if translation is None:
-        if c.alphabet != d.alphabet:
-            raise MetalogicError(
-                "the calculi use different alphabets; a translation map is required"
-            )
-        translation = identity_map(c.alphabet)
-    if (translation.source_alphabet != c.alphabet
-            or translation.target_alphabet != d.alphabet):
+    is_identity = translation is None
+    if is_identity and c.alphabet != d.alphabet:
+        raise MetalogicError(
+            "the calculi use different alphabets; a translation map is required"
+        )
+    if not is_identity and (translation.source_alphabet != c.alphabet
+                            or translation.target_alphabet != d.alphabet):
         raise MetalogicError(
             f"translation {translation.identifier!r} does not map the first "
             f"calculus's language into the second's"
         )
-    is_identity = translation.identifier == "identity"
 
     if kind == "axiomatic":
         ids_c = frozenset(c.rules.identifiers())

@@ -149,14 +149,10 @@ def _load_calculus(args, path_attr: str = "calc"):
     loaded = read_calculus_file(getattr(args, path_attr))
     calculus = loaded.calculus
     pool_vars = getattr(args, "pool_vars", None)
-    if pool_vars:
-        names = tuple(n.strip() for n in pool_vars.split(",") if n.strip())
-        unknown = [n for n in names if n not in calculus.alphabet.variables]
-        if unknown:
-            raise MetalogicError(
-                f"--pool-vars names unknown variables: {', '.join(unknown)}"
-            )
-        calculus = replace(calculus, pool_variables=names)
+    if pool_vars is not None:
+        # Calculus rejects an undeclared name, the empty one included
+        calculus = replace(calculus, pool_variables=tuple(
+            name.strip() for name in pool_vars.split(",")))
     given = {bound.name: getattr(args, bound.name) for bound in fields(Bounds)
              if getattr(args, bound.name, None) is not None}
     return loaded, calculus, replace(loaded.bounds or DEFAULT_BOUNDS, **given)
@@ -515,10 +511,11 @@ def _build_parser() -> _ArgumentParser:
     sub = add("automaton", _cmd_automaton, "body acceptor")
     sub.add_argument("--deterministic", action="store_true",
                      help="build the shared-prefix deterministic acceptor")
-    sub.add_argument("--accept", default=None,
-                     help="test one word for acceptance")
-    sub.add_argument("--language-upto", type=int, default=None,
-                     help="list accepted words up to this length")
+    action = sub.add_mutually_exclusive_group()
+    action.add_argument("--accept", default=None,
+                        help="test one word for acceptance")
+    action.add_argument("--language-upto", type=int, default=None,
+                        help="list accepted words up to this length")
 
     return parser
 

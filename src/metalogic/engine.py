@@ -235,11 +235,13 @@ class Calculus:
                 raise SchemaError(f"duplicate schema id: {schema.schema_id!r}")
             seen_schema_ids.add(schema.schema_id)
             _validate_pattern(schema, self.alphabet)
-        if (self.schema_mode == SUBSTITUTION_RULE_MODE and self.schemata
-                and "substitution" not in self.rules.identifiers()):
-            raise SchemaError(
-                "substitution-rule schema mode requires the substitution rule"
-            )
+        if self.schema_mode == SUBSTITUTION_RULE_MODE and self.schemata:
+            if "substitution" not in self.rules.identifiers():
+                raise SchemaError(
+                    "substitution-rule schema mode requires the substitution rule"
+                )
+            for schema in self.schemata:  # each must have its positional realization
+                _positional_metas(schema, self.alphabet)
         for i, v in enumerate(self.pool_variables):
             if v not in self.alphabet.variables:
                 raise AlphabetError(f"pool variable {v!r} is not declared")
@@ -308,9 +310,17 @@ def instantiation_pool(calculus: Calculus, bounds: Bounds,
 _META_PRIORITY = {meta: rank for rank, meta in enumerate(METAVARIABLES)}
 
 
-def _meta_order(schema: Schema) -> list:
-    return sorted(schema.metavariables,
-                  key=lambda m: (_META_PRIORITY.get(m, len(_META_PRIORITY)), m))
+def _positional_metas(schema: Schema, alphabet: Alphabet) -> list:
+    """The schema's metavariables in positional order, one per leading
+    alphabet variable; SchemaError if the alphabet has too few."""
+    metas = sorted(schema.metavariables,
+                   key=lambda m: (_META_PRIORITY.get(m, len(_META_PRIORITY)), m))
+    if len(metas) > len(alphabet.variables):
+        raise SchemaError(
+            f"schema {schema.schema_id!r} has {len(metas)} metavariables but the "
+            f"alphabet declares only {len(alphabet.variables)} variables"
+        )
+    return metas
 
 
 def positional_realization(schema: Schema, alphabet: Alphabet) -> tuple:
@@ -320,12 +330,7 @@ def positional_realization(schema: Schema, alphabet: Alphabet) -> tuple:
     alphabetically) onto the alphabet's variables in declared order, so the
     realized formulas reproduce the classical concrete axiom lists.
     """
-    metas = _meta_order(schema)
-    if len(metas) > len(alphabet.variables):
-        raise SchemaError(
-            f"schema {schema.schema_id!r} has {len(metas)} metavariables but the "
-            f"alphabet declares only {len(alphabet.variables)} variables"
-        )
+    metas = _positional_metas(schema, alphabet)
     assignment = {m: Atom(alphabet.variables[i]) for i, m in enumerate(metas)}
     return instantiate_schema(schema, assignment), _context_items(assignment)
 

@@ -336,10 +336,6 @@ def _p1_to_p2_fn(formula: Formula):
     )
 
 
-def identity_map(alphabet: Alphabet) -> TranslationMap:
-    return TranslationMap("identity", alphabet, alphabet, lambda f: f)
-
-
 # name -> (source calculus, target calculus, formula map)
 _TRANSLATIONS = {
     "p2_to_p1": (church_p2_calculus, church_p1_calculus, _p2_to_p1_fn),

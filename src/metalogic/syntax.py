@@ -48,8 +48,9 @@ is the same order as a sort key.
 
 ``enumerate_wffs`` builds the language in one pass up the sizes, and its
 ceiling or the language, not the size bound, bounds the work. ``size_vectors`` is the one
-enumerator of size compositions: the argument sizes of terms and atoms here,
-and the metavariable sizes of schema instances in ``engine``.
+enumerator of size compositions: the argument sizes of terms and atoms and
+the part sizes of equalities and binary formulas here, and the metavariable
+sizes of schema instances in ``engine``.
 """
 
 from __future__ import annotations
@@ -387,11 +388,11 @@ class Alphabet:
 
     ``kind`` is "propositional" or "first-order". ``variables`` are the
     propositional atoms; ``constants`` are propositional constants (nullary
-    atoms, meaningful in propositional alphabets). First-order alphabets
-    declare individual variables, quantifiers, and arities for function and
-    predicate symbols; constants of a first-order language are arity-0
-    function symbols. Parentheses and brackets are both accepted on input
-    in every language, and the canonical printer emits parentheses.
+    atoms), which only propositional alphabets declare. First-order
+    alphabets declare individual variables, quantifiers, and arities for
+    function and predicate symbols; constants of a first-order language are
+    arity-0 function symbols. Parentheses and brackets are both accepted on
+    input in every language, and the canonical printer emits parentheses.
     """
 
     kind: str
@@ -424,6 +425,8 @@ class Alphabet:
         if self.kind == PROPOSITIONAL:
             if self.functions or self.predicates or self.individual_variables or self.quantifiers:
                 raise AlphabetError("propositional alphabets declare no first-order symbols")
+        elif self.constants:
+            raise AlphabetError("first-order alphabets declare no propositional constants")
         categories = [
             self.variables,
             self.constants,
@@ -832,7 +835,7 @@ class _Parser:
         tok = self.peek()
         name = tok.value
         ab = self.alphabet
-        if ab.is_prop_variable(name) or (ab.kind == PROPOSITIONAL and ab.is_constant(name)):
+        if ab.is_prop_variable(name) or ab.is_constant(name):
             self.advance()
             return Atom(name)
         if ab.is_predicate(name):
@@ -946,8 +949,7 @@ def validate_formula(formula, alphabet: Alphabet):
                 raise AlphabetError("negation is not declared in this alphabet")
             stack.append(node.operand)
         elif kind is Atom:
-            if not (alphabet.is_prop_variable(node.name)
-                    or (not first_order and alphabet.is_constant(node.name))):
+            if not (alphabet.is_prop_variable(node.name) or alphabet.is_constant(node.name)):
                 raise AlphabetError(f"undeclared atom: {node.name!r}")
         elif kind not in _FIRST_ORDER_ONLY:
             raise TypeError(f"not a formula or term: {node!r}")
@@ -1033,27 +1035,24 @@ def enumerate_wffs(alphabet: Alphabet, max_size: int, limit: Optional[int] = Non
     by_size = [[]]  # by_size[s]: the formulas of size s
     terms = []  # terms[s]: the terms of size s
     term_sizes = []  # the sizes that have a term, ascending
-    free_of = {}  # every term and formula -> its free individual variables
     emitted = 0
     # no term or formula has more parts than this
     widest = max([2] + [arity for _, arity in alphabet.functions + alphabet.predicates])
     largest = 0  # the last size at which a term or formula was built
 
-    def emit(formula, free):
+    def emit(formula):
         nonlocal emitted
         if limit is not None and emitted >= limit:
             raise BudgetExceededError(f"enumeration outgrew its ceiling of {limit}")
         emitted += 1
         by_size[-1].append(formula)
-        free_of[formula] = free
 
     def applications(symbols, size, build):
-        """(node, free variables) for each symbol applied to terms whose
-        sizes sum to size - 1."""
+        """Each symbol applied to terms whose sizes sum to size - 1."""
         for name, arity in symbols:
             for vector in size_vectors((1,) * arity, term_sizes, size - 1 - arity):
                 for args in itertools.product(*[terms[s] for s in vector]):
-                    yield build(name, args), frozenset().union(*map(free_of.__getitem__, args))
+                    yield build(name, args)
 
     for size in range(1, max_size + 1):
         if size - 2 > widest * largest:
@@ -1062,37 +1061,32 @@ def enumerate_wffs(alphabet: Alphabet, max_size: int, limit: Optional[int] = Non
         if first_order:
             new_terms = list(applications(alphabet.functions, size - 1, FuncApp))
             if size == 2:
-                new_terms += [(Var(v), frozenset((v,))) for v in alphabet.individual_variables]
-            terms.append([term for term, _ in new_terms])
-            free_of.update(new_terms)
+                new_terms += map(Var, alphabet.individual_variables)
+            terms.append(new_terms)
             if new_terms:
                 term_sizes.append(size - 1)
-            for atom, free in applications(alphabet.predicates, size, PredApp):
-                emit(atom, free)
+            for atom in applications(alphabet.predicates, size, PredApp):
+                emit(atom)
             for left, right in size_vectors((1, 1), term_sizes, size - 3):
                 for pair in itertools.product(terms[left], terms[right]):
-                    emit(Equality(*pair), free_of[pair[0]] | free_of[pair[1]])
+                    emit(Equality(*pair))
         if size == 1:
-            for name in alphabet.variables:
-                emit(Atom(name), frozenset())
-            if not first_order:
-                for name in alphabet.constants:
-                    emit(Atom(name), frozenset())
+            for name in alphabet.variables + alphabet.constants:
+                emit(Atom(name))
         if has_not:
             for operand in by_size[size - 1]:
-                emit(Negation(operand), free_of[operand])
+                emit(Negation(operand))
+        frees = list(map(free_variables, by_size[size - 1])) if alphabet.quantifiers else []
         for q in alphabet.quantifiers:
-            for body in by_size[size - 1]:
+            for body, free in zip(by_size[size - 1], frees):
                 for v in alphabet.individual_variables:
-                    if v in free_of[body]:
-                        emit(Quantified(q, v, body), free_of[body] - {v})
-        for left_size in range(1, size - 1):
-            right_size = size - 1 - left_size
+                    if v in free:
+                        emit(Quantified(q, v, body))
+        for left_size, right_size in size_vectors((1, 1), range(1, size), size - 3):
             for op in binary_ops:
                 for left in by_size[left_size]:
-                    lf = free_of[left]
                     for right in by_size[right_size]:
-                        emit(Binary(op, left, right), lf | free_of[right])
+                        emit(Binary(op, left, right))
         if by_size[-1] or first_order and terms[-1]:
             largest = size
 

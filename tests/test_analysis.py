@@ -12,11 +12,11 @@ from metalogic import (
     IMPLIES,
     MetalogicError,
     RuleParameterError,
+    TranslationMap,
     Verdict,
     check_boundedness,
     check_property,
     compare_calculi,
-    identity_map,
     make_rule,
     parse_formula,
     print_formula,
@@ -79,6 +79,18 @@ class TestCompare:
             "logical", mp_calculus("P"), mp_calculus("P", "Q"), small_bounds()
         )
         assert verdict.is_fails  # identity translation, both saturated
+
+    def test_a_map_named_identity_is_still_a_translation(self):
+        # it sends P to Q, so P missing from the image of C's body proves
+        # nothing: P is an axiom of C
+        p, q = wff("P"), wff("Q")
+        identity = rule_system(make_rule("identity"))
+        c = Calculus(alphabet=PQ, axioms=(p,), rules=identity)
+        d = Calculus(alphabet=PQ, axioms=(p, q), rules=identity)
+        swap = TranslationMap("identity", PQ, PQ, lambda f: q if f == p else f)
+        verdict = compare_calculi("logical", c, d, small_bounds(), swap)
+        assert verdict.is_inconclusive
+        assert verdict.evidence["undecided"] == ["P"]
 
     def test_forward_witness_definitive_even_when_first_is_capped(self):
         chain = mp_calculus("P", "(P -> Q)")

@@ -272,6 +272,24 @@ class TestFormulasAndSchemata:
         with pytest.raises(CalculusFileError, match=re.escape(message)):
             load(data)
 
+    def test_substitution_mode_schemata_need_enough_variables(self, tmp_path, capsys):
+        # the positional realization of a two-metavariable schema needs two variables
+        data = {"language": {"variables": ["P"], "connectives": ["implies"]},
+                "schemata": [{"id": "k", "pattern": "(phi -> (chi -> phi))",
+                              "metavariables": ["phi", "chi"]}],
+                "rules": [{"name": "modus_ponens"}, {"name": "substitution"}],
+                "schema_mode": "substitution-rule"}
+        message = ("schema 'k' has 2 metavariables but the alphabet declares "
+                   "only 1 variables")
+        with pytest.raises(CalculusFileError, match=re.escape(message)):
+            load(data)
+        path = tmp_path / "short-alphabet.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["parse", "--calc", str(path), "(P -> P)"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_unknown_schema_key(self):
         data = full_data()
         data["schemata"] = [{"id": "s1", "pattern": "phi",

@@ -150,7 +150,7 @@ class TestEnumLang:
     def test_unknown_pool_variable_exits_3(self, capsys):
         assert main(["enum-lang", "--calc", "builtin:kleene", "--size", "1",
                      "--pool-vars", "Z"]) == 3
-        assert "unknown variables: Z" in capsys.readouterr().err
+        assert "pool variable 'Z' is not declared" in capsys.readouterr().err
 
     def test_budget_exceeded_exits_4(self, capsys):
         assert main(["enum-lang", "--calc", "builtin:kleene", "--size", "5",
@@ -195,7 +195,15 @@ class TestEnumBody:
     def test_unknown_pool_variable_exits_3(self, capsys):
         assert main(["enum-body", "--calc", "builtin:kleene",
                      "--pool-vars", "P,Z"]) == 3
-        assert "unknown variables: Z" in capsys.readouterr().err
+        assert "pool variable 'Z' is not declared" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pool_vars", [",", "", "P,,R"])
+    def test_an_empty_pool_variable_exits_3(self, capsys, pool_vars):
+        # an empty name is undeclared; it neither empties the pool nor is skipped
+        assert main(["enum-body", "--calc", "builtin:kleene",
+                     "--pool-vars", pool_vars]) == 3
+        assert capsys.readouterr().err == (
+            "metalogic: error: pool variable '' is not declared\n")
 
     def test_repeated_pool_variable_exits_3_naming_it(self, capsys):
         assert main(["enum-body", "--calc", "builtin:kleene",
@@ -488,6 +496,14 @@ class TestAutomaton:
     def test_negative_language_bound_exits_3(self, capsys, chain_file):
         assert main(["automaton", "--calc", chain_file,
                      "--language-upto", "-1"]) == 3
+
+    def test_accept_and_language_listing_exclude_each_other(self, capsys):
+        assert main(["automaton", "--calc", "builtin:free,3", "--accept", "~~P",
+                     "--language-upto", "12"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("argument --language-upto: not allowed with argument --accept"
+                in captured.err)
 
 
 class TestHarness:

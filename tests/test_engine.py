@@ -139,13 +139,21 @@ class TestCalculusValidation:
                                         propositional_alphabet(("P",))),
          SchemaError, "schema 'k2' has 3 metavariables but the alphabet "
                       "declares only 1 variables"),
+        (lambda: replace(builtin_calculus("church_p1"), alphabet=propositional_alphabet(
+            ("p",), connectives=(IMPLIES,), constants=("f",))),
+         SchemaError, "schema 'p1-1' has 2 metavariables but the alphabet "
+                      "declares only 1 variables"),
+        (lambda: replace(builtin_calculus("church_p1"), schemata=(
+            Schema("negated", Negation(Atom("phi")), ("phi",)),)),
+         SchemaError, "schema 'negated': negation is not declared in this alphabet"),
         (lambda: consequence_step(
             rule_system(InferenceRule("counted", 1, lambda premises, context: (),
                                       parameter_kinds=(("n", "int"),))),
             [Atom("P")]),
          RuleParameterError, "rule 'counted' declares unknown parameter kind 'int'"),
     ], ids=["repeated-pool-variable", "schema-mode", "schema-id", "rule-id",
-            "positional-realization", "parameter-kind"])
+            "positional-realization", "substitution-mode-realization",
+            "undeclared-pattern-connective", "parameter-kind"])
     def test_rejections(self, reject, error, message):
         with pytest.raises(error, match=re.escape(message)):
             reject()

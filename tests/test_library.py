@@ -23,7 +23,6 @@ from metalogic import (
     enumerate_body,
     enumerate_wffs,
     free_calculus,
-    identity_map,
     lv_calculus,
     make_validator,
     parse_formula,
@@ -76,6 +75,14 @@ class TestRosters:
     def test_unknown_name(self):
         with pytest.raises(UnknownCalculusError):
             builtin_calculus("post")
+
+    @pytest.mark.parametrize("args, params", [
+        (["", "tautology"], {"validator": "tautology"}),
+        (["kleene", ""], {"base": "kleene"}),
+        (["", ""], {}),
+    ], ids=["empty-base", "empty-validator", "both-empty"])
+    def test_an_empty_spec_argument_keeps_its_default(self, args, params):
+        assert metalogic.library.builtin_spec_params("lv", args) == params
 
     def test_parameter_passthrough(self):
         calculus = builtin_calculus("lv", base="kleene", validator="always-true")
@@ -202,12 +209,6 @@ class TestTranslations:
         to_p2 = translation_map("p1_to_p2")
         with pytest.raises(AlphabetError, match=r"not a P1 formula: ~q"):
             to_p2.fn(Binary(IMPLIES, Atom("p"), Negation(Atom("q"))))
-
-    def test_identity_map(self, kleene):
-        mapping = identity_map(kleene.alphabet)
-        formula = parse_formula("(P | ~Q)", kleene.alphabet)
-        assert mapping.fn(formula) == formula
-        assert mapping.identifier == "identity"
 
     def test_unknown_map(self):
         with pytest.raises(Exception):

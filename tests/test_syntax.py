@@ -8,6 +8,7 @@ import pytest
 from metalogic import (
     AND,
     EXISTS,
+    FIRST_ORDER,
     FORALL,
     IMPLIES,
     NOT,
@@ -31,6 +32,7 @@ from metalogic import (
     Var,
     canonical_key,
     canonical_sorted,
+    church_p1_calculus,
     enumerate_wffs,
     first_order_alphabet,
     formula_atoms,
@@ -301,16 +303,31 @@ class TestValidation:
          "unknown quantifier: 'some'"),
         (lambda: Alphabet(PROPOSITIONAL, variables=("P",), predicates=(("R", 1),)),
          "propositional alphabets declare no first-order symbols"),
+        (lambda: Alphabet(FIRST_ORDER, individual_variables=("x",), constants=("f",)),
+         "first-order alphabets declare no propositional constants"),
         (lambda: propositional_alphabet(("",)), "bad symbol name: ''"),
         (lambda: propositional_alphabet(("forall",)),
          "symbol name collides with a keyword: 'forall'"),
         (lambda: first_order_alphabet(("x",), predicates=(("R", -1),)),
          "bad symbol declaration: 'R'/-1"),
     ], ids=["kind", "connective", "quantifier", "propositional-first-order",
-            "empty-name", "keyword", "arity"])
+            "first-order-constants", "empty-name", "keyword", "arity"])
     def test_alphabet_rejects_bad_declarations(self, declare, message):
         with pytest.raises(AlphabetError, match=re.escape(message)):
             declare()
+
+    @pytest.mark.parametrize("reject, error, message", [
+        (lambda: parse_formula("forall x P(x)", shoenfield_fragment_calculus().alphabet),
+         ParseError, "quantifier 'forall' is not declared in this alphabet"),
+        (lambda: parse_formula("P(P)", shoenfield_fragment_calculus().alphabet),
+         ParseError, "unknown term symbol 'P'"),
+        (lambda: validate_formula(Negation(Atom("p")), church_p1_calculus().alphabet),
+         AlphabetError, "negation is not declared in this alphabet"),
+    ], ids=["parse-undeclared-quantifier", "parse-unknown-term-symbol",
+            "validate-undeclared-negation"])
+    def test_undeclared_symbols_are_rejected(self, reject, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            reject()
 
 
 # The closed-form counts below were worked out by hand from the grammar
@@ -448,6 +465,9 @@ SCHEMA_NODE_CASES = {
     "quantifier": (Quantified(EXISTS, "x", Binary(AND, Atom("phi"), R_XY)),
                    Quantified(EXISTS, "x", Binary(AND, R_XY, R_XY)),
                    Quantified(FORALL, "x", Binary(AND, R_XY, R_XY))),
+    "quantifier-variable": (Quantified(EXISTS, "x", Binary(AND, Atom("phi"), R_XY)),
+                            Quantified(EXISTS, "x", Binary(AND, R_XY, R_XY)),
+                            Quantified(EXISTS, "y", Binary(AND, R_XY, R_XY))),
 }
 
 
