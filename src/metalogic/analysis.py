@@ -39,7 +39,7 @@ from .engine import (
     realized_axioms,
     value_key,
 )
-from .errors import BudgetExceededError, MetalogicError, RuleParameterError
+from .errors import BudgetExceededError, MetalogicError, RuleParameterError, check_count
 from .library import TranslationMap
 from .semantics import is_tautology
 from .syntax import (
@@ -576,8 +576,7 @@ def check_boundedness(relation: FiniteRelation, m: int, kind: str) -> Verdict:
             f"unknown boundedness kind {kind!r}; known: "
             f"{', '.join(BOUNDEDNESS_KINDS)}"
         )
-    if type(m) is not int or m < 1:
-        raise RuleParameterError(f"the bound m must be an integer >= 1, got {m!r}")
+    check_count(m, 1, "the bound m")
     failure, success = _BOUNDEDNESS_DETAILS[kind]
     fits = operator.le if kind.endswith("bounded") else operator.eq
     pairs = relation.sorted_pairs()
@@ -614,9 +613,7 @@ def relation_from_calculus(calculus: Calculus, premise_pool: Iterable[Formula],
     extra axioms. Premises seed their own closure, so (S, s) holds for every
     s in S.
     """
-    if type(max_premises) is not int or max_premises < 0:
-        raise RuleParameterError(
-            f"max_premises must be an integer >= 0, got {max_premises!r}")
+    check_count(max_premises, 0, "max_premises")
     pool = canonical_sorted(set(premise_pool))
     # the extra axioms leave the instantiation pool as it is
     instances = instantiation_pool(calculus, bounds)
@@ -670,6 +667,8 @@ def relation_from_lines(text: str) -> FiniteRelation:
             continue
         try:
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise TypeError("expected a JSON object")
             premises = record["premises"]
             conclusion = record["conclusion"]
         except (ValueError, RecursionError, KeyError, TypeError) as exc:

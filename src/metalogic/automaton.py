@@ -35,7 +35,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable
 
-from .errors import MetalogicError, RuleParameterError
+from .errors import MetalogicError, check_count
 from .syntax import Formula, canonical_sorted, print_formula
 
 EPSILON = None
@@ -241,9 +241,7 @@ def nfa_language_upto(nfa: EpsilonNFA, max_length: int) -> frozenset:
     Breadth-first over epsilon-closed state sets; branches whose state set
     goes empty are pruned, so finite body languages enumerate quickly.
     """
-    if type(max_length) is not int or max_length < 0:
-        raise RuleParameterError(
-            f"max_length must be an integer >= 0, got {max_length!r}")
+    check_count(max_length, 0, "max_length")
     rows = nfa._rows
     epsilon_row = rows.get(EPSILON)
     symbol_rows = [(symbol, rows[symbol])

@@ -44,6 +44,7 @@ The path ``builtin:<name>`` bypasses files: ``builtin:kleene``,
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -66,11 +67,11 @@ from .rules import (
     rule_system,
 )
 from .syntax import (
+    FIRST_ORDER,
+    PROPOSITIONAL,
     Alphabet,
     Schema,
-    first_order_alphabet,
     parse_formula,
-    propositional_alphabet,
     schema_alphabet,
 )
 
@@ -82,6 +83,18 @@ class CalculusFile:
     calculus: Calculus
     bounds: Optional[Bounds] = None
     staged: Optional[StagedAxioms] = None
+
+
+@contextmanager
+def _located(where: str):
+    """Report a package error raised inside as a CalculusFileError at
+    ``where``; a CalculusFileError, already located, passes through."""
+    try:
+        yield
+    except CalculusFileError:
+        raise
+    except MetalogicError as exc:
+        raise CalculusFileError(f"{where}: {exc}") from exc
 
 
 def _reject_unknown(mapping: dict, allowed: tuple, where: str):
@@ -119,18 +132,6 @@ def _list(mapping: dict, key: str, where: str) -> list:
     return value
 
 
-def _arity_pairs(raw, where: str) -> tuple:
-    out = []
-    for item in raw:
-        if (not isinstance(item, (list, tuple)) or len(item) != 2
-                or not isinstance(item[0], str) or not isinstance(item[1], int)):
-            raise CalculusFileError(
-                f"{where}: expected [name, arity] pairs, got {item!r}"
-            )
-        out.append((item[0], item[1]))
-    return tuple(out)
-
-
 _CONNECTIVES = ("not", "and", "or", "implies")
 
 
@@ -142,49 +143,31 @@ def _parse_language(raw: dict) -> Alphabet:
         "kind", "variables", "connectives", "constants", "punctuation",
         "individual_variables", "functions", "predicates", "quantifiers",
     ), where)
-    kind = raw.get("kind", "propositional")
     if raw.get("punctuation", "parens") not in ("parens", "brackets"):
         raise CalculusFileError(
             f"{where}: unknown punctuation style: {raw['punctuation']!r}"
         )
-    if kind == "propositional":
-        for key in ("individual_variables", "functions", "predicates",
-                    "quantifiers"):
-            if raw.get(key):
-                raise CalculusFileError(
-                    f"{where}: {key!r} needs kind 'first-order'"
-                )
-        return propositional_alphabet(
-            _names(raw, "variables", where),
+    # a propositional language needs variables, a first-order one individual variables
+    first_order = raw.get("kind") == FIRST_ORDER
+    with _located(where):
+        return Alphabet(
+            kind=raw.get("kind", PROPOSITIONAL),
+            variables=_names(raw, "variables", where, () if first_order else None),
             connectives=_names(raw, "connectives", where, _CONNECTIVES),
             constants=_names(raw, "constants", where, ()),
+            functions=_list(raw, "functions", where),
+            predicates=_list(raw, "predicates", where),
+            individual_variables=_names(raw, "individual_variables", where,
+                                        None if first_order else ()),
+            quantifiers=_names(raw, "quantifiers", where, ("exists",) if first_order else ()),
         )
-    if kind == "first-order":
-        if raw.get("constants"):
-            raise CalculusFileError(
-                f"{where}: first-order languages here take no constant "
-                f"symbols (propositional or individual)"
-            )
-        return first_order_alphabet(
-            _names(raw, "individual_variables", where),
-            variables=_names(raw, "variables", where, ()),
-            connectives=_names(raw, "connectives", where, _CONNECTIVES),
-            functions=_arity_pairs(raw.get("functions", ()), where),
-            predicates=_arity_pairs(raw.get("predicates", ()), where),
-            quantifiers=_names(raw, "quantifiers", where, ("exists",)),
-        )
-    raise CalculusFileError(
-        f"{where}: kind must be 'propositional' or 'first-order', got {kind!r}"
-    )
 
 
 def _parse_formula_field(text, alphabet: Alphabet, where: str):
     if not isinstance(text, str):
         raise CalculusFileError(f"{where}: expected a formula string, got {text!r}")
-    try:
+    with _located(where):
         return parse_formula(text, alphabet)
-    except MetalogicError as exc:
-        raise CalculusFileError(f"{where}: {exc}") from exc
 
 
 def _parse_schema(raw, alphabet: Alphabet, where: str) -> Schema:
@@ -192,20 +175,14 @@ def _parse_schema(raw, alphabet: Alphabet, where: str) -> Schema:
         raise CalculusFileError(f"{where}: expected an object")
     _reject_unknown(raw, ("id", "pattern", "metavariables"), where)
     schema_id = _require(raw, "id", where)
-    if not isinstance(schema_id, str):
-        raise CalculusFileError(f"{where}.id: expected a string, got {schema_id!r}")
     metavariables = _names(raw, "metavariables", where)
-    try:
+    with _located(where):
         meta_alphabet = schema_alphabet(alphabet, tuple(dict.fromkeys(metavariables)))
-    except MetalogicError as exc:
-        raise CalculusFileError(f"{where}: {exc}") from exc
     pattern = _parse_formula_field(
         _require(raw, "pattern", where), meta_alphabet, f"{where}.pattern"
     )
-    try:
+    with _located(where):
         return Schema(schema_id, pattern, metavariables)
-    except MetalogicError as exc:
-        raise CalculusFileError(f"{where}: {exc}") from exc
 
 
 def _parse_rule(raw, alphabet: Alphabet, stub: Calculus, index_path: str) -> InferenceRule:
@@ -218,10 +195,8 @@ def _parse_rule(raw, alphabet: Alphabet, stub: Calculus, index_path: str) -> Inf
     raw_params = raw.get("params", {})
     if not isinstance(raw_params, dict):
         raise CalculusFileError(f"{index_path}.params: expected an object")
-    try:
+    with _located(index_path):
         declared = rule_parameters(name)
-    except MetalogicError as exc:
-        raise CalculusFileError(f"{index_path}: {exc}") from exc
     params = {}
     for key, value in raw_params.items():
         where = f"{index_path}.params.{key}"
@@ -233,15 +208,11 @@ def _parse_rule(raw, alphabet: Alphabet, stub: Calculus, index_path: str) -> Inf
         elif kind == PARAM_VALIDATOR:
             if not isinstance(value, str):
                 raise CalculusFileError(f"{where}: expected a validator name, got {value!r}")
-            try:
+            with _located(where):
                 value = make_validator(value, stub)
-            except MetalogicError as exc:
-                raise CalculusFileError(f"{where}: {exc}") from exc
         params[key] = value
-    try:
+    with _located(index_path):
         return make_rule(name, **params)
-    except MetalogicError as exc:
-        raise CalculusFileError(f"{index_path}: {exc}") from exc
 
 
 def _parse_bounds(raw) -> Bounds:
@@ -249,10 +220,8 @@ def _parse_bounds(raw) -> Bounds:
     if not isinstance(raw, dict):
         raise CalculusFileError(f"{where}: expected an object")
     _reject_unknown(raw, tuple(bound.name for bound in fields(Bounds)), where)
-    try:
+    with _located(where):
         return Bounds(**raw)
-    except MetalogicError as exc:
-        raise CalculusFileError(f"{where}: {exc}") from exc
 
 
 def _parse_axioms(raw: dict, alphabet: Alphabet, where: str, prefix: str) -> tuple:

@@ -73,8 +73,9 @@ from .errors import (
     DerivationError,
     RuleParameterError,
     SchemaError,
+    check_count,
 )
-from .rules import PARAM_FORMULA, PARAM_VARIABLE, InferenceRule, RuleSystem
+from .rules import PARAM_FORMULA, InferenceRule, RuleSystem
 from .syntax import (
     METAVARIABLES,
     Alphabet,
@@ -112,9 +113,7 @@ class Bounds:
 
     def __post_init__(self):
         for bound in fields(self):
-            value = getattr(self, bound.name)
-            if type(value) is not int or value < 1:
-                raise RuleParameterError(f"bound {bound.name} must be an integer >= 1, got {value!r}")
+            check_count(getattr(self, bound.name), 1, f"bound {bound.name}")
 
 
 DEFAULT_BOUNDS = Bounds()
@@ -632,19 +631,12 @@ def render_justification(justification, premise_indices: tuple = ()) -> str:
 
 def _rule_contexts(rule: InferenceRule, pool: Sequence[Formula],
                    variables: Sequence[str]) -> tuple:
-    """Every parameter context the rule can draw from the pool, in order."""
+    """Every parameter context the rule can draw, in order: a formula slot
+    ranges over the pool and a variable slot over ``variables``."""
     if not rule.parameter_kinds:
         return (None,)
-    slots = []
-    for name, kind in rule.parameter_kinds:
-        if kind == PARAM_FORMULA:
-            slots.append([(name, f) for f in pool])
-        elif kind == PARAM_VARIABLE:
-            slots.append([(name, v) for v in variables])
-        else:
-            raise RuleParameterError(
-                f"rule {rule.identifier!r} declares unknown parameter kind {kind!r}"
-            )
+    slots = [[(name, value) for value in (pool if kind == PARAM_FORMULA else variables)]
+             for name, kind in rule.parameter_kinds]
     return tuple(dict(combo) for combo in itertools.product(*slots))
 
 

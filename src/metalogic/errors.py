@@ -55,3 +55,10 @@ class BudgetExceededError(MetalogicError):
 
 class CalculusFileError(MetalogicError):
     """A calculus description file is malformed."""
+
+
+def check_count(value, minimum: int, what: str):
+    """Raise RuleParameterError unless ``value`` is an integer (not a bool)
+    of at least ``minimum``."""
+    if type(value) is not int or value < minimum:
+        raise RuleParameterError(f"{what} must be an integer >= {minimum}, got {value!r}")

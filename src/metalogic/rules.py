@@ -42,7 +42,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional
 
-from .errors import ArityError, RuleParameterError, UnknownRuleError
+from .errors import ArityError, RuleParameterError, UnknownRuleError, check_count
 from .syntax import (
     Atom,
     Binary,
@@ -118,9 +118,12 @@ class InferenceRule:
     strategy: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.arity < 0:
-            raise RuleParameterError(f"rule arity must be >= 0, got {self.arity}")
+        check_count(self.arity, 0, "rule arity")
         object.__setattr__(self, "parameter_kinds", tuple(self.parameter_kinds))
+        for _, kind in self.parameter_kinds:
+            if kind not in (PARAM_FORMULA, PARAM_VARIABLE):
+                raise RuleParameterError(
+                    f"rule {self.identifier!r} declares unknown parameter kind {kind!r}")
         object.__setattr__(self, "requires_connectives", frozenset(self.requires_connectives))
 
     def conclusions(self, premises: tuple, context: Optional[dict] = None) -> frozenset:

@@ -64,8 +64,8 @@ from .errors import (
     AlphabetError,
     BudgetExceededError,
     ParseError,
-    RuleParameterError,
     SchemaError,
+    check_count,
 )
 
 NOT = "not"
@@ -372,14 +372,16 @@ def canonical_sorted(formulas: Iterable[Formula]) -> list:
 # ==========================================================================
 
 def _as_arity_table(value) -> tuple:
-    if isinstance(value, Mapping):
-        items = tuple(sorted(value.items()))
-    else:
-        items = tuple(tuple(pair) for pair in value)
-    for name, arity in items:
-        if not isinstance(name, str) or not isinstance(arity, int) or arity < 0:
-            raise AlphabetError(f"bad symbol declaration: {name!r}/{arity!r}")
-    return items
+    """``value`` as ((name, arity), ...); each entry must be a [name, arity]
+    pair whose arity is an integer (not a bool) >= 0."""
+    items = tuple(sorted(value.items())) if isinstance(value, Mapping) else tuple(value)
+    for item in items:
+        if (not isinstance(item, (list, tuple)) or len(item) != 2
+                or type(item[1]) is not int or item[1] < 0):
+            raise AlphabetError(
+                f"bad symbol declaration: expected a [name, arity] pair with an "
+                f"integer arity >= 0, got {item!r}")
+    return tuple(tuple(item) for item in items)
 
 
 @dataclass(frozen=True)
@@ -393,6 +395,8 @@ class Alphabet:
     function and predicate symbols; constants of a first-order language are
     arity-0 function symbols. Parentheses and brackets are both accepted on
     input in every language, and the canonical printer emits parentheses.
+    Every symbol name is an identifier that the tokenizer reads back as
+    itself, and every arity an integer >= 0.
     """
 
     kind: str
@@ -427,48 +431,21 @@ class Alphabet:
                 raise AlphabetError("propositional alphabets declare no first-order symbols")
         elif self.constants:
             raise AlphabetError("first-order alphabets declare no propositional constants")
-        categories = [
-            self.variables,
-            self.constants,
-            [n for n, _ in self.functions],
-            [n for n, _ in self.predicates],
-            self.individual_variables,
-        ]
-        seen = {}
-        for group_index, group in enumerate(categories):
-            for name in group:
-                if not name or not isinstance(name, str):
-                    raise AlphabetError(f"bad symbol name: {name!r}")
-                if name in ("forall", "exists"):
-                    raise AlphabetError(f"symbol name collides with a keyword: {name!r}")
-                if name in seen:
-                    raise AlphabetError(f"symbol declared twice: {name!r}")
-                seen[name] = group_index
+        seen = set()
+        for name in itertools.chain(self.variables, self.constants,
+                                    (n for n, _ in self.functions + self.predicates),
+                                    self.individual_variables):
+            # a name is what the tokenizer reads back as one identifier
+            if (not isinstance(name, str) or not name or "′" in name
+                    or _identifier_end(name, 0) != len(name)):
+                raise AlphabetError(f"bad symbol name: {name!r}")
+            if name in _KEYWORDS:
+                raise AlphabetError(f"symbol name collides with a keyword: {name!r}")
+            if name in seen:
+                raise AlphabetError(f"symbol declared twice: {name!r}")
+            seen.add(name)
         object.__setattr__(self, "_function_arity", dict(self.functions))
         object.__setattr__(self, "_predicate_arity", dict(self.predicates))
-
-    # ---- symbol classification ------------------------------------------
-
-    def has_connective(self, name: str) -> bool:
-        return name in self.connectives
-
-    def is_prop_variable(self, name: str) -> bool:
-        return name in self.variables
-
-    def is_constant(self, name: str) -> bool:
-        return name in self.constants
-
-    def is_function(self, name: str) -> bool:
-        return name in self._function_arity
-
-    def is_predicate(self, name: str) -> bool:
-        return name in self._predicate_arity
-
-    def function_arity(self, name: str) -> int:
-        return self._function_arity[name]
-
-    def predicate_arity(self, name: str) -> int:
-        return self._predicate_arity[name]
 
     def is_individual_variable(self, name: str) -> bool:
         base = name.rstrip("'")
@@ -476,8 +453,8 @@ class Alphabet:
 
     def declares(self, name: str) -> bool:
         """Whether ``name`` is one of the alphabet's object symbols."""
-        return (self.is_prop_variable(name) or self.is_constant(name)
-                or self.is_function(name) or self.is_predicate(name)
+        return (name in self.variables or name in self.constants
+                or name in self._function_arity or name in self._predicate_arity
                 or self.is_individual_variable(name))
 
 
@@ -657,6 +634,24 @@ class _Token:
         self.pos = pos
 
 
+def _identifier_end(text: str, start: int) -> int:
+    """Where the identifier at ``text[start]`` ends, or ``start`` when none
+    begins there. An identifier is a letter or '_', then letters, digits or
+    '_', then optional primes (' or ′)."""
+    n = len(text)
+    i = start
+    if i < n and (text[i].isalpha() or text[i] == "_"):
+        i += 1
+        while i < n and (text[i].isalnum() or text[i] == "_"):
+            i += 1
+        while i < n and text[i] in ("'", "′"):
+            i += 1
+    return i
+
+
+_KEYWORDS = {"forall": "FORALL", "exists": "EXISTS"}
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -683,22 +678,12 @@ def _tokenize(text: str):
             tokens.append(_Token(kind, ch, i))
             i += 1
             continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            i += 1
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            while i < n and text[i] in ("'", "′"):
-                i += 1
-            name = text[start:i].replace("′", "'")
-            if name == "forall":
-                tokens.append(_Token("FORALL", name, start))
-            elif name == "exists":
-                tokens.append(_Token("EXISTS", name, start))
-            else:
-                tokens.append(_Token("IDENT", name, start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        end = _identifier_end(text, i)
+        if end == i:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        name = text[i:end].replace("′", "'")
+        tokens.append(_Token(_KEYWORDS.get(name, "IDENT"), name, i))
+        i = end
     tokens.append(_Token("END", "", n))
     return tokens
 
@@ -746,7 +731,7 @@ class _Parser:
             self.fail(f"formula nests deeper than {self.MAX_NESTING} levels", tok)
 
     def require_connective(self, name, tok):
-        if not self.alphabet.has_connective(name):
+        if name not in self.alphabet.connectives:
             self.fail(f"connective {_BINARY_SYMBOL.get(name, '~')!r} is not declared in this alphabet", tok)
 
     # ---- precedence climbing ---------------------------------------------
@@ -835,17 +820,18 @@ class _Parser:
         tok = self.peek()
         name = tok.value
         ab = self.alphabet
-        if ab.is_prop_variable(name) or ab.is_constant(name):
+        if name in ab.variables or name in ab.constants:
             self.advance()
             return Atom(name)
-        if ab.is_predicate(name):
+        arity = ab._predicate_arity.get(name)
+        if arity is not None:
             self.advance()
-            arity = ab.predicate_arity(name)
             if arity == 0:
                 return PredApp(name, ())
             args = self.parse_argument_list(arity, name, tok)
             return PredApp(name, args)
-        if ab.kind == FIRST_ORDER and (ab.is_individual_variable(name) or ab.is_function(name)):
+        if ab.kind == FIRST_ORDER and (ab.is_individual_variable(name)
+                                       or name in ab._function_arity):
             left = self.parse_term()
             eq_tok = self.peek()
             if eq_tok.kind != "EQUALS":
@@ -884,9 +870,9 @@ class _Parser:
         if ab.is_individual_variable(name):
             self.advance()
             return Var(name)
-        if ab.is_function(name):
+        arity = ab._function_arity.get(name)
+        if arity is not None:
             self.advance()
-            arity = ab.function_arity(name)
             if arity == 0:
                 return FuncApp(name, ())
             args = self.parse_argument_list(arity, name, tok)
@@ -940,16 +926,16 @@ def validate_formula(formula, alphabet: Alphabet):
         elif kind is Var or kind is FuncApp:
             raise TypeError(f"not a formula: {node!r}")
         if kind is Binary:
-            if not alphabet.has_connective(node.op):
+            if node.op not in alphabet.connectives:
                 raise AlphabetError(f"connective {node.op!r} is not declared in this alphabet")
             stack.append(node.right)
             stack.append(node.left)
         elif kind is Negation:
-            if not alphabet.has_connective(NOT):
+            if NOT not in alphabet.connectives:
                 raise AlphabetError("negation is not declared in this alphabet")
             stack.append(node.operand)
         elif kind is Atom:
-            if not (alphabet.is_prop_variable(node.name) or alphabet.is_constant(node.name)):
+            if node.name not in alphabet.variables and node.name not in alphabet.constants:
                 raise AlphabetError(f"undeclared atom: {node.name!r}")
         elif kind not in _FIRST_ORDER_ONLY:
             raise TypeError(f"not a formula or term: {node!r}")
@@ -1026,12 +1012,10 @@ def enumerate_wffs(alphabet: Alphabet, max_size: int, limit: Optional[int] = Non
     larger term or formula. So the ceiling or the language, not
     ``max_size``, bounds the work.
     """
-    if type(max_size) is not int or max_size < 0:
-        raise RuleParameterError(
-            f"max_size must be an integer >= 0, got {max_size!r}")
+    check_count(max_size, 0, "max_size")
     first_order = alphabet.kind == FIRST_ORDER
-    has_not = alphabet.has_connective(NOT)
-    binary_ops = [op for op in BINARY_CONNECTIVES if alphabet.has_connective(op)]
+    has_not = NOT in alphabet.connectives
+    binary_ops = [op for op in BINARY_CONNECTIVES if op in alphabet.connectives]
     by_size = [[]]  # by_size[s]: the formulas of size s
     terms = []  # terms[s]: the terms of size s
     term_sizes = []  # the sizes that have a term, ascending
@@ -1112,6 +1096,8 @@ class Schema:
     build: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.schema_id, str):
+            raise SchemaError(f"schema id must be a string, got {self.schema_id!r}")
         object.__setattr__(self, "metavariables", tuple(self.metavariables))
         if len(set(self.metavariables)) != len(self.metavariables):
             raise SchemaError(f"duplicate metavariable in schema {self.schema_id!r}")

@@ -460,6 +460,13 @@ class TestRelationInterchange:
         with pytest.raises(MetalogicError, match="line 2: maximum recursion"):
             relation_from_lines(good + "\n" + "[" * 100_000 + "]" * 100_000)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"x"', "3", "null"],
+                             ids=["list", "string", "number", "null"])
+    def test_a_record_that_is_not_an_object_is_named_so(self, line):
+        with pytest.raises(MetalogicError, match=re.escape(
+                "bad relation record on line 1: expected a JSON object")):
+            relation_from_lines(line)
+
     def test_non_string_tokens_rejected(self):
         with pytest.raises(MetalogicError):
             relation_from_lines('{"conclusion": 3, "premises": []}')

@@ -1,9 +1,13 @@
 """Definition-file parsing, builtin: shorthands, and loud failure on typos."""
 
+import contextlib
+import io
 import json
 import re
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
 from metalogic import (
     Bounds,
@@ -121,14 +125,16 @@ class TestLanguage:
     def test_propositional_rejects_first_order_keys(self):
         data = {"language": {"variables": ["P"],
                              "individual_variables": ["x"]}}
-        with pytest.raises(CalculusFileError, match="needs kind 'first-order'"):
+        with pytest.raises(CalculusFileError, match="language: propositional "
+                           "alphabets declare no first-order symbols"):
             load(data)
 
     def test_first_order_rejects_constants(self):
         data = {"language": {"kind": "first-order",
                              "individual_variables": ["x"],
                              "constants": ["c"]}}
-        with pytest.raises(CalculusFileError, match="no constant symbols"):
+        with pytest.raises(CalculusFileError, match="language: first-order "
+                           "alphabets declare no propositional constants"):
             load(data)
 
     def test_arity_pairs_are_validated(self):
@@ -139,8 +145,25 @@ class TestLanguage:
             load(data)
 
     def test_unknown_language_kind(self):
-        with pytest.raises(CalculusFileError, match="kind must be"):
+        with pytest.raises(CalculusFileError, match="language: unknown language kind: 'modal'"):
             load({"language": {"kind": "modal", "variables": ["P"]}})
+
+    @pytest.mark.parametrize("language, message", [
+        ({"kind": "first-order", "individual_variables": ["x"], "functions": 5},
+         "'functions' must be a list, got 5"),
+        ({"kind": "first-order", "individual_variables": ["x"],
+          "functions": [["g", True]]},
+         "bad symbol declaration: expected a [name, arity] pair with an integer "
+         "arity >= 0, got ['g', True]"),
+        ({"variables": ["P", "(P -> P)"]}, "bad symbol name: '(P -> P)'"),
+        ({"variables": ["P", "P P"]}, "bad symbol name: 'P P'"),
+    ], ids=["functions-not-a-list", "boolean-arity", "formula-as-name", "spaced-name"])
+    def test_bad_declarations_exit_3(self, tmp_path, capsys, language, message):
+        path = tmp_path / "language.json"
+        path.write_text(json.dumps({"language": language}), encoding="utf-8")
+        for command in (["enum-body"], ["enum-lang", "--size", "3"]):
+            assert main(command + ["--calc", str(path)]) == 3
+            assert capsys.readouterr().err == f"metalogic: error: language: {message}\n"
 
     def test_unknown_language_key(self):
         with pytest.raises(CalculusFileError, match="language: unknown keys"):
@@ -239,7 +262,7 @@ class TestFormulasAndSchemata:
     def test_schema_id_must_be_a_string(self):
         data = full_data()
         data["schemata"][0]["id"] = 7
-        with pytest.raises(CalculusFileError, match=r"schemata\[0\]\.id: expected a string"):
+        with pytest.raises(CalculusFileError, match=r"schemata\[0\]: schema id must be a string, got 7"):
             load(data)
 
     def test_non_string_schema_id_exits_3(self, tmp_path, capsys):
@@ -250,7 +273,7 @@ class TestFormulasAndSchemata:
         assert main(["enum-body", "--json", "--calc", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "schemata[0].id: expected a string" in captured.err
+        assert "schemata[0]: schema id must be a string, got 7" in captured.err
 
     def test_metavariable_naming_a_variable_is_rejected(self, tmp_path, capsys):
         data = full_data()
@@ -649,3 +672,85 @@ class TestRuleRegistry:
             load(data)
         with pytest.raises(RuleParameterError, match="takes no parameter 'mood'"):
             make_rule(name, mood="indicative")
+
+
+def first_order_data():
+    """A valid first-order definition declaring every first-order key."""
+    return {
+        "language": {
+            "kind": "first-order",
+            "variables": ["P"],
+            "individual_variables": ["x", "y"],
+            "functions": [["c", 0], ["g", 1]],
+            "predicates": [["R", 2]],
+            "connectives": ["not", "or", "implies"],
+            "quantifiers": ["exists"],
+            "punctuation": "parens",
+        },
+        "axioms": ["R(x, g(c))"],
+        "schemata": [{"id": "s1", "pattern": "(phi -> phi)",
+                      "metavariables": ["phi"]}],
+        "rules": [{"name": "modus_ponens"},
+                  {"name": "extension", "params": {"psi": "P"}}],
+        "bounds": {"max_stage": 3, "max_formula_size": 9,
+                   "node_budget": 400, "instantiation_pool_size": 2},
+        "stages": [{"axioms": ["P"]}],
+    }
+
+
+def propositional_data():
+    """``full_data`` with a parametric rule after modus ponens."""
+    data = full_data()
+    data["rules"].append({"name": "extension", "params": {"psi": "Q"}})
+    return data
+
+
+BASES = {"propositional": propositional_data, "first-order": first_order_data}
+LANGUAGE_KEYS = ("kind", "variables", "connectives", "constants", "punctuation",
+                 "individual_variables", "functions", "predicates", "quantifiers")
+KEY_PATHS = (
+    [("language", key) for key in LANGUAGE_KEYS]
+    + [("schemata", 0, key) for key in ("id", "pattern", "metavariables")]
+    + [("rules", 0, "name"), ("rules", 1, "name"), ("rules", 1, "params")]
+    + [("bounds", key) for key in ("max_stage", "max_formula_size", "node_budget",
+                                   "instantiation_pool_size")]
+    + [("stages", 0)]
+)
+# values near the valid ones, then any JSON value
+NEAR_MISSES = (5, True, None, [], {}, "", "P P", "(P -> P)", "first-order",
+               ["P", "(P -> P)"], ["x'"], [["g", True]], [["g"]], [["g", -1]],
+               [["P", 1]], ["forall"], {"psi": 5}, {"rule": {"name": "identity"}})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestExitContract:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(base=st.sampled_from(sorted(BASES)), key_path=st.sampled_from(KEY_PATHS),
+           value=st.sampled_from(NEAR_MISSES) | JSON_VALUES)
+    @example(base="first-order", key_path=("language", "functions"), value=5)
+    @example(base="first-order", key_path=("language", "functions"), value=[["g", True]])
+    @example(base="propositional", key_path=("language", "variables"),
+             value=["P", "(P -> P)"])
+    def test_any_one_replaced_value_ends_in_an_exit_code(self, tmp_path, base,
+                                                          key_path, value):
+        """One value of a valid file replaced by any JSON value: the CLI
+        raises nothing and exits with a documented code."""
+        data = BASES[base]()
+        target = data
+        for key in key_path[:-1]:
+            target = target[key]
+        target[key_path[-1]] = value
+        path = tmp_path / "fuzzed.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["enum-body", "--calc", str(path), "--max-stage", "2",
+                         "--max-size", "5"])
+        assert code in range(5)

@@ -451,6 +451,16 @@ class TestRelation:
                      "--kind", "bounded"]) == 3
         assert "No such file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"x"'], ids=["list", "string"])
+    def test_a_record_that_is_not_an_object_exits_3(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert main(["relation-check", "--relation", str(path), "--m", "1",
+                     "--kind", "bounded"]) == 3
+        assert capsys.readouterr().err == (
+            f"metalogic: error: {path}: bad relation record on line 1: "
+            f"expected a JSON object\n")
+
     def test_unwritable_out_path_exits_3(self, capsys, chain_file, tmp_path):
         assert main(["relation", "--calc", chain_file, "--premise", "P",
                      "--max-premises", "1",

@@ -191,12 +191,18 @@ class TestCombinators:
 
     @pytest.mark.parametrize("reject, message", [
         (lambda: InferenceRule("backwards", -1, lambda premises, context: ()),
-         "rule arity must be >= 0, got -1"),
+         "rule arity must be an integer >= 0, got -1"),
+        (lambda: InferenceRule("r", "1", lambda premises, context: ()),
+         "rule arity must be an integer >= 0, got '1'"),
+        (lambda: InferenceRule("r", 1, lambda premises, context: (),
+                               parameter_kinds=(("n", "int"),)),
+         "rule 'r' declares unknown parameter kind 'int'"),
         (lambda: make_rule("extension").conclusions((wff("P"),), {"phi": wff("Q")}),
          "rule 'extension' is missing parameters ['psi']"),
         (lambda: compose(make_rule("cancellation"), make_rule("extension")),
          "compose: second rule 'extension' has unbound parameters"),
-    ], ids=["negative-arity", "missing-parameter", "unbound-second"])
+    ], ids=["negative-arity", "string-arity", "parameter-kind", "missing-parameter",
+            "unbound-second"])
     def test_rejections(self, reject, message):
         with pytest.raises(RuleParameterError, match=re.escape(message)):
             reject()

@@ -309,9 +309,17 @@ class TestValidation:
         (lambda: propositional_alphabet(("forall",)),
          "symbol name collides with a keyword: 'forall'"),
         (lambda: first_order_alphabet(("x",), predicates=(("R", -1),)),
-         "bad symbol declaration: 'R'/-1"),
+         "bad symbol declaration: expected a [name, arity] pair with an integer "
+         "arity >= 0, got ('R', -1)"),
+        (lambda: first_order_alphabet(("x",), functions=[("g",)]),
+         "bad symbol declaration: expected a [name, arity] pair with an integer "
+         "arity >= 0, got ('g',)"),
+        (lambda: first_order_alphabet(("x",), functions=[("g", True)]),
+         "bad symbol declaration: expected a [name, arity] pair with an integer "
+         "arity >= 0, got ('g', True)"),
     ], ids=["kind", "connective", "quantifier", "propositional-first-order",
-            "first-order-constants", "empty-name", "keyword", "arity"])
+            "first-order-constants", "empty-name", "keyword", "arity", "one-item-arity",
+            "boolean-arity"])
     def test_alphabet_rejects_bad_declarations(self, declare, message):
         with pytest.raises(AlphabetError, match=re.escape(message)):
             declare()
@@ -328,6 +336,16 @@ class TestValidation:
     def test_undeclared_symbols_are_rejected(self, reject, error, message):
         with pytest.raises(error, match=re.escape(message)):
             reject()
+
+    @pytest.mark.parametrize("name", ["(P -> P)", "P P", " P", "P′", "1P", "P-", "~"])
+    def test_a_symbol_name_must_read_back_as_one_identifier(self, name):
+        with pytest.raises(AlphabetError, match=re.escape(f"bad symbol name: {name!r}")):
+            propositional_alphabet(("Q", name))
+
+    def test_every_identifier_is_a_symbol_name_that_parses_back(self):
+        names = ("P", "_q", "p1", "P'", "Q''", "α_2")
+        alphabet = propositional_alphabet(names)
+        assert [parse_formula(name, alphabet) for name in names] == list(map(Atom, names))
 
 
 # The closed-form counts below were worked out by hand from the grammar
@@ -442,6 +460,11 @@ class TestSchemas:
         assert schema.metavariables == ("psi",)
         assert schema.pattern == Binary(IMPLIES, Atom("phi"),
                                         Binary(IMPLIES, Atom("chi"), Atom("psi")))
+
+    def test_schema_id_must_be_a_string(self):
+        pattern = parse_formula("(phi -> phi)", self.alphabet)
+        with pytest.raises(SchemaError, match="schema id must be a string, got 5"):
+            Schema(5, pattern, ("phi",))
 
     def test_schema_rejects_unused_metavariable(self):
         pattern = parse_formula("(phi -> phi)", self.alphabet)
