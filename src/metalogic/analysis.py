@@ -243,21 +243,21 @@ def compare_calculi(kind: str, c: Calculus, d: Calculus,
 # The property battery
 # ==========================================================================
 
-def _language_or_none(calculus: Calculus, bounds: Bounds):
+def _language_or_verdict(calculus: Calculus, body, bounds: Bounds):
     try:
         return enumerate_wffs(calculus.alphabet, bounds.max_formula_size,
                               limit=bounds.node_budget)
     except BudgetExceededError:
-        return None
-
-
-def _check_admissible(calculus, body, bounds, params) -> Verdict:
-    language = _language_or_none(calculus, bounds)
-    if language is None:
         return inconclusive(
             {"status": body.status},
             "the language itself exceeds the node budget at this size cap",
         )
+
+
+def _check_admissible(calculus, body, bounds, params) -> Verdict:
+    language = _language_or_verdict(calculus, body, bounds)
+    if isinstance(language, Verdict):
+        return language
     missing = [w for w in language if w not in body]
     if not missing:
         return fails(
@@ -335,12 +335,9 @@ def _check_complete_wrt_map(calculus, body, bounds, params) -> Verdict:
     mapping = params.pop("mapping", None)
     if mapping is None:
         mapping = Negation
-    language = _language_or_none(calculus, bounds)
-    if language is None:
-        return inconclusive(
-            {"status": body.status},
-            "the language itself exceeds the node budget at this size cap",
-        )
+    language = _language_or_verdict(calculus, body, bounds)
+    if isinstance(language, Verdict):
+        return language
     failing = [a for a in language if a not in body and mapping(a) not in body]
     if not failing:
         return holds(

@@ -47,8 +47,9 @@ class EpsilonNFA:
     It is built from (source, symbol, target) triples, where the symbol is
     a single character or None for epsilon, and keeps them as per-symbol
     rows ``_rows[symbol][source] -> targets`` (a tuple of distinct states).
-    Two automata are equal when their states, symbols, start, accepting
-    states and transition sets are equal. Instances are immutable.
+    Each triple is checked as it is stored, so the first faulty one is
+    reported. Two automata are equal when their states, symbols, start,
+    accepting states and transition sets are equal. Instances are immutable.
     """
 
     __slots__ = ("states", "symbols", "start", "accepting", "_rows")
@@ -57,11 +58,24 @@ class EpsilonNFA:
         states = frozenset(states)
         symbols = frozenset(symbols)
         accepting = frozenset(accepting)
+        if start not in states:
+            raise MetalogicError("the start state is not a declared state")
+        if not accepting <= states:
+            raise MetalogicError("an accepting state is not a declared state")
         rows = {}
         fanned = []
         for source, symbol, target in transitions:
+            if source not in states or target not in states:
+                raise MetalogicError(
+                    f"transition ({source!r}, {symbol!r}, {target!r}) "
+                    f"references an undeclared state"
+                )
             row = rows.get(symbol)
             if row is None:
+                if symbol is not EPSILON and symbol not in symbols:
+                    raise MetalogicError(
+                        f"transition symbol {symbol!r} is not in the input alphabet"
+                    )
                 row = rows[symbol] = {}
             targets = row.get(source)
             if targets is None:
@@ -76,27 +90,6 @@ class EpsilonNFA:
                     targets.add(target)
         for row, source in fanned:
             row[source] = tuple(row[source])
-        if start not in states:
-            raise MetalogicError("the start state is not a declared state")
-        if not accepting <= states:
-            raise MetalogicError("an accepting state is not a declared state")
-        for symbol, row in rows.items():
-            if (states.issuperset(row)
-                    and states.issuperset(chain.from_iterable(row.values()))):
-                continue
-            source, target = next(
-                (source, target) for source, targets in row.items()
-                for target in targets
-                if source not in states or target not in states)
-            raise MetalogicError(
-                f"transition ({source!r}, {symbol!r}, {target!r}) "
-                f"references an undeclared state"
-            )
-        for symbol in rows:
-            if symbol is not EPSILON and symbol not in symbols:
-                raise MetalogicError(
-                    f"transition symbol {symbol!r} is not in the input alphabet"
-                )
         for name, value in (("states", states), ("symbols", symbols),
                             ("start", start), ("accepting", accepting),
                             ("_rows", rows)):

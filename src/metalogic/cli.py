@@ -37,6 +37,9 @@ from functools import cache
 from .analysis import (
     BOUNDEDNESS_KINDS,
     COMPARISON_KINDS,
+    FAILS,
+    HOLDS,
+    INCONCLUSIVE,
     PROPERTY_NAMES,
     Verdict,
     check_boundedness,
@@ -91,9 +94,9 @@ _STATUS_EXIT = {
 }
 
 _VERDICT_EXIT = {
-    "holds": EXIT_HOLDS,
-    "fails": EXIT_FAILS,
-    "inconclusive": EXIT_INCONCLUSIVE,
+    HOLDS: EXIT_HOLDS,
+    FAILS: EXIT_FAILS,
+    INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
 
 
@@ -533,10 +536,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"metalogic: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except MetalogicError as exc:
-        print(f"metalogic: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (MetalogicError, OSError) as exc:
         print(f"metalogic: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

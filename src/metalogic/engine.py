@@ -548,7 +548,8 @@ def validate_derivation(derivation: Derivation, calculus: Calculus) -> None:
 
     In substitution-rule mode a schema leaf must be the schema's positional
     realization, the one instance stage 1 holds; in on-demand mode any
-    instance is a leaf.
+    instance is a leaf. A premise is no leaf: a calculus derivation has no
+    premises, only an ``inference_closure`` body does.
     """
     axioms = set(calculus.axioms)
     positional = calculus.schema_mode == SUBSTITUTION_RULE_MODE
@@ -577,7 +578,7 @@ def validate_derivation(derivation: Derivation, calculus: Calculus) -> None:
                     f"node {index + 1} is not the positional realization of "
                     f"schema {j.schema_id!r}: {print_formula(node.formula)}"
                 )
-        if isinstance(j, (AxiomJustification, PremiseJustification, SchemaJustification)):
+        if isinstance(j, (AxiomJustification, SchemaJustification)):
             if node.premise_indices:
                 raise DerivationError(f"node {index + 1} is a leaf but lists premises")
             if node.stage != 1:
@@ -602,7 +603,8 @@ def validate_derivation(derivation: Derivation, calculus: Calculus) -> None:
                     f"node {index + 1} has stage {node.stage}, expected {expected}"
                 )
         else:
-            raise DerivationError(f"node {index + 1} has an unknown justification kind")
+            raise DerivationError(f"node {index + 1} is not an axiom, a schema instance "
+                                  f"or a rule conclusion: {print_formula(node.formula)}")
 
 
 def render_justification(justification, premise_indices: tuple = ()) -> str:
@@ -629,15 +631,18 @@ def render_justification(justification, premise_indices: tuple = ()) -> str:
 # Saturation driver
 # ==========================================================================
 
-def _rule_contexts(rule: InferenceRule, pool: Sequence[Formula],
+def _rule_contexts(rules: RuleSystem, pool: Sequence[Formula],
                    variables: Sequence[str]) -> tuple:
-    """Every parameter context the rule can draw, in order: a formula slot
-    ranges over the pool and a variable slot over ``variables``."""
-    if not rule.parameter_kinds:
-        return (None,)
-    slots = [[(name, value) for value in (pool if kind == PARAM_FORMULA else variables)]
-             for name, kind in rule.parameter_kinds]
-    return tuple(dict(combo) for combo in itertools.product(*slots))
+    """(rule, contexts) for each rule: every parameter context the rule can
+    draw, in order, where a formula slot ranges over the pool and a variable
+    slot over ``variables``. A rule without parameters draws ``(None,)``."""
+    out = []
+    for rule in rules:
+        slots = [[(name, value) for value in (pool if kind == PARAM_FORMULA else variables)]
+                 for name, kind in rule.parameter_kinds]
+        out.append((rule, tuple(dict(combo) for combo in itertools.product(*slots))
+                    if slots else (None,)))
+    return tuple(out)
 
 
 def _layer(rules_with_contexts, universe: Mapping, frontier: Sequence[Formula],
@@ -677,9 +682,7 @@ def _saturate(seed_stream, rules: RuleSystem, pool: Sequence[Formula],
     both: it skips members, and stops at the node budget or the goal."""
     run = _Run()
     members = run.members
-    contexts_by_rule = tuple(
-        (rule, _rule_contexts(rule, pool, variables)) for rule in rules
-    )
+    contexts_by_rule = _rule_contexts(rules, pool, variables)
     admissions = _stage_one(seed_stream)
     while True:
         first_new = len(members)
@@ -810,9 +813,7 @@ def consequence_step(rules: RuleSystem, premises: Iterable[Formula], *,
     premise_list = canonical_sorted(set(premises))
     pool = (canonical_sorted(set(parameter_pool))
             if parameter_pool is not None else premise_list)
-    rules_with_contexts = tuple(
-        (rule, _rule_contexts(rule, pool, variables)) for rule in rules
-    )
+    rules_with_contexts = _rule_contexts(rules, pool, variables)
     # The whole premise set is the frontier. No cap goes into the layer,
     # so no strategy skips a tuple whose conclusion equals a premise.
     out = set()

@@ -32,13 +32,11 @@ from functools import cache
 from typing import Callable, Optional
 
 from .engine import Calculus, ON_DEMAND_MODE, SUBSTITUTION_RULE_MODE
-from .errors import AlphabetError, RuleParameterError, UnknownCalculusError
+from .errors import AlphabetError, RuleParameterError, UnknownCalculusError, check_count
 from .rules import (
-    PARAM_INT,
     RuleSystem,
     Validator,
     always_true_validator,
-    check_parameter,
     make_rule,
     rule_system,
     validated_mp,
@@ -149,7 +147,7 @@ def free_calculus(size_cap: Optional[int] = None,
                   alphabet: Optional[Alphabet] = None) -> Calculus:
     """A calculus whose axiom set is the whole language up to the size cap,
     with the identity rule."""
-    check_parameter(PARAM_INT, size_cap, "the free calculus needs a size cap")
+    check_count(size_cap, 1, "the free calculus size cap")
     if alphabet is None:
         alphabet = _FREE_DEFAULT_ALPHABET
     return Calculus(

@@ -387,35 +387,36 @@ _RULES = {rule.identifier: rule for rule in (
 
 
 def _bound_extension(psi):
+    check_parameter(PARAM_FORMULA, psi, "extension psi")
     bound = {"psi": psi}
     return InferenceRule(f"extension(psi={print_formula(psi)})", 1,
                          lambda premises, context: _extension_conclude(premises, bound),
                          requires_connectives=(OR,))
 
 
-# What a make_rule parameter of each kind must be: kind -> (test, description).
+# What a rule factory's parameter of each kind must be: kind -> (type, description).
+# An integer parameter is checked by check_count.
 _PARAMETER_KINDS = {
-    PARAM_FORMULA: (lambda value: isinstance(value, Formula), "a formula"),
-    PARAM_RULE: (lambda value: isinstance(value, InferenceRule), "a rule"),
-    PARAM_INT: (lambda value: type(value) is int and value >= 1, "an integer >= 1"),
-    PARAM_VALIDATOR: (lambda value: isinstance(value, Validator), "a validator"),
+    PARAM_FORMULA: (Formula, "a formula"),
+    PARAM_RULE: (InferenceRule, "a rule"),
+    PARAM_VALIDATOR: (Validator, "a validator"),
 }
 
 
 def check_parameter(kind: str, value, where: str):
     """Raise RuleParameterError unless ``value`` is a parameter of ``kind``."""
-    fits, description = _PARAMETER_KINDS[kind]
-    if not fits(value):
+    expected, description = _PARAMETER_KINDS[kind]
+    if not isinstance(value, expected):
         raise RuleParameterError(f"{where}: expected {description}, got {value!r}")
 
 
 def make_rule(name: str, **params) -> InferenceRule:
-    """Build a rule from its specification name plus keyword parameters."""
+    """Build a rule from its specification name plus keyword parameters,
+    whose values the rule's factory checks."""
     declared = rule_parameters(name)
-    for key, value in params.items():
+    for key in params:
         if key not in declared:
             raise RuleParameterError(f"rule {name!r} takes no parameter {key!r}")
-        check_parameter(declared[key], value, f"rule {name!r} parameter {key!r}")
     if name in _RULES and not params:
         return _RULES[name]
     missing = sorted(declared.keys() - params.keys())
@@ -493,7 +494,7 @@ def compose(first: InferenceRule, second: InferenceRule) -> InferenceRule:
 def length_filtered(rule: InferenceRule, cap: int) -> InferenceRule:
     """Keep only conclusions whose size is strictly below ``cap``."""
     check_parameter(PARAM_RULE, rule, "length_filtered rule")
-    check_parameter(PARAM_INT, cap, "length_filtered cap")
+    check_count(cap, 1, "length_filtered cap")
 
     def conclude(premises, context):
         return [c for c in rule.conclusions(premises, context) if c.size < cap]

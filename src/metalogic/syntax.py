@@ -431,10 +431,10 @@ class Alphabet:
                 raise AlphabetError("propositional alphabets declare no first-order symbols")
         elif self.constants:
             raise AlphabetError("first-order alphabets declare no propositional constants")
+        others = (*self.variables, *self.constants,
+                  *(n for n, _ in self.functions + self.predicates))
         seen = set()
-        for name in itertools.chain(self.variables, self.constants,
-                                    (n for n, _ in self.functions + self.predicates),
-                                    self.individual_variables):
+        for name in itertools.chain(others, self.individual_variables):
             # a name is what the tokenizer reads back as one identifier
             if (not isinstance(name, str) or not name or "′" in name
                     or _identifier_end(name, 0) != len(name)):
@@ -444,6 +444,14 @@ class Alphabet:
             if name in seen:
                 raise AlphabetError(f"symbol declared twice: {name!r}")
             seen.add(name)
+        # declaring x declares x', x'' and so on (is_individual_variable)
+        for name in self.individual_variables:
+            if name.endswith("'"):
+                raise AlphabetError(f"individual variable declared with a prime: {name!r}")
+        for name in others:
+            if self.is_individual_variable(name):
+                raise AlphabetError(
+                    f"symbol name {name!r} is a primed form of an individual variable")
         object.__setattr__(self, "_function_arity", dict(self.functions))
         object.__setattr__(self, "_predicate_arity", dict(self.predicates))
 
@@ -650,6 +658,7 @@ def _identifier_end(text: str, start: int) -> int:
 
 
 _KEYWORDS = {"forall": "FORALL", "exists": "EXISTS"}
+_ARROWS = {"-": ("IMPLIES", "->"), "<": ("IFF", "<->")}
 
 
 def _tokenize(text: str):
@@ -661,18 +670,14 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch == "-":
-            if text.startswith("->", i):
-                tokens.append(_Token("IMPLIES", "->", i))
-                i += 2
-                continue
-            raise ParseError("stray '-'", i)
-        if ch == "<":
-            if text.startswith("<->", i):
-                tokens.append(_Token("IFF", "<->", i))
-                i += 3
-                continue
-            raise ParseError("stray '<'", i)
+        arrow = _ARROWS.get(ch)
+        if arrow is not None:
+            kind, symbol = arrow
+            if not text.startswith(symbol, i):
+                raise ParseError(f"stray {ch!r}", i)
+            tokens.append(_Token(kind, symbol, i))
+            i += len(symbol)
+            continue
         kind = _SINGLE.get(ch)
         if kind is not None:
             tokens.append(_Token(kind, ch, i))
@@ -804,12 +809,7 @@ class _Parser:
             self.advance()
             self.descend(tok)
             inner = self.parse_binary(0)
-            closer_kind, closer_text = _CLOSER[tok.kind]
-            end = self.peek()
-            if end.kind != closer_kind:
-                self.fail(f"expected {closer_text!r}", end)
-            self.advance()
-            self.depth -= 1
+            self.close(tok)
             return inner
         if tok.kind == "IDENT":
             return self.parse_ident()
@@ -825,11 +825,7 @@ class _Parser:
             return Atom(name)
         arity = ab._predicate_arity.get(name)
         if arity is not None:
-            self.advance()
-            if arity == 0:
-                return PredApp(name, ())
-            args = self.parse_argument_list(arity, name, tok)
-            return PredApp(name, args)
+            return self.parse_application(PredApp, arity)
         if ab.kind == FIRST_ORDER and (ab.is_individual_variable(name)
                                        or name in ab._function_arity):
             left = self.parse_term()
@@ -841,25 +837,36 @@ class _Parser:
             return Equality(left, right)
         self.fail(f"unknown symbol {name!r}", tok)
 
-    def parse_argument_list(self, arity, owner, owner_tok) -> tuple:
-        open_tok = self.peek()
-        if open_tok.kind not in ("LPAREN", "LBRACKET"):
-            self.fail(f"expected an argument list for {owner!r}", open_tok)
-        self.advance()
-        self.descend(open_tok)
+    def close(self, open_tok):
+        """Read the bracket that closes ``open_tok`` and leave the nesting
+        level it opened."""
         closer_kind, closer_text = _CLOSER[open_tok.kind]
-        args = [self.parse_term()]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            args.append(self.parse_term())
         end = self.peek()
         if end.kind != closer_kind:
             self.fail(f"expected {closer_text!r}", end)
         self.advance()
         self.depth -= 1
+
+    def parse_application(self, node, arity: int):
+        """The symbol at the current token applied to ``arity`` terms, as a
+        ``node`` (PredApp or FuncApp); arity 0 takes no argument list."""
+        tok = self.advance()
+        name = tok.value
+        if arity == 0:
+            return node(name, ())
+        open_tok = self.peek()
+        if open_tok.kind not in _CLOSER:
+            self.fail(f"expected an argument list for {name!r}", open_tok)
+        self.advance()
+        self.descend(open_tok)
+        args = [self.parse_term()]
+        while self.peek().kind == "COMMA":
+            self.advance()
+            args.append(self.parse_term())
+        self.close(open_tok)
         if len(args) != arity:
-            self.fail(f"{owner!r} expects {arity} argument(s), got {len(args)}", owner_tok)
-        return tuple(args)
+            self.fail(f"{name!r} expects {arity} argument(s), got {len(args)}", tok)
+        return node(name, tuple(args))
 
     def parse_term(self) -> Term:
         tok = self.peek()
@@ -872,11 +879,7 @@ class _Parser:
             return Var(name)
         arity = ab._function_arity.get(name)
         if arity is not None:
-            self.advance()
-            if arity == 0:
-                return FuncApp(name, ())
-            args = self.parse_argument_list(arity, name, tok)
-            return FuncApp(name, args)
+            return self.parse_application(FuncApp, arity)
         self.fail(f"unknown term symbol {name!r}", tok)
 
 

@@ -449,6 +449,14 @@ class TestRelationInterchange:
         assert relation_to_lines(empty) == ""
         assert len(relation_from_lines("")) == 0
 
+    def test_blank_lines_are_skipped_and_still_counted(self):
+        good = '{"conclusion": "z", "premises": ["a"]}'
+        other = '{"conclusion": "a", "premises": []}'
+        parsed = relation_from_lines("\n" + good + "\n   \n\t\n" + other + "\n\n")
+        assert parsed.pairs == {(frozenset({"a"}), "z"), (frozenset(), "a")}
+        with pytest.raises(MetalogicError, match="line 4"):
+            relation_from_lines(good + "\n\n \n" + '{"oops": 1}')
+
     def test_bad_record_reports_line_number(self):
         good = '{"conclusion": "z", "premises": ["a"]}'
         with pytest.raises(MetalogicError) as err:

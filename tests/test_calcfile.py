@@ -165,6 +165,19 @@ class TestLanguage:
             assert main(command + ["--calc", str(path)]) == 3
             assert capsys.readouterr().err == f"metalogic: error: language: {message}\n"
 
+    @pytest.mark.parametrize("language, axioms, message", [
+        ({"kind": "first-order", "individual_variables": ["x'"], "predicates": [["R", 1]]},
+         ["R(x')"], "individual variable declared with a prime: \"x'\""),
+        ({"kind": "first-order", "variables": ["x'"], "individual_variables": ["x"]},
+         [], "symbol name \"x'\" is a primed form of an individual variable"),
+    ], ids=["primed-individual-variable", "variable-named-a-primed-form"])
+    def test_primed_declarations_exit_3(self, tmp_path, capsys, language, axioms, message):
+        path = tmp_path / "language.json"
+        path.write_text(json.dumps({"language": language, "axioms": axioms}),
+                        encoding="utf-8")
+        assert main(["enum-body", "--calc", str(path)]) == 3
+        assert capsys.readouterr().err == f"metalogic: error: language: {message}\n"
+
     def test_unknown_language_key(self):
         with pytest.raises(CalculusFileError, match="language: unknown keys"):
             load({"language": {"variables": ["P"], "vars": ["Q"]}})
@@ -394,7 +407,7 @@ class TestRules:
                               "params": {"mood": "indicative"}})
 
     def test_cap_must_be_an_integer(self):
-        with pytest.raises(CalculusFileError, match="expected an integer"):
+        with pytest.raises(CalculusFileError, match="must be an integer"):
             self.loaded_rule({
                 "name": "length_filtered",
                 "params": {"cap": "five", "rule": {"name": "identity"}},
@@ -505,7 +518,7 @@ class TestBuiltinShorthands:
         assert len(calculus.axioms) == 3
 
     def test_free_requires_its_cap(self):
-        with pytest.raises(CalculusFileError, match="needs a size cap"):
+        with pytest.raises(CalculusFileError, match="size cap must be an integer >= 1"):
             read_calculus_file("builtin:free")
 
     def test_free_cap_must_be_an_integer(self):
@@ -639,7 +652,7 @@ class TestFieldTypes:
         data = full_data()
         data["rules"] = [{"name": "length_filtered",
                           "params": {"cap": True, "rule": {"name": "modus_ponens"}}}]
-        with pytest.raises(CalculusFileError, match="expected an integer"):
+        with pytest.raises(CalculusFileError, match="must be an integer"):
             load(data)
 
 

@@ -4,16 +4,22 @@ Everything runs in-process through main(argv), so the tests see real exit
 codes and captured stdout/stderr without spawning a shell.
 """
 
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from metalogic import cli
+from metalogic.analysis import BOUNDEDNESS_KINDS, COMPARISON_KINDS, PROPERTY_NAMES
 from metalogic.cli import main
+from metalogic.library import translation_map_names
 
 CHAIN = {
     "name": "chain",
@@ -611,3 +617,86 @@ class TestSharedParser:
             [sys.executable, "-c", probe], capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=src), check=True)
         assert result.stdout.strip() == "0"
+
+
+# Argv fuzzing: every subcommand, every bounds flag from -1 to a small cap,
+# valid and broken calculi, and well- and ill-formed formula texts. The caps
+# keep each draw to a small body.
+FUZZ_BOUNDS = (("--max-size", 7), ("--max-stage", 3), ("--budget", 2000),
+               ("--pool-size", 2))
+FUZZ_BUILTINS = ("builtin:kleene", "builtin:church_p1", "builtin:shoenfield_fragment",
+                 "builtin:free,3", "builtin:free,0", "builtin:nope",
+                 "builtin:lv,kleene,nope", "builtin:lv,kleene")
+FUZZ_FORMULAS = ("P", "(P -> Q)", "~~P", "(p -> q)", "x = x", "R(x, g(c))",
+                 "(P ->", "P P", "", "[P -> Q)", "->", "forall x P", "~", "P <- Q")
+FUZZ_SUBCOMMANDS = ("parse", "enum-lang", "enum-body", "derive", "stages", "compare",
+                    "check", "relation", "relation-check", "automaton")
+
+
+@st.composite
+def argvs(draw, calc_file, relation_file):
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def formula():
+        return pick(FUZZ_FORMULAS)
+
+    def maybe(*flag_and_value):
+        return list(flag_and_value) if draw(st.booleans()) else []
+
+    calcs = FUZZ_BUILTINS + (calc_file,)
+    command = pick(FUZZ_SUBCOMMANDS)
+    argv = [command] + maybe("--json")
+    if command not in ("parse", "compare", "relation-check"):
+        argv += ["--calc", pick(calcs)]
+    if command not in ("parse", "relation-check"):
+        # one flag at a time may go below 1, so that most draws get past the bounds
+        low_flag = pick([flag for flag, _ in FUZZ_BOUNDS] + [None])
+        for flag, cap in FUZZ_BOUNDS:
+            argv += [flag, str(draw(st.integers(-1 if flag == low_flag else 1, cap)))]
+        if draw(st.integers(0, 3)) == 0:
+            argv += ["--pool-vars", pick(("P", "P,Q", "p,q", "P,P", ","))]
+    if command == "parse":
+        argv += ["--calc", pick(calcs), formula()]
+    elif command == "enum-lang":
+        argv += ["--size", str(draw(st.integers(-1, 7)))]
+    elif command == "derive":
+        argv += ["--goal", formula()]
+    elif command == "compare":
+        argv += ["--kind", pick(COMPARISON_KINDS), "--calc-a", pick(calcs),
+                 "--calc-b", pick(calcs)]
+        argv += maybe("--map", pick(translation_map_names()))
+    elif command == "check":
+        argv += ["--property", pick(PROPERTY_NAMES)]
+        argv += maybe("--member", formula()) + maybe("--pattern", formula())
+        argv += maybe("--target", formula()) + maybe("--strict")
+    elif command == "relation":
+        argv += ["--premise", formula(), "--max-premises", str(draw(st.integers(-1, 2)))]
+        argv += maybe("--premise", formula())
+    elif command == "relation-check":
+        argv += ["--relation", pick((relation_file, relation_file + ".missing")),
+                 "--m", str(draw(st.integers(-1, 3))), "--kind", pick(BOUNDEDNESS_KINDS)]
+    elif command == "automaton":
+        argv += maybe("--deterministic")
+        argv += pick((["--accept", formula()], ["--language-upto",
+                                                 str(draw(st.integers(-1, 12)))], []))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def relation_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("relation") / "relation.jsonl"
+    path.write_text('{"conclusion": "Q", "premises": ["P", "(P -> Q)"]}\n'
+                    '{"conclusion": "P", "premises": ["P"]}\n', encoding="utf-8")
+    return str(path)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_any_drawn_argv_ends_in_an_exit_code(staged_file, relation_file, data):
+    """Whatever the argv, main raises nothing and returns a documented code."""
+    argv = data.draw(argvs(staged_file, relation_file), label="argv")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in range(5)

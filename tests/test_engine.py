@@ -27,6 +27,7 @@ from metalogic import (
     IMPLIES,
     InferenceRule,
     Negation,
+    PremiseJustification,
     RuleParameterError,
     SATURATED,
     STAGE_CAP_HIT,
@@ -497,6 +498,14 @@ class TestDerivations:
         with pytest.raises(DerivationError,
                            match=message.format(leaf1=leaf + 1, step1=step + 1)):
             validate_derivation(mutant, calculus)
+
+    def test_a_premise_leaf_is_rejected(self, kleene):
+        # a calculus derivation has no premises; only inference_closure bodies do
+        formula = parse_formula("(P & ~P)", kleene.alphabet)
+        leaf = DerivationNode(formula, PremiseJustification(), (), 1)
+        with pytest.raises(DerivationError, match=re.escape(
+                "node 1 is not an axiom, a schema instance or a rule conclusion: (P & ~P)")):
+            validate_derivation(Derivation((leaf,)), kleene)
 
     def test_substitution_mode_leaf_must_be_the_positional_realization(self):
         # An instance of p1-1 that no bounded church_p1 body holds at stage 1.

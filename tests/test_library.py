@@ -127,7 +127,7 @@ class TestFreeCalculus:
             free_calculus()
 
     def test_boolean_cap_is_rejected(self):
-        with pytest.raises(RuleParameterError, match="expected an integer"):
+        with pytest.raises(RuleParameterError, match="must be an integer"):
             free_calculus(size_cap=True)
 
     def test_custom_alphabet(self, pq_alphabet):

@@ -167,12 +167,12 @@ class TestCombinators:
         {"rule": "modus_ponens", "cap": 2.0},
     ], ids=["bool", "zero", "float"])
     def test_length_filtered_cap_is_an_integer(self, params):
-        with pytest.raises(RuleParameterError, match="expected an integer >= 1"):
+        with pytest.raises(RuleParameterError, match="must be an integer >= 1"):
             make_rule("length_filtered", rule=make_rule(params["rule"]), cap=params["cap"])
 
     @pytest.mark.parametrize("cap", [True, 0, 2.0], ids=["bool", "zero", "float"])
     def test_length_filtered_checks_its_cap_when_called_directly(self, cap):
-        with pytest.raises(RuleParameterError, match="expected an integer >= 1"):
+        with pytest.raises(RuleParameterError, match="must be an integer >= 1"):
             length_filtered(make_rule("modus_ponens"), cap)
 
     def test_combinators_check_their_rules_when_called_directly(self):

@@ -14,7 +14,12 @@ from metalogic import (
     OR,
     Atom,
     Binary,
+    Equality,
+    EXISTS,
     Negation,
+    PredApp,
+    Quantified,
+    Var,
     enumerate_wffs,
     is_tautology,
     parse_formula,
@@ -96,6 +101,17 @@ def test_atom_cap_guards_blowup():
         conjunction = f"({conjunction} & {name})"
     with pytest.raises(EvaluationError):
         is_tautology(parse_formula(conjunction, wide))
+
+
+@pytest.mark.parametrize("formula", [
+    PredApp("R", (Var("x"),)),
+    Equality(Var("x"), Var("x")),
+    Quantified(EXISTS, "x", PredApp("R", (Var("x"),))),
+    Binary(OR, Atom("P"), PredApp("R", (Var("x"),))),
+], ids=["predicate", "equality", "quantifier", "inside-a-connective"])
+def test_a_first_order_formula_is_not_evaluated(formula):
+    with pytest.raises(EvaluationError, match="not a propositional formula"):
+        is_tautology(formula)
 
 
 def test_evaluate_agrees_with_the_truth_table():

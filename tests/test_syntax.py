@@ -3,7 +3,9 @@
 import re
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from metalogic import (
     AND,
@@ -51,6 +53,7 @@ from metalogic import (
 )
 
 from conftest import cyclic_garbage
+from test_parser_differential import ALPHABETS
 
 
 class TestParsePrint:
@@ -96,6 +99,36 @@ class TestParsePrint:
     def test_constant_parses_as_atom(self, church_p1):
         formula = parse_formula("(f -> p)", church_p1.alphabet)
         assert formula == Binary(IMPLIES, Atom("f"), Atom("p"))
+
+
+# Texts of at most 40 characters for the three alphabets of the parser
+# differential: any characters the tokenizer reads, any tokens in a row, and
+# texts the grammar reads (unbracketed chains among them), which parse often.
+TOKENIZER_CHARACTERS = "PQkxyfgcRST'′_1 \t-<>~¬∼&∧|∨→⊃↔∀∃()[],=#"
+TOKENS = ("P", "Q", "k", "x", "y", "x'", "f", "g", "c", "R", "S", "T", "forall", "exists",
+          "~", "&", "|", "->", "<->", "(", ")", "[", "]", ",", "=", "-", "<")
+GRAMMAR_TEXTS = st.recursive(
+    st.sampled_from(("P", "Q", "k", "T", "R(x)", "S(x', f(c))", "x = g(y, c)", "R[c]")),
+    lambda inner: st.tuples(st.sampled_from(("~", "¬", "∼")), inner).map("".join)
+    | st.tuples(inner, st.sampled_from(("&", "∧", "|", "∨", "->", "→", "⊃", "<->", "↔")),
+                inner).map(" ".join)
+    | inner.map("({})".format) | inner.map("[{}]".format)
+    | st.tuples(st.sampled_from(("forall x", "∃x", "exists y")), inner).map(" ".join),
+    max_leaves=6)
+FORMULA_TEXTS = (st.text(TOKENIZER_CHARACTERS, max_size=40)
+                 | st.lists(st.sampled_from(TOKENS), max_size=20).map(" ".join)
+                 | GRAMMAR_TEXTS).filter(lambda text: len(text) <= 40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(ALPHABETS)), text=FORMULA_TEXTS)
+def test_any_text_parses_to_a_formula_that_reads_back_or_is_a_parse_error(name, text):
+    alphabet = ALPHABETS[name]
+    try:
+        formula = parse_formula(text, alphabet)
+    except ParseError:
+        return
+    assert parse_formula(print_formula(formula), alphabet) == formula
 
 
 class TestFormulaStructure:
@@ -342,6 +375,23 @@ class TestValidation:
         with pytest.raises(AlphabetError, match=re.escape(f"bad symbol name: {name!r}")):
             propositional_alphabet(("Q", name))
 
+    @pytest.mark.parametrize("declare, message", [
+        (lambda: first_order_alphabet(("x'",), predicates=[("R", 1)]),
+         "individual variable declared with a prime: \"x'\""),
+        (lambda: first_order_alphabet(("x", "y''")),
+         "individual variable declared with a prime: \"y''\""),
+        (lambda: first_order_alphabet(("x",), variables=("x'",)),
+         "symbol name \"x'\" is a primed form of an individual variable"),
+        (lambda: first_order_alphabet(("x",), functions=[("x''", 0)]),
+         "symbol name \"x''\" is a primed form of an individual variable"),
+        (lambda: first_order_alphabet(("x",), predicates=[("x'", 1)]),
+         "symbol name \"x'\" is a primed form of an individual variable"),
+    ], ids=["primed-individual", "second-primed-individual", "primed-variable",
+            "primed-function", "primed-predicate"])
+    def test_an_individual_variable_owns_its_primed_forms(self, declare, message):
+        with pytest.raises(AlphabetError, match=re.escape(message)):
+            declare()
+
     def test_every_identifier_is_a_symbol_name_that_parses_back(self):
         names = ("P", "_q", "p1", "P'", "Q''", "α_2")
         alphabet = propositional_alphabet(names)
@@ -429,6 +479,11 @@ class TestSchemas:
 
     def test_match_requires_consistent_bindings(self, pq_alphabet):
         target = parse_formula("(P -> (Q -> Q))", pq_alphabet)
+        assert match_schema(self.schema, target) is None
+
+    def test_match_requires_the_same_connective(self, pq_alphabet):
+        # k1 is (phi -> (chi -> phi)): by shape alone phi = P and chi = Q
+        target = parse_formula("(P & (Q & P))", pq_alphabet)
         assert match_schema(self.schema, target) is None
 
     def test_instantiate_then_match_round_trips(self, pq_alphabet):
