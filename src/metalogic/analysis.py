@@ -21,6 +21,7 @@ it refuses.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import operator
@@ -243,25 +244,31 @@ def compare_calculi(kind: str, c: Calculus, d: Calculus,
 # The property battery
 # ==========================================================================
 
-def _language_or_verdict(calculus: Calculus, body, bounds: Bounds):
+def _within_budget(body, what: str, compute):
+    """``compute()``, or an inconclusive verdict saying that ``what``
+    outgrew the node budget when it raises BudgetExceededError."""
     try:
-        return enumerate_wffs(calculus.alphabet, bounds.max_formula_size,
-                              limit=bounds.node_budget)
+        return compute()
     except BudgetExceededError:
         return inconclusive(
             {"status": body.status},
-            "the language itself exceeds the node budget at this size cap",
+            f"{what} exceeds the node budget at this size cap",
         )
 
 
-def _check_admissible(calculus, body, bounds, params) -> Verdict:
-    language = _language_or_verdict(calculus, body, bounds)
+def _language_or_verdict(calculus: Calculus, body):
+    return _within_budget(body, "the language itself", lambda: enumerate_wffs(
+        calculus.alphabet, body.bounds.max_formula_size, limit=body.bounds.node_budget))
+
+
+def _check_admissible(calculus, body) -> Verdict:
+    language = _language_or_verdict(calculus, body)
     if isinstance(language, Verdict):
         return language
     missing = [w for w in language if w not in body]
     if not missing:
         return fails(
-            {"language_size": len(language), "cap": bounds.max_formula_size},
+            {"language_size": len(language), "cap": body.bounds.max_formula_size},
             "not admissible within the size cap: the body covers every "
             "well-formed formula up to the cap",
         )
@@ -278,8 +285,7 @@ def _is_structural_contradiction(formula: Formula) -> bool:
             and formula.left == formula.right.operand)
 
 
-def _check_consistent(calculus, body, bounds, params) -> Verdict:
-    strict = bool(params.pop("strict", False))
+def _check_consistent(calculus, body, strict=False) -> Verdict:
     constants = frozenset(calculus.alphabet.constants)
     for theorem in body.theorems:
         if _is_structural_contradiction(theorem):
@@ -304,9 +310,7 @@ def _check_consistent(calculus, body, bounds, params) -> Verdict:
                     theorems_scanned=len(body))
 
 
-def _check_consistent_with(calculus, body, bounds, params) -> Verdict:
-    members = params.pop("members", None)
-    pattern = params.pop("pattern", None)
+def _check_consistent_with(calculus, body, members=None, pattern=None) -> Verdict:
     if (members is None) == (pattern is None):
         raise RuleParameterError(
             "consistent-with needs exactly one of: members (a formula "
@@ -331,11 +335,8 @@ def _check_consistent_with(calculus, body, bounds, params) -> Verdict:
                     "no overlap found, but the enumeration did not saturate")
 
 
-def _check_complete_wrt_map(calculus, body, bounds, params) -> Verdict:
-    mapping = params.pop("mapping", None)
-    if mapping is None:
-        mapping = Negation
-    language = _language_or_verdict(calculus, body, bounds)
+def _check_complete_wrt_map(calculus, body, mapping=Negation) -> Verdict:
+    language = _language_or_verdict(calculus, body)
     if isinstance(language, Verdict):
         return language
     failing = [a for a in language if a not in body and mapping(a) not in body]
@@ -347,7 +348,7 @@ def _check_complete_wrt_map(calculus, body, bounds, params) -> Verdict:
     candidates = [print_formula(a) for a in failing[:5]]
     # a gap whose image is beyond the cap may be closed beyond it
     witness = next((a for a in failing
-                    if mapping(a).size <= bounds.max_formula_size), None)
+                    if mapping(a).size <= body.bounds.max_formula_size), None)
     if witness is None:
         found = inconclusive({"status": body.status, "candidates": candidates},
                              "all gap candidates have images beyond the size cap")
@@ -359,21 +360,20 @@ def _check_complete_wrt_map(calculus, body, bounds, params) -> Verdict:
                     candidates=candidates)
 
 
-def _check_complete_wrt_rules(calculus, body, bounds, params) -> Verdict:
-    rules = params.pop("rules", None)
-    targets = params.pop("targets", None)
-    if rules is None or targets is None:
+def _check_complete_wrt_rules(calculus, body, targets=None, rules=None) -> Verdict:
+    if targets is None:
         raise RuleParameterError(
-            "complete-wrt-rules needs rules (a rule system) and targets "
-            "(a formula collection)"
+            "complete-wrt-rules needs targets (a formula collection)"
         )
     targets = canonical_sorted(set(targets))
-    layer = consequence_step(
-        rules, body.theorems,
-        parameter_pool=instantiation_pool(calculus, bounds),
+    layer = _within_budget(body, "the one-step layer", lambda: consequence_step(
+        calculus.rules if rules is None else rules, body.theorems,
+        parameter_pool=instantiation_pool(calculus, body.bounds),
         variables=calculus.alphabet.variables,
-        node_budget=bounds.node_budget,
-    )
+        node_budget=body.bounds.node_budget,
+    ))
+    if isinstance(layer, Verdict):
+        return layer
     missing = [q for q in targets if q not in layer]
     if not missing:
         return holds(
@@ -387,16 +387,16 @@ def _check_complete_wrt_rules(calculus, body, bounds, params) -> Verdict:
                     candidates=[print_formula(q) for q in missing[:5]])
 
 
-def _check_transitively_closed(calculus, body, bounds, params) -> Verdict:
+def _check_transitively_closed(calculus, body) -> Verdict:
     found = holds({"theorems": len(body)},
                   "one extra full pass adds nothing within the size cap")
     return _settled(body, found, "transitive closure is only decidable here "
                                  "once the enumeration saturates")
 
 
-def _check_closed_wrt_axioms(calculus, body, bounds, params) -> Verdict:
+def _check_closed_wrt_axioms(calculus, body) -> Verdict:
     oversize = [a for a, _ in fixed_axioms(calculus)
-                if a.size > bounds.max_formula_size]
+                if a.size > body.bounds.max_formula_size]
     if oversize:
         return inconclusive(
             {"oversized_axioms": [print_formula(a) for a in oversize[:5]]},
@@ -406,7 +406,7 @@ def _check_closed_wrt_axioms(calculus, body, bounds, params) -> Verdict:
     # Stage 1 is the realized axiom stream, deduplicated and cut at the
     # budget, so every realized axiom the budget admits is in the body.
     realized = body.new_at_stage(1)
-    if _axioms_truncated(realized, bounds):
+    if _axioms_truncated(realized, body.bounds):
         return inconclusive(
             {"realized": len(realized)},
             "the realized axiom stream was budget-truncated",
@@ -417,7 +417,7 @@ def _check_closed_wrt_axioms(calculus, body, bounds, params) -> Verdict:
     )
 
 
-def _check_closed_wrt_rules(calculus, body, bounds, params) -> Verdict:
+def _check_closed_wrt_rules(calculus, body) -> Verdict:
     # Only theorems past stage 1 cite a rule; stage-1 records are not built.
     used = {body.justification_of(theorem).rule_id for theorem in body.theorems
             if body.stage_of(theorem) > 1}
@@ -434,8 +434,8 @@ def _check_closed_wrt_rules(calculus, body, bounds, params) -> Verdict:
                     unused=unused)
 
 
-def _check_completely_closed(calculus, body, bounds, params) -> Verdict:
-    parts = {name: _PROPERTY_CHECKS[name](calculus, body, bounds, dict(params))
+def _check_completely_closed(calculus, body) -> Verdict:
+    parts = {name: _PROPERTY_CHECKS[name](calculus, body)
              for name in ("closed-wrt-axioms", "closed-wrt-rules",
                           "transitively-closed")}
     for name, part in parts.items():
@@ -464,18 +464,26 @@ _PROPERTY_CHECKS = {
 
 PROPERTY_NAMES = tuple(_PROPERTY_CHECKS)
 
+# property name -> the keywords its check takes after (calculus, body)
+_CHECK_PARAMETERS = {
+    name: frozenset(tuple(inspect.signature(check).parameters)[2:])
+    for name, check in _PROPERTY_CHECKS.items()
+}
+
 
 def check_property(calculus: Calculus, property_name: str,
                    bounds: Bounds = DEFAULT_BOUNDS, **params) -> Verdict:
     """Decide one Definition-style property of the calculus's bounded body.
 
     The body is built here, from the calculus and the bounds, so a check
-    sees the body those two give and no other.
+    sees the body those two give and no other. A keyword the property does
+    not take is rejected before the body is built.
 
     Parametric properties take keyword arguments: consistent-with needs
     ``members`` or ``pattern``; complete-wrt-map takes ``mapping`` (defaults
-    to negation); complete-wrt-rules needs ``rules`` and ``targets``;
-    consistent accepts ``strict`` for the semantic unsatisfiability mode.
+    to negation); complete-wrt-rules needs ``targets`` and takes ``rules``
+    (defaults to the calculus's own rules); consistent accepts ``strict``
+    for the semantic unsatisfiability mode.
     """
     check = _PROPERTY_CHECKS.get(property_name)
     if check is None:
@@ -483,15 +491,13 @@ def check_property(calculus: Calculus, property_name: str,
             f"unknown property {property_name!r}; known: "
             f"{', '.join(PROPERTY_NAMES)}"
         )
-    body = enumerate_body(calculus, bounds)
-    params = dict(params)
-    verdict = check(calculus, body, bounds, params)
-    if params:
+    unknown = params.keys() - _CHECK_PARAMETERS[property_name]
+    if unknown:
         raise RuleParameterError(
             f"property {property_name!r} got unknown parameters: "
-            f"{sorted(params)}"
+            f"{sorted(unknown)}"
         )
-    return verdict
+    return check(calculus, enumerate_body(calculus, bounds), **params)
 
 
 # ==========================================================================

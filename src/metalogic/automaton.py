@@ -119,10 +119,7 @@ class EpsilonNFA:
         return (self.start == other.start and self.states == other.states
                 and self.symbols == other.symbols
                 and self.accepting == other.accepting
-                # equal rows are one relation; the same relation can still
-                # list a fan-out's targets in another order
-                and (self._rows == other._rows
-                     or self.transitions == other.transitions))
+                and self.transitions == other.transitions)
 
     def __hash__(self):
         return hash((self.states, self.symbols, self.start, self.accepting))

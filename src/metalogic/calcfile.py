@@ -44,7 +44,6 @@ The path ``builtin:<name>`` bypasses files: ``builtin:kleene``,
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -53,9 +52,8 @@ from .engine import (
     Bounds,
     Calculus,
     ON_DEMAND_MODE,
-    StagedAxioms,
 )
-from .errors import CalculusFileError, MetalogicError
+from .errors import CalculusFileError, MetalogicError, located
 from .library import builtin_calculus, builtin_spec_params, make_validator
 from .rules import (
     PARAM_FORMULA,
@@ -82,19 +80,7 @@ class CalculusFile:
 
     calculus: Calculus
     bounds: Optional[Bounds] = None
-    staged: Optional[StagedAxioms] = None
-
-
-@contextmanager
-def _located(where: str):
-    """Report a package error raised inside as a CalculusFileError at
-    ``where``; a CalculusFileError, already located, passes through."""
-    try:
-        yield
-    except CalculusFileError:
-        raise
-    except MetalogicError as exc:
-        raise CalculusFileError(f"{where}: {exc}") from exc
+    staged: Optional[tuple] = None  # AxiomStage, ...
 
 
 def _reject_unknown(mapping: dict, allowed: tuple, where: str):
@@ -149,7 +135,7 @@ def _parse_language(raw: dict) -> Alphabet:
         )
     # a propositional language needs variables, a first-order one individual variables
     first_order = raw.get("kind") == FIRST_ORDER
-    with _located(where):
+    with located(CalculusFileError, where):
         return Alphabet(
             kind=raw.get("kind", PROPOSITIONAL),
             variables=_names(raw, "variables", where, () if first_order else None),
@@ -166,7 +152,7 @@ def _parse_language(raw: dict) -> Alphabet:
 def _parse_formula_field(text, alphabet: Alphabet, where: str):
     if not isinstance(text, str):
         raise CalculusFileError(f"{where}: expected a formula string, got {text!r}")
-    with _located(where):
+    with located(CalculusFileError, where):
         return parse_formula(text, alphabet)
 
 
@@ -176,12 +162,12 @@ def _parse_schema(raw, alphabet: Alphabet, where: str) -> Schema:
     _reject_unknown(raw, ("id", "pattern", "metavariables"), where)
     schema_id = _require(raw, "id", where)
     metavariables = _names(raw, "metavariables", where)
-    with _located(where):
+    with located(CalculusFileError, where):
         meta_alphabet = schema_alphabet(alphabet, tuple(dict.fromkeys(metavariables)))
     pattern = _parse_formula_field(
         _require(raw, "pattern", where), meta_alphabet, f"{where}.pattern"
     )
-    with _located(where):
+    with located(CalculusFileError, where):
         return Schema(schema_id, pattern, metavariables)
 
 
@@ -195,7 +181,7 @@ def _parse_rule(raw, alphabet: Alphabet, stub: Calculus, index_path: str) -> Inf
     raw_params = raw.get("params", {})
     if not isinstance(raw_params, dict):
         raise CalculusFileError(f"{index_path}.params: expected an object")
-    with _located(index_path):
+    with located(CalculusFileError, index_path):
         declared = rule_parameters(name)
     params = {}
     for key, value in raw_params.items():
@@ -208,10 +194,10 @@ def _parse_rule(raw, alphabet: Alphabet, stub: Calculus, index_path: str) -> Inf
         elif kind == PARAM_VALIDATOR:
             if not isinstance(value, str):
                 raise CalculusFileError(f"{where}: expected a validator name, got {value!r}")
-            with _located(where):
+            with located(CalculusFileError, where):
                 value = make_validator(value, stub)
         params[key] = value
-    with _located(index_path):
+    with located(CalculusFileError, index_path):
         return make_rule(name, **params)
 
 
@@ -220,7 +206,7 @@ def _parse_bounds(raw) -> Bounds:
     if not isinstance(raw, dict):
         raise CalculusFileError(f"{where}: expected an object")
     _reject_unknown(raw, tuple(bound.name for bound in fields(Bounds)), where)
-    with _located(where):
+    with located(CalculusFileError, where):
         return Bounds(**raw)
 
 
@@ -278,7 +264,11 @@ def parse_calculus_data(data: dict) -> CalculusFile:
     staged = None
     if "stages" in data:
         stages = []
-        for i, raw in enumerate(_list(data, "stages", "top level")):
+        raw_stages = _list(data, "stages", "top level")
+        if not raw_stages:
+            raise CalculusFileError(
+                "stages: a staged axiom system needs at least one stage")
+        for i, raw in enumerate(raw_stages):
             where = f"stages[{i}]"
             if not isinstance(raw, dict):
                 raise CalculusFileError(f"{where}: expected an object")
@@ -290,7 +280,7 @@ def parse_calculus_data(data: dict) -> CalculusFile:
                 stage_rules = rule_system(
                     *_parse_rules(raw, alphabet, stub, where, f"{where}."))
             stages.append(AxiomStage(stage_axioms, stage_schemata, stage_rules))
-        staged = StagedAxioms(tuple(stages))
+        staged = tuple(stages)
     return CalculusFile(calculus, bounds, staged)
 
 

@@ -337,8 +337,6 @@ def _cmd_check(args) -> tuple:
                              for text in args.target]
     if args.rules_from:
         params["rules"] = read_calculus_file(args.rules_from).calculus.rules
-    elif args.property == "complete-wrt-rules":
-        params["rules"] = calculus.rules
     verdict = check_property(calculus, args.property, bounds, **params)
     return _verdict_report({
         "calculus": calculus.name,

@@ -74,6 +74,7 @@ from .errors import (
     RuleParameterError,
     SchemaError,
     check_count,
+    located,
 )
 from .rules import PARAM_FORMULA, InferenceRule, RuleSystem
 from .syntax import (
@@ -278,16 +279,6 @@ class AxiomStage:
     def __post_init__(self):
         object.__setattr__(self, "axioms", tuple(self.axioms))
         object.__setattr__(self, "schemata", tuple(self.schemata))
-
-
-@dataclass(frozen=True)
-class StagedAxioms:
-    stages: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        if not self.stages:
-            raise RuleParameterError("a staged axiom system needs at least one stage")
 
 
 # ==========================================================================
@@ -546,6 +537,10 @@ def _build_derivation(members: dict, goal: Formula) -> Derivation:
 def validate_derivation(derivation: Derivation, calculus: Calculus) -> None:
     """Re-check every node against the calculus; raise DerivationError if any fails.
 
+    Any other package error a node's check raises, such as an unknown schema
+    or rule or a wrong premise count, is reported as a DerivationError that
+    names the node.
+
     In substitution-rule mode a schema leaf must be the schema's positional
     realization, the one instance stage 1 holds; in on-demand mode any
     instance is a leaf. A premise is no leaf: a calculus derivation has no
@@ -554,57 +549,58 @@ def validate_derivation(derivation: Derivation, calculus: Calculus) -> None:
     axioms = set(calculus.axioms)
     positional = calculus.schema_mode == SUBSTITUTION_RULE_MODE
     for index, node in enumerate(derivation.nodes):
-        j = node.justification
-        for p in node.premise_indices:
-            if not (0 <= p < index):
+        with located(DerivationError, f"node {index + 1}"):
+            j = node.justification
+            for p in node.premise_indices:
+                if not (0 <= p < index):
+                    raise DerivationError(
+                        f"node {index + 1} references node {p + 1}, which does not precede it"
+                    )
+            if isinstance(j, AxiomJustification) and node.formula not in axioms:
                 raise DerivationError(
-                    f"node {index + 1} references node {p + 1}, which does not precede it"
+                    f"node {index + 1} claims to be an axiom but is not declared: "
+                    f"{print_formula(node.formula)}"
                 )
-        if isinstance(j, AxiomJustification) and node.formula not in axioms:
-            raise DerivationError(
-                f"node {index + 1} claims to be an axiom but is not declared: "
-                f"{print_formula(node.formula)}"
-            )
-        if isinstance(j, SchemaJustification):
-            schema = calculus.schema_by_id(j.schema_id)
-            if instantiate_schema(schema, j.assignment_dict()) != node.formula:
-                raise DerivationError(
-                    f"node {index + 1} does not match schema {j.schema_id!r} "
-                    f"under its recorded assignment"
-                )
-            if (positional and node.formula
-                    != positional_realization(schema, calculus.alphabet)[0]):
-                raise DerivationError(
-                    f"node {index + 1} is not the positional realization of "
-                    f"schema {j.schema_id!r}: {print_formula(node.formula)}"
-                )
-        if isinstance(j, (AxiomJustification, SchemaJustification)):
-            if node.premise_indices:
-                raise DerivationError(f"node {index + 1} is a leaf but lists premises")
-            if node.stage != 1:
-                raise DerivationError(f"node {index + 1} is a leaf but has stage {node.stage}")
-        elif isinstance(j, RuleJustification):
-            rule = calculus.rule_by_id(j.rule_id)
-            premise_formulas = tuple(derivation.nodes[p].formula for p in node.premise_indices)
-            if premise_formulas != j.premises:
-                raise DerivationError(
-                    f"node {index + 1} premise references disagree with its justification"
-                )
-            if node.formula not in rule.conclusions(premise_formulas, j.context_dict()):
-                raise DerivationError(
-                    f"node {index + 1} is not a conclusion of {j.rule_id!r} "
-                    f"on its stated premises"
-                )
-            # a conclusion of no premises enters at the first pass, stage 2
-            expected = 1 + max((derivation.nodes[p].stage for p in node.premise_indices),
-                               default=1)
-            if node.stage != expected:
-                raise DerivationError(
-                    f"node {index + 1} has stage {node.stage}, expected {expected}"
-                )
-        else:
-            raise DerivationError(f"node {index + 1} is not an axiom, a schema instance "
-                                  f"or a rule conclusion: {print_formula(node.formula)}")
+            if isinstance(j, SchemaJustification):
+                schema = calculus.schema_by_id(j.schema_id)
+                if instantiate_schema(schema, j.assignment_dict()) != node.formula:
+                    raise DerivationError(
+                        f"node {index + 1} does not match schema {j.schema_id!r} "
+                        f"under its recorded assignment"
+                    )
+                if (positional and node.formula
+                        != positional_realization(schema, calculus.alphabet)[0]):
+                    raise DerivationError(
+                        f"node {index + 1} is not the positional realization of "
+                        f"schema {j.schema_id!r}: {print_formula(node.formula)}"
+                    )
+            if isinstance(j, (AxiomJustification, SchemaJustification)):
+                if node.premise_indices:
+                    raise DerivationError(f"node {index + 1} is a leaf but lists premises")
+                if node.stage != 1:
+                    raise DerivationError(f"node {index + 1} is a leaf but has stage {node.stage}")
+            elif isinstance(j, RuleJustification):
+                rule = calculus.rule_by_id(j.rule_id)
+                premise_formulas = tuple(derivation.nodes[p].formula for p in node.premise_indices)
+                if premise_formulas != j.premises:
+                    raise DerivationError(
+                        f"node {index + 1} premise references disagree with its justification"
+                    )
+                if node.formula not in rule.conclusions(premise_formulas, j.context_dict()):
+                    raise DerivationError(
+                        f"node {index + 1} is not a conclusion of {j.rule_id!r} "
+                        f"on its stated premises"
+                    )
+                # a conclusion of no premises enters at the first pass, stage 2
+                expected = 1 + max((derivation.nodes[p].stage for p in node.premise_indices),
+                                   default=1)
+                if node.stage != expected:
+                    raise DerivationError(
+                        f"node {index + 1} has stage {node.stage}, expected {expected}"
+                    )
+            else:
+                raise DerivationError(f"node {index + 1} is not an axiom, a schema instance "
+                                      f"or a rule conclusion: {print_formula(node.formula)}")
 
 
 def render_justification(justification, premise_indices: tuple = ()) -> str:
@@ -896,16 +892,16 @@ def derive(calculus: Calculus, goal: Formula,
     return DeriveOutcome(None, run.status, len(run.members), run.stages)
 
 
-def staged_run(calculus: Calculus, staged: StagedAxioms,
+def staged_run(calculus: Calculus, stages: tuple,
                bounds: Bounds = DEFAULT_BOUNDS) -> tuple:
-    """Independent bodies for a changing axiom system.
+    """Independent bodies for a changing axiom system, one per ``AxiomStage``.
 
     Each element is enumerate_body of the calculus with that stage's axioms
     (and rule override, if any); nothing carries over between stages, so a
     formula derivable at stage n may be absent at stage n + 1.
     """
     bodies = []
-    for stage in staged.stages:
+    for stage in stages:
         stage_calculus = replace(
             calculus,
             axioms=stage.axioms,

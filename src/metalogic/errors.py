@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class MetalogicError(Exception):
     """Base class for all package errors."""
@@ -55,6 +57,18 @@ class BudgetExceededError(MetalogicError):
 
 class CalculusFileError(MetalogicError):
     """A calculus description file is malformed."""
+
+
+@contextmanager
+def located(error: type, where: str):
+    """Report a package error raised inside as an ``error`` at ``where``;
+    an ``error``, already located, passes through."""
+    try:
+        yield
+    except error:
+        raise
+    except MetalogicError as exc:
+        raise error(f"{where}: {exc}") from exc
 
 
 def check_count(value, minimum: int, what: str):

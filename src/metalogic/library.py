@@ -36,7 +36,6 @@ from .errors import AlphabetError, RuleParameterError, UnknownCalculusError, che
 from .rules import (
     RuleSystem,
     Validator,
-    always_true_validator,
     make_rule,
     rule_system,
     validated_mp,
@@ -140,19 +139,16 @@ def shoenfield_fragment_calculus() -> Calculus:
     ))
 
 
-_FREE_DEFAULT_ALPHABET = propositional_alphabet(("P",), connectives=(NOT,))
+_FREE_ALPHABET = propositional_alphabet(("P",), connectives=(NOT,))
 
 
-def free_calculus(size_cap: Optional[int] = None,
-                  alphabet: Optional[Alphabet] = None) -> Calculus:
-    """A calculus whose axiom set is the whole language up to the size cap,
-    with the identity rule."""
+def free_calculus(size_cap: Optional[int] = None) -> Calculus:
+    """A calculus whose axiom set is the whole language over P and ``~`` up
+    to the size cap, with the identity rule."""
     check_count(size_cap, 1, "the free calculus size cap")
-    if alphabet is None:
-        alphabet = _FREE_DEFAULT_ALPHABET
     return Calculus(
-        alphabet=alphabet,
-        axioms=tuple(enumerate_wffs(alphabet, size_cap)),
+        alphabet=_FREE_ALPHABET,
+        axioms=tuple(enumerate_wffs(_FREE_ALPHABET, size_cap)),
         rules=rule_system(make_rule("identity")),
         name=f"free({size_cap})",
     )
@@ -162,18 +158,14 @@ def free_calculus(size_cap: Optional[int] = None,
 # Validators and the LV construction
 # ==========================================================================
 
-def _tautology_validator(base: Optional[Calculus]) -> Validator:
-    constants = frozenset(base.alphabet.constants if base is not None else ())
+def _tautology_validator(base: Calculus) -> Validator:
+    constants = frozenset(base.alphabet.constants)
     return Validator("tautology", lambda f: is_tautology(f, constants=constants))
 
 
-def _axiom_membership_validator(base: Optional[Calculus]) -> Validator:
+def _axiom_membership_validator(base: Calculus) -> Validator:
     """Accept the base's declared axioms and every instance of its schemata,
     whatever the bounds or schema mode (so more than the realized axioms)."""
-    if base is None:
-        raise RuleParameterError(
-            "the axiom-membership validator needs a base calculus"
-        )
     concrete = frozenset(base.axioms)
 
     def accepts(formula: Formula) -> bool:
@@ -187,15 +179,15 @@ def _axiom_membership_validator(base: Optional[Calculus]) -> Validator:
     return Validator("axiom-membership", accepts)
 
 
-# name -> factory of the validator over an optional base calculus
+# name -> factory of the validator over a base calculus
 _VALIDATORS = {
     "tautology": _tautology_validator,
     "axiom-membership": _axiom_membership_validator,
-    "always-true": lambda base: always_true_validator(),
+    "always-true": lambda base: Validator("always-true", lambda formula: True),
 }
 
 
-def make_validator(name: str, base: Optional[Calculus] = None) -> Validator:
+def make_validator(name: str, base: Calculus) -> Validator:
     if name not in _VALIDATORS:
         raise RuleParameterError(
             f"unknown validator {name!r}; known: {', '.join(_VALIDATORS)}"
@@ -226,15 +218,15 @@ def lv_calculus(base="kleene", validator="tautology") -> Calculus:
 # Registry
 # ==========================================================================
 
-# name -> (factory, the parameters a builtin:<name>,<arg>,... path gives in
-# order, each with the type its text converts to)
+# name -> (factory, {every keyword it takes: the type its text converts
+# to}, in the order a builtin:<name>,<arg>,... path gives them)
 _CALCULI = {
-    "kleene": (kleene_calculus, ()),
-    "church_p1": (church_p1_calculus, ()),
-    "church_p2": (church_p2_calculus, ()),
-    "shoenfield_fragment": (shoenfield_fragment_calculus, ()),
-    "lv": (lv_calculus, (("base", str), ("validator", str))),
-    "free": (free_calculus, (("size_cap", int),)),
+    "kleene": (kleene_calculus, {}),
+    "church_p1": (church_p1_calculus, {}),
+    "church_p2": (church_p2_calculus, {}),
+    "shoenfield_fragment": (shoenfield_fragment_calculus, {}),
+    "lv": (lv_calculus, {"base": str, "validator": str}),
+    "free": (free_calculus, {"size_cap": int}),
 }
 
 
@@ -249,14 +241,17 @@ def _calculus_entry(name: str) -> tuple:
 def builtin_calculus(name: str, **params) -> Calculus:
     """Look up a built-in calculus by name.
 
-    ``lv`` takes ``base`` and ``validator``; ``free`` takes ``size_cap`` and
-    an optional ``alphabet``. The other names take no parameters,
-    and each is built once per process: calculi are immutable.
+    ``lv`` takes ``base`` and ``validator``; ``free`` takes ``size_cap``.
+    The other names take no parameters, and each is built once per process:
+    calculi are immutable. A keyword the calculus does not take raises
+    RuleParameterError.
     """
-    factory, spec_params = _calculus_entry(name)
-    if params and not spec_params:
+    factory, declared = _calculus_entry(name)
+    unknown = sorted(params.keys() - declared.keys())
+    if unknown:
         raise RuleParameterError(
-            f"calculus {name!r} takes no parameters, got {sorted(params)}"
+            f"calculus {name!r} takes {' and '.join(declared) or 'no parameters'}, "
+            f"got {unknown}"
         )
     return factory(**params)
 
@@ -268,11 +263,11 @@ def builtin_spec_params(name: str, args) -> dict:
     """
     declared = _calculus_entry(name)[1]
     if len(args) > len(declared):
-        names = " and ".join(param for param, _ in declared)
+        names = " and ".join(declared)
         raise RuleParameterError(
             f"builtin:{name} takes " + (f"at most {names}" if names else "no parameters"))
     params = {}
-    for (param, kind), text in zip(declared, args):
+    for (param, kind), text in zip(declared.items(), args):
         if not text:
             continue
         try:

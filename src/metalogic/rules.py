@@ -538,6 +538,3 @@ _PARAMETRIC_RULES = {
     "validated_mp": (validated_mp, {"validator": PARAM_VALIDATOR}),
 }
 
-
-def always_true_validator() -> Validator:
-    return Validator("always-true", lambda formula: True)

@@ -291,7 +291,7 @@ def test_criterion_08_validated_detachment_is_conservative():
     q = parse_formula("Q", alphabet)
     p_implies_q = parse_formula("(P -> Q)", alphabet)
 
-    gated = rule_system(validated_mp(make_validator("tautology")))
+    gated = rule_system(validated_mp(make_validator("tautology", Calculus(alphabet))))
     plain = mp_system("modus_ponens")
     assert q not in inference_closure(gated, (p, p_implies_q), bounds)
     assert q in inference_closure(plain, (p, p_implies_q), bounds)

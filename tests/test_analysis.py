@@ -5,12 +5,14 @@ import re
 import pytest
 from dataclasses import replace
 
+from metalogic import analysis
 from metalogic import (
     Bounds,
     Calculus,
     FiniteRelation,
     IMPLIES,
     MetalogicError,
+    OR,
     RuleParameterError,
     TranslationMap,
     Verdict,
@@ -189,7 +191,7 @@ class TestProperties:
     def test_admissible_fails_when_body_covers_language(self):
         # the free calculus derives every formula up to its cap
         from metalogic import free_calculus
-        calculus = free_calculus(size_cap=3, alphabet=PQ)
+        calculus = free_calculus(size_cap=3)
         verdict = check_property(calculus, "admissible",
                                  small_bounds(max_formula_size=3))
         assert verdict.is_fails
@@ -263,7 +265,7 @@ class TestProperties:
     @pytest.mark.parametrize("name, params, message", [
         ("consistent-with", {"pattern": "(phi -> phi)"}, "pattern must be a schema"),
         ("complete-wrt-rules", {"rules": rule_system(make_rule("modus_ponens"))},
-         "complete-wrt-rules needs rules (a rule system) and targets"),
+         "complete-wrt-rules needs targets (a formula collection)"),
     ], ids=["pattern-not-a-schema", "no-targets"])
     def test_parameter_rejections(self, name, params, message):
         with pytest.raises(RuleParameterError, match=re.escape(message)):
@@ -271,7 +273,7 @@ class TestProperties:
 
     def test_complete_wrt_map_on_free_body(self):
         from metalogic import free_calculus
-        calculus = free_calculus(size_cap=3, alphabet=PQ)
+        calculus = free_calculus(size_cap=3)
         verdict = check_property(calculus, "complete-wrt-map",
                                  small_bounds(max_formula_size=2))
         assert verdict.is_holds
@@ -285,9 +287,10 @@ class TestProperties:
 
     def test_complete_wrt_rules(self):
         calculus = mp_calculus("P", "(P -> Q)")
+        # without rules, the calculus's own rules map the body
         verdict = check_property(
             calculus, "complete-wrt-rules", small_bounds(),
-            rules=calculus.rules, targets=[wff("Q")],
+            targets=[wff("Q")],
         )
         assert verdict.is_holds
         missing = check_property(
@@ -295,6 +298,22 @@ class TestProperties:
             rules=calculus.rules, targets=[wff("(Q & Q)")],
         )
         assert missing.is_fails
+
+    def test_complete_wrt_rules_layer_over_the_budget_is_inconclusive(self):
+        # the body saturates within the budget; its one-step layer does not
+        or_only = propositional_alphabet(("P", "Q"), connectives=(OR,))
+        calculus = Calculus(
+            alphabet=or_only,
+            axioms=(parse_formula("P", or_only), parse_formula("Q", or_only)),
+            rules=rule_system(make_rule("extension")),
+            pool_variables=("P", "Q"),
+        )
+        verdict = check_property(calculus, "complete-wrt-rules", Bounds(4, 1, 3, 1),
+                                 targets=[parse_formula("P | Q", or_only)])
+        assert verdict.is_inconclusive
+        assert verdict.detail == ("the one-step layer exceeds the node budget "
+                                  "at this size cap")
+        assert verdict.evidence == {"status": "saturated-within-size-cap"}
 
     def test_transitively_closed_on_saturated_body(self):
         verdict = check_property(mp_calculus("P", "(P -> Q)"),
@@ -333,10 +352,20 @@ class TestProperties:
         with pytest.raises(RuleParameterError):
             check_property(mp_calculus("P"), "decidable", small_bounds())
 
-    def test_leftover_parameters_rejected(self):
-        with pytest.raises(RuleParameterError):
-            check_property(mp_calculus("P"), "consistent", small_bounds(),
-                           wrong_knob=1)
+    @pytest.mark.parametrize("name, params", [
+        ("consistent", {"wrong_knob": 1}),
+        ("consistent", {"strcit": True}),
+        ("completely-closed", {"strict": True}),
+        ("consistent-with", {"targets": []}),
+    ], ids=["wrong-knob", "misspelt-strict", "strict-elsewhere", "targets-elsewhere"])
+    def test_leftover_parameters_rejected_before_a_body_is_built(
+            self, monkeypatch, name, params):
+        built = []
+        monkeypatch.setattr(analysis, "enumerate_body",
+                            lambda *args, **kwargs: built.append(args))
+        with pytest.raises(RuleParameterError, match="got unknown parameters"):
+            check_property(mp_calculus("P"), name, small_bounds(), **params)
+        assert built == []
 
 
 class TestFiniteRelations:

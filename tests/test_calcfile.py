@@ -72,7 +72,7 @@ class TestTopLevel:
         assert calculus.pool_variables == ("P", "Q")
         assert loaded.bounds == Bounds(3, 9, 400, 2)
         assert loaded.staged is not None
-        assert len(loaded.staged.stages) == 2
+        assert len(loaded.staged) == 2
 
     def test_unknown_top_level_key_is_rejected(self):
         data = full_data()
@@ -466,14 +466,13 @@ class TestBounds:
 
 class TestStages:
     def test_stage_rule_overrides(self):
-        staged = load(full_data()).staged
-        first, second = staged.stages
+        first, second = load(full_data()).staged
         assert first.rules is None
         assert second.rules.identifiers() == frozenset({"identity"})
 
     def test_stage_axioms_are_parsed(self):
         staged = load(full_data()).staged
-        assert len(staged.stages[0].axioms) == 1
+        assert len(staged[0].axioms) == 1
 
     def test_stage_formula_errors_carry_their_location(self):
         data = full_data()
@@ -492,6 +491,13 @@ class TestStages:
         data["stages"] = ["P"]
         with pytest.raises(CalculusFileError, match=r"stages\[0\]"):
             load(data)
+
+    def test_an_empty_stage_list_is_a_located_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "no-stages.json"
+        path.write_text(json.dumps(dict(full_data(), stages=[])), encoding="utf-8")
+        assert main(["stages", "--calc", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "metalogic: error: stages: a staged axiom system needs at least one stage\n")
 
 
 class TestBuiltinShorthands:
@@ -541,7 +547,7 @@ class TestFiles:
         loaded = read_calculus_file(str(path))
         assert loaded.calculus.name == "chain"
         assert loaded.bounds == Bounds(3, 9, 400, 2)
-        assert len(loaded.staged.stages) == 2
+        assert len(loaded.staged) == 2
 
     def test_read_calculus_file_returns_the_calculus_alone(self, tmp_path):
         path = tmp_path / "chain.json"
@@ -662,9 +668,9 @@ FILE_VALUES = {PARAM_FORMULA: "Q", PARAM_RULE: {"name": "identity"},
 
 
 def python_value(kind):
-    alphabet = load(full_data()).calculus.alphabet
-    return {PARAM_FORMULA: parse_formula("Q", alphabet), PARAM_RULE: make_rule("identity"),
-            PARAM_INT: 2, PARAM_VALIDATOR: make_validator("always-true")}[kind]
+    calculus = load(full_data()).calculus
+    return {PARAM_FORMULA: parse_formula("Q", calculus.alphabet), PARAM_RULE: make_rule("identity"),
+            PARAM_INT: 2, PARAM_VALIDATOR: make_validator("always-true", calculus)}[kind]
 
 
 @pytest.mark.parametrize("name", builtin_rule_names())

@@ -28,13 +28,13 @@ from metalogic import (
     InferenceRule,
     Negation,
     PremiseJustification,
+    RuleJustification,
     RuleParameterError,
     SATURATED,
     STAGE_CAP_HIT,
     Schema,
     SchemaError,
     SchemaJustification,
-    StagedAxioms,
     Validator,
     builtin_calculus,
     check_property,
@@ -507,6 +507,21 @@ class TestDerivations:
                 "node 1 is not an axiom, a schema instance or a rule conclusion: (P & ~P)")):
             validate_derivation(Derivation((leaf,)), kleene)
 
+    @pytest.mark.parametrize("justification, stage, message", [
+        (SchemaJustification("nope", ()), 1, "no schema with id 'nope'"),
+        (SchemaJustification("k1", (("phi", Atom("P")),)), 1,
+         "schema 'k1' is missing assignments for ['chi']"),
+        (RuleJustification("nope", (), ()), 2, "no rule with identifier 'nope'"),
+        (RuleJustification("modus_ponens", (), ()), 2,
+         "rule 'modus_ponens' takes 2 premise(s), got 0"),
+    ], ids=["unknown-schema", "partial-assignment", "unknown-rule", "no-premises"])
+    def test_every_failure_is_a_derivation_error_naming_the_node(
+            self, kleene, justification, stage, message):
+        formula = parse_formula("(P -> (Q -> P))", kleene.alphabet)
+        node = DerivationNode(formula, justification, (), stage)
+        with pytest.raises(DerivationError, match=re.escape(f"node 1: {message}")):
+            validate_derivation(Derivation((node,)), kleene)
+
     def test_substitution_mode_leaf_must_be_the_positional_realization(self):
         # An instance of p1-1 that no bounded church_p1 body holds at stage 1.
         calculus = church_p1_calculus()
@@ -584,11 +599,11 @@ class TestClosureOperators:
 class TestStagedRuns:
     def test_each_stage_is_independent(self):
         calculus = chain_calculus()
-        staged = StagedAxioms((
+        stages = (
             AxiomStage(axioms=calculus.axioms),
             AxiomStage(axioms=calculus.axioms[:2]),
-        ))
-        first, second = staged_run(calculus, staged, small_bounds())
+        )
+        first, second = staged_run(calculus, stages, small_bounds())
         assert {print_formula(f) for f in first.theorems} == {
             "P", "(P -> Q)", "(Q -> R)", "Q", "R",
         }
@@ -596,17 +611,11 @@ class TestStagedRuns:
 
     def test_rule_override_is_honored(self):
         calculus = chain_calculus()
-        staged = StagedAxioms((
-            AxiomStage(axioms=calculus.axioms, rules=rule_system()),
-        ))
-        (body,) = staged_run(calculus, staged, small_bounds())
+        stages = (AxiomStage(axioms=calculus.axioms, rules=rule_system()),)
+        (body,) = staged_run(calculus, stages, small_bounds())
         assert {print_formula(f) for f in body.theorems} == {
             "P", "(P -> Q)", "(Q -> R)",
         }
-
-    def test_empty_staging_rejected(self):
-        with pytest.raises(RuleParameterError):
-            StagedAxioms(())
 
 
 class TestSizeVectors:

@@ -1,5 +1,6 @@
 """Built-in calculi, validators, and translation maps."""
 
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -90,6 +91,16 @@ class TestRosters:
         with pytest.raises(RuleParameterError):
             builtin_calculus("kleene", size_cap=3)
 
+    @pytest.mark.parametrize("name, params, message", [
+        ("kleene", {"size_cap": 3}, "calculus 'kleene' takes no parameters, got ['size_cap']"),
+        ("free", {"size": 3}, "calculus 'free' takes size_cap, got ['size']"),
+        ("lv", {"base": "kleene", "foo": 1},
+         "calculus 'lv' takes base and validator, got ['foo']"),
+    ], ids=["kleene", "free", "lv"])
+    def test_a_keyword_the_calculus_does_not_take_is_rejected(self, name, params, message):
+        with pytest.raises(RuleParameterError, match=re.escape(message)):
+            builtin_calculus(name, **params)
+
 
 NULLARY = {"kleene": "P -> P", "church_p1": "p -> p", "church_p2": "p -> p",
            "shoenfield_fragment": "x = x"}
@@ -130,10 +141,10 @@ class TestFreeCalculus:
         with pytest.raises(RuleParameterError, match="must be an integer"):
             free_calculus(size_cap=True)
 
-    def test_custom_alphabet(self, pq_alphabet):
-        calculus = free_calculus(size_cap=2, alphabet=pq_alphabet)
+    def test_alphabet_is_p_and_negation(self):
+        calculus = free_calculus(size_cap=2)
         texts = {print_formula(f) for f in calculus.axioms}
-        assert texts == {"P", "Q", "~P", "~Q"}
+        assert texts == {"P", "~P"}
 
 
 class TestValidators:
@@ -156,13 +167,9 @@ class TestValidators:
         assert instance not in realized_axioms(church_p1, Bounds())
         assert make_validator("axiom-membership", church_p1)(instance)
 
-    def test_axiom_membership_needs_base(self):
+    def test_unknown_validator(self, kleene):
         with pytest.raises(RuleParameterError):
-            make_validator("axiom-membership")
-
-    def test_unknown_validator(self):
-        with pytest.raises(RuleParameterError):
-            make_validator("oracle")
+            make_validator("oracle", kleene)
 
 
 class TestLvCalculi:

@@ -49,7 +49,7 @@ def test_the_calculus_file_example_loads():
     loaded = parse_calculus_data(json.loads(text))
     assert loaded.calculus.name == "my-calculus"
     assert loaded.bounds == Bounds(4, 25, 200000, 7)
-    assert len(loaded.staged.stages) == 1
+    assert len(loaded.staged) == 1
 
 
 def test_every_example_has_an_expected_exit_code():

@@ -14,7 +14,6 @@ from metalogic import (
     RuleParameterError,
     UnknownRuleError,
     Validator,
-    always_true_validator,
     apply_rule,
     builtin_calculus,
     builtin_rule_names,
@@ -23,6 +22,7 @@ from metalogic import (
     is_tautology,
     length_filtered,
     make_rule,
+    make_validator,
     parse_formula,
     print_formula,
     propositional_alphabet,
@@ -158,7 +158,7 @@ class TestCombinators:
         assert seen == [wff("P")]
 
     def test_always_true_validator_recovers_plain_mp(self):
-        rule = validated_mp(always_true_validator())
+        rule = validated_mp(make_validator("always-true", builtin_calculus("kleene")))
         assert conclusions(rule, wff("P"), wff("(P -> Q)")) == {"Q"}
 
     @pytest.mark.parametrize("params", [
@@ -240,7 +240,7 @@ class TestSharedRecords:
         assert make_rule("extension") is not make_rule("extension", psi=wff("P"))
 
     def test_a_validator_refuses_assignment(self):
-        validator = always_true_validator()
+        validator = make_validator("always-true", builtin_calculus("kleene"))
         with pytest.raises(AttributeError):
             validator.name = "changed"
         assert validator.name == "always-true" and validator(wff("P")) is True
