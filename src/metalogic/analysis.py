@@ -26,9 +26,10 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .engine import (
+    BUDGET_EXCEEDED,
     Bounds,
     Calculus,
     DEFAULT_BOUNDS,
@@ -37,7 +38,6 @@ from .engine import (
     enumerate_body,
     fixed_axioms,
     instantiation_pool,
-    realized_axioms,
     value_key,
 )
 from .errors import BudgetExceededError, MetalogicError, RuleParameterError, check_count
@@ -123,8 +123,9 @@ def _image(formulas: Iterable[Formula], translation: Optional[TranslationMap],
     )
 
 
-def _axioms_truncated(realized: Sequence[Formula], bounds: Bounds) -> bool:
-    return len(realized) >= bounds.node_budget
+def _stage_one_cut(body) -> bool:
+    """Whether the node budget cut the realized axiom stream (stage 1)."""
+    return body.status == BUDGET_EXCEEDED and body.stage_count == 1
 
 
 def compare_calculi(kind: str, c: Calculus, d: Calculus,
@@ -175,11 +176,12 @@ def compare_calculi(kind: str, c: Calculus, d: Calculus,
                 f"rule systems differ: {', '.join(witness)}",
             )
 
+    body_c = enumerate_body(c, bounds)
+    body_d = enumerate_body(d, bounds)
     if kind == "algorithmic":
-        realized_c = realized_axioms(c, bounds)
-        realized_d = realized_axioms(d, bounds)
-        truncated = (_axioms_truncated(realized_c, bounds)
-                     or _axioms_truncated(realized_d, bounds))
+        realized_c = body_c.new_at_stage(1)
+        realized_d = body_d.new_at_stage(1)
+        truncated = _stage_one_cut(body_c) or _stage_one_cut(body_d)
         image_axioms = _image(realized_c, translation, bounds.max_formula_size)
         axiom_diff = image_axioms ^ frozenset(realized_d)
         if axiom_diff:
@@ -200,8 +202,6 @@ def compare_calculi(kind: str, c: Calculus, d: Calculus,
                 "realized axiom streams were budget-truncated",
             )
 
-    body_c = enumerate_body(c, bounds)
-    body_d = enumerate_body(d, bounds)
     image_c = _image(body_c.theorems, translation, bounds.max_formula_size)
     set_d = body_d.as_set()
     forward = canonical_sorted(image_c - set_d)
@@ -406,7 +406,7 @@ def _check_closed_wrt_axioms(calculus, body) -> Verdict:
     # Stage 1 is the realized axiom stream, deduplicated and cut at the
     # budget, so every realized axiom the budget admits is in the body.
     realized = body.new_at_stage(1)
-    if _axioms_truncated(realized, body.bounds):
+    if _stage_one_cut(body):
         return inconclusive(
             {"realized": len(realized)},
             "the realized axiom stream was budget-truncated",

@@ -79,6 +79,7 @@ from .errors import (
 from .rules import PARAM_FORMULA, InferenceRule, RuleSystem
 from .syntax import (
     METAVARIABLES,
+    QUANTIFIERS,
     Alphabet,
     Atom,
     Formula,
@@ -247,13 +248,14 @@ class Calculus:
                 raise AlphabetError(f"pool variable {v!r} is not declared")
             if v in self.pool_variables[:i]:
                 raise AlphabetError(f"pool variable {v!r} is listed twice")
+        declared = frozenset(self.alphabet.connectives + self.alphabet.quantifiers)
         missing = frozenset()
         for rule in self.rules:
-            missing |= rule.requires_connectives - frozenset(self.alphabet.connectives)
+            missing |= rule.requires_connectives - declared
         if missing:
-            raise AlphabetError(
-                f"rules need undeclared connectives: {sorted(missing)}"
-            )
+            symbols = ("connectives" if missing.isdisjoint(QUANTIFIERS)
+                       else "connectives or quantifiers")
+            raise AlphabetError(f"rules need undeclared {symbols}: {sorted(missing)}")
 
     def schema_by_id(self, schema_id: str) -> Schema:
         for schema in self.schemata:

@@ -7,19 +7,19 @@ decided, never an error. A rule may also carry a strategy that lists the
 premise tuples worth trying against a universe/frontier split, so that an
 application layer need not scan every tuple.
 
-Built-in rules:
+Built-in rules. The schematic ones (modus_ponens, extension, cancellation,
+associativity_left, associativity_right, cut and identity) are the pattern
+rows of ``_RULES``: premise patterns and a conclusion pattern over the
+metavariables phi, chi and psi. A rule fires on premises that match its
+patterns with one binding, and concludes the conclusion pattern under it.
+Its formula parameters are the conclusion's metavariables that no premise
+binds (extension's psi), and it requires the connectives of its patterns.
+Two rules keep their own code:
 
-    modus_ponens            (minor, major) with major = minor -> psi, gives psi
     substitution            phi with parameters x (a variable) and q (a
                             formula), gives phi with every x replaced by q
-    extension               phi with parameter psi, gives (phi | psi)
-    cancellation            (phi | phi) gives phi
-    associativity_left      (phi | (psi | chi)) gives ((phi | psi) | chi)
-    associativity_right     ((phi | psi) | chi) gives (phi | (psi | chi))
-    cut                     ((phi | psi), (~phi | chi)) gives (psi | chi)
     exists_introduction     (phi -> psi) gives (exists x phi -> psi) for each
                             x free in phi but not in psi
-    identity                phi gives phi
 
 Combinators: compose(first, second) pipes every conclusion of first through
 second; length_filtered(rule, cap) keeps only conclusions of size strictly
@@ -37,6 +37,7 @@ encodes bound parameters and combinator structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -55,8 +56,12 @@ from .syntax import (
     Quantified,
     atom_occurrences,
     free_variables,
+    match_schema,
+    parse_schema,
     print_formula,
+    propositional_alphabet,
     substitute_prop,
+    subformulas,
 )
 
 PARAM_FORMULA = "formula"
@@ -90,9 +95,9 @@ class InferenceRule:
     ``parameter_kinds`` lists (name, kind) slots the context must fill, with
     kind one of "formula" (drawn from the instantiation pool) or "variable"
     (drawn from the alphabet's propositional variables).
-    ``requires_connectives`` are the connectives a calculus using the rule
-    must declare. Rules are frozen, because they are shared, for instance
-    by every copy of a built-in calculus.
+    ``requires_connectives`` are the connectives and quantifiers a calculus
+    using the rule must declare. Rules are frozen, because they are shared,
+    for instance by every copy of a built-in calculus.
 
     ``strategy``, when present, is called as ``strategy(universe, frontier,
     contexts, size_cap)`` and enumerates candidate (premises, context) pairs
@@ -293,60 +298,41 @@ def _substitution_strategy(universe, frontier, contexts, size_cap):
 
 
 # --------------------------------------------------------------------------
-# Built-in conclusions
+# Built-in rules
 # --------------------------------------------------------------------------
 
-def _mp_conclude(premises, context):
-    minor, major = premises
-    if type(major) is Binary and major.op == IMPLIES and major.left == minor:
-        return (major.right,)
-    return ()
+# Patterns are parsed over an alphabet that declares no atom, so that phi,
+# chi and psi are all metavariables.
+_PATTERN_ALPHABET = propositional_alphabet(())
+
+
+def _schematic_conclude(premise_schemata, conclusion, parameters, premises, context):
+    binding = {name: context[name] for name in parameters} if parameters else {}
+    for schema, premise in zip(premise_schemata, premises):
+        if match_schema(schema, premise, binding) is None:
+            return ()
+    return (conclusion.build(tuple(map(binding.__getitem__, conclusion.metavariables))),)
+
+
+def _schematic(name, premises, conclusion, strategy=None):
+    """The rule that concludes the pattern ``conclusion`` from premises that
+    match the patterns ``premises`` under one binding of phi, chi and psi."""
+    premise_schemata = tuple(parse_schema(name, text, _PATTERN_ALPHABET) for text in premises)
+    conclusion_schema = parse_schema(name, conclusion, _PATTERN_ALPHABET)
+    bound = {m for schema in premise_schemata for m in schema.metavariables}
+    parameters = tuple(m for m in conclusion_schema.metavariables if m not in bound)
+    connectives = {NOT if type(node) is Negation else node.op
+                   for schema in (*premise_schemata, conclusion_schema)
+                   for node in subformulas(schema.pattern) if type(node) is not Atom}
+    return InferenceRule(
+        name, len(premises),
+        functools.partial(_schematic_conclude, premise_schemata, conclusion_schema, parameters),
+        tuple((m, PARAM_FORMULA) for m in parameters), connectives, strategy)
 
 
 def _substitution_conclude(premises, context):
     (formula,) = premises
     return (substitute_prop(formula, context["variable"], context["formula"]),)
-
-
-def _extension_conclude(premises, context):
-    (formula,) = premises
-    return (Binary(OR, formula, context["psi"]),)
-
-
-def _cancellation_conclude(premises, context):
-    (formula,) = premises
-    if type(formula) is Binary and formula.op == OR and formula.left == formula.right:
-        return (formula.left,)
-    return ()
-
-
-def _assoc_left_conclude(premises, context):
-    (formula,) = premises
-    if (type(formula) is Binary and formula.op == OR
-            and type(formula.right) is Binary and formula.right.op == OR):
-        inner = formula.right
-        return (Binary(OR, Binary(OR, formula.left, inner.left), inner.right),)
-    return ()
-
-
-def _assoc_right_conclude(premises, context):
-    (formula,) = premises
-    if (type(formula) is Binary and formula.op == OR
-            and type(formula.left) is Binary and formula.left.op == OR):
-        inner = formula.left
-        return (Binary(OR, inner.left, Binary(OR, inner.right, formula.right)),)
-    return ()
-
-
-def _cut_conclude(premises, context):
-    first, second = premises
-    if not (type(first) is Binary and first.op == OR):
-        return ()
-    if not (type(second) is Binary and second.op == OR):
-        return ()
-    if type(second.left) is Negation and second.left.operand == first.left:
-        return (Binary(OR, first.right, second.right),)
-    return ()
 
 
 def _exists_intro_conclude(premises, context):
@@ -361,37 +347,30 @@ def _exists_intro_conclude(premises, context):
     )
 
 
-def _identity_conclude(premises, context):
-    return (premises[0],)
-
-
-# --------------------------------------------------------------------------
-# The registry
-# --------------------------------------------------------------------------
-
 # The rules make_rule builds without parameters, one shared record each.
 # Unbound extension draws psi from the pool.
 _RULES = {rule.identifier: rule for rule in (
-    InferenceRule("modus_ponens", 2, _mp_conclude, (), (IMPLIES,), _mp_strategy),
+    _schematic("modus_ponens", ("phi", "phi -> psi"), "psi", _mp_strategy),
+    _schematic("extension", ("phi",), "phi | psi"),
+    _schematic("cancellation", ("phi | phi",), "phi"),
+    _schematic("associativity_left", ("phi | (psi | chi)",), "(phi | psi) | chi"),
+    _schematic("associativity_right", ("(phi | psi) | chi",), "phi | (psi | chi)"),
+    _schematic("cut", ("phi | psi", "~phi | chi"), "psi | chi", _cut_strategy),
+    _schematic("identity", ("phi",), "phi"),
     InferenceRule("substitution", 1, _substitution_conclude,
                   (("variable", PARAM_VARIABLE), ("formula", PARAM_FORMULA)),
                   strategy=_substitution_strategy),
-    InferenceRule("extension", 1, _extension_conclude, (("psi", PARAM_FORMULA),), (OR,)),
-    InferenceRule("cancellation", 1, _cancellation_conclude, (), (OR,)),
-    InferenceRule("associativity_left", 1, _assoc_left_conclude, (), (OR,)),
-    InferenceRule("associativity_right", 1, _assoc_right_conclude, (), (OR,)),
-    InferenceRule("cut", 2, _cut_conclude, (), (OR, NOT), _cut_strategy),
-    InferenceRule("exists_introduction", 1, _exists_intro_conclude, (), (IMPLIES,)),
-    InferenceRule("identity", 1, _identity_conclude),
+    InferenceRule("exists_introduction", 1, _exists_intro_conclude, (),
+                  (IMPLIES, EXISTS)),
 )}
 
 
 def _bound_extension(psi):
     check_parameter(PARAM_FORMULA, psi, "extension psi")
-    bound = {"psi": psi}
+    extension, bound = _RULES["extension"], {"psi": psi}
     return InferenceRule(f"extension(psi={print_formula(psi)})", 1,
-                         lambda premises, context: _extension_conclude(premises, bound),
-                         requires_connectives=(OR,))
+                         lambda premises, context: extension.conclude(premises, bound),
+                         requires_connectives=extension.requires_connectives)
 
 
 # What a rule factory's parameter of each kind must be: kind -> (type, description).
@@ -513,9 +492,10 @@ def length_filtered(rule: InferenceRule, cap: int) -> InferenceRule:
 def validated_mp(validator: Validator) -> InferenceRule:
     """Modus ponens that fires only when the validator accepts the minor premise."""
     check_parameter(PARAM_VALIDATOR, validator, "validated_mp validator")
+    modus_ponens = _RULES["modus_ponens"]
 
     def conclude(premises, context):
-        conclusion = _mp_conclude(premises, context)
+        conclusion = modus_ponens.conclude(premises, context)
         if conclusion and validator(premises[0]):
             return conclusion
         return ()
@@ -524,7 +504,7 @@ def validated_mp(validator: Validator) -> InferenceRule:
         f"validated_mp({validator.name})",
         2,
         conclude,
-        requires_connectives=(IMPLIES,),
+        requires_connectives=modus_ponens.requires_connectives,
         strategy=_mp_strategy,
     )
 

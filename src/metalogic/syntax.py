@@ -1187,14 +1187,18 @@ def _compile_pattern(pattern: Formula, metavariables: tuple) -> Callable:
     return root if root is not None else (lambda formulas: pattern)
 
 
-def match_schema(schema: Schema, formula: Formula) -> Optional[dict]:
+def match_schema(schema: Schema, formula: Formula,
+                 binding: Optional[dict] = None) -> Optional[dict]:
     """First-match structural binding of metavariables, or None.
 
     Matching is deterministic: a metavariable atom binds the subformula at
     its position, and repeated metavariables must bind equal subformulas.
+    A ``binding`` given is extended in place, and a metavariable it already
+    binds must match its value; after a failed match it may hold a part.
     """
     metas = schema.metavariables
-    binding = {}
+    if binding is None:
+        binding = {}
     stack = [(schema.pattern, formula)]  # an explicit stack: no recursion, no closure
     while stack:
         pat, f = stack.pop()

@@ -221,6 +221,17 @@ class TestEnumBody:
         assert main(["enum-body", "--calc", str(tmp_path / "no.json")]) == 3
         assert "cannot read" in capsys.readouterr().err
 
+    def test_a_rule_building_an_undeclared_quantifier_exits_3(self, capsys, tmp_path):
+        data = {"language": {"kind": "first-order", "individual_variables": ["x"],
+                             "predicates": [["P", 1], ["Q", 0]],
+                             "connectives": ["implies"], "quantifiers": ["forall"]},
+                "axioms": ["P(x) -> Q"], "rules": [{"name": "exists_introduction"}]}
+        path = tmp_path / "exists.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["enum-body", "--calc", str(path), "--max-stage", "3",
+                     "--max-size", "9"]) == 3
+        assert "['exists']" in capsys.readouterr().err
+
 
 class TestDerive:
     def test_goal_found_exits_0_with_a_proof(self, capsys, chain_file):
@@ -311,6 +322,11 @@ class TestStages:
         assert "status: budget-exceeded" in out
 
 
+# short.json's two axioms fill the budget in stage 1; the run ends in stage 2
+STAGE_TWO_BUDGET = ["--max-stage", "3", "--max-size", "5", "--budget", "2",
+                    "--pool-size", "1"]
+
+
 class TestCompare:
     def test_identical_calculi_hold(self, capsys, chain_file):
         assert main(["compare", "--kind", "logical", "--calc-a", chain_file,
@@ -329,6 +345,13 @@ class TestCompare:
                      "--map", "p2_to_p1"]) == 2
         assert "verdict: inconclusive" in capsys.readouterr().out
 
+    def test_algorithmic_reads_the_stage_one_cut_from_the_runs(self, capsys, short_file):
+        # both axioms are in stage 1; the budget runs out in stage 2
+        assert main(["compare", "--kind", "algorithmic", "--calc-a", short_file,
+                     "--calc-b", short_file, *STAGE_TWO_BUDGET]) == 2
+        out = capsys.readouterr().out
+        assert "did not saturate" in out and "budget-truncated" not in out
+
     def test_wrong_direction_map_exits_3(self, capsys, chain_file):
         assert main(["compare", "--kind", "logical", "--calc-a", chain_file,
                      "--calc-b", chain_file, "--map", "p2_to_p1"]) == 3
@@ -339,6 +362,12 @@ class TestCheck:
     def test_closed_wrt_axioms_holds(self, capsys, chain_file):
         assert main(["check", "--calc", chain_file,
                      "--property", "closed-wrt-axioms"]) == 0
+        assert "verdict: holds" in capsys.readouterr().out
+
+    def test_closed_wrt_axioms_reads_the_stage_one_cut_from_the_run(self, capsys,
+                                                                  short_file):
+        assert main(["check", "--calc", short_file, "--property", "closed-wrt-axioms",
+                     *STAGE_TWO_BUDGET]) == 0
         assert "verdict: holds" in capsys.readouterr().out
 
     def test_consistent_with_a_derived_member_fails(self, capsys, chain_file):

@@ -123,6 +123,13 @@ class TestCalculusValidation:
                 rules=rule_system(make_rule("cancellation")),
             )
 
+    def test_rule_quantifier_requirements_checked(self):
+        alphabet = first_order_alphabet(("x",), predicates=(("P", 1), ("Q", 0)),
+                                        connectives=(IMPLIES,), quantifiers=("forall",))
+        with pytest.raises(AlphabetError, match=re.escape(
+                "rules need undeclared connectives or quantifiers: ['exists']")):
+            Calculus(alphabet=alphabet, rules=rule_system(make_rule("exists_introduction")))
+
     def test_undeclared_pool_variable_rejected(self, kleene):
         with pytest.raises(AlphabetError):
             replace(kleene, pool_variables=("Z",))

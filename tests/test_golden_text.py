@@ -68,7 +68,7 @@ CASES = {
          *POOL_P, "--budget", "6"], 0),
     "check_closed_wrt_axioms_truncated": (
         ["check", "--calc", "builtin:kleene", "--property", "closed-wrt-axioms",
-         *POOL_P, "--budget", "5"], 2),
+         *POOL_P, "--budget", "4"], 2),
     "check_consistent_with_pattern": (
         ["check", "--calc", "builtin:kleene", "--property", "consistent-with",
          "--pattern", "(phi -> phi)", *SMALL, "--pool-vars", "P"], 0),

@@ -10,7 +10,13 @@ import pytest
 from metalogic import (
     ArityError,
     Atom,
+    Binary,
+    EXISTS,
+    IMPLIES,
     InferenceRule,
+    NOT,
+    Negation,
+    OR,
     RuleParameterError,
     UnknownRuleError,
     Validator,
@@ -18,6 +24,7 @@ from metalogic import (
     builtin_calculus,
     builtin_rule_names,
     compose,
+    enumerate_wffs,
     first_order_alphabet,
     is_tautology,
     length_filtered,
@@ -208,6 +215,119 @@ class TestCombinators:
             reject()
 
 
+# The conclusions of the schematic built-ins written out by hand.
+
+def _mp_conclude(premises, context):
+    minor, major = premises
+    if type(major) is Binary and major.op == IMPLIES and major.left == minor:
+        return (major.right,)
+    return ()
+
+
+def _extension_conclude(premises, context):
+    (formula,) = premises
+    return (Binary(OR, formula, context["psi"]),)
+
+
+def _cancellation_conclude(premises, context):
+    (formula,) = premises
+    if type(formula) is Binary and formula.op == OR and formula.left == formula.right:
+        return (formula.left,)
+    return ()
+
+
+def _assoc_left_conclude(premises, context):
+    (formula,) = premises
+    if (type(formula) is Binary and formula.op == OR
+            and type(formula.right) is Binary and formula.right.op == OR):
+        inner = formula.right
+        return (Binary(OR, Binary(OR, formula.left, inner.left), inner.right),)
+    return ()
+
+
+def _assoc_right_conclude(premises, context):
+    (formula,) = premises
+    if (type(formula) is Binary and formula.op == OR
+            and type(formula.left) is Binary and formula.left.op == OR):
+        inner = formula.left
+        return (Binary(OR, inner.left, Binary(OR, inner.right, formula.right)),)
+    return ()
+
+
+def _cut_conclude(premises, context):
+    first, second = premises
+    if not (type(first) is Binary and first.op == OR):
+        return ()
+    if not (type(second) is Binary and second.op == OR):
+        return ()
+    if type(second.left) is Negation and second.left.operand == first.left:
+        return (Binary(OR, first.right, second.right),)
+    return ()
+
+
+def _identity_conclude(premises, context):
+    return (premises[0],)
+
+
+REFERENCES = {
+    "modus_ponens": _mp_conclude,
+    "extension": _extension_conclude,
+    "cancellation": _cancellation_conclude,
+    "associativity_left": _assoc_left_conclude,
+    "associativity_right": _assoc_right_conclude,
+    "cut": _cut_conclude,
+    "identity": _identity_conclude,
+}
+
+# every formula up to size 5 over P and Q with all five connectives
+UP_TO_FIVE = enumerate_wffs(propositional_alphabet(("P", "Q")), 5)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_a_schematic_rule_concludes_what_its_reference_does(name):
+    rule, reference = make_rule(name), REFERENCES[name]
+    if rule.parameter_kinds:  # extension: psi over every formula up to size 3
+        contexts = [{"psi": f} for f in UP_TO_FIVE if f.size <= 3]
+    else:
+        contexts = [None]
+    for premises in itertools.product(UP_TO_FIVE, repeat=rule.arity):
+        for context in contexts:
+            assert rule.conclusions(premises, context) == frozenset(
+                reference(premises, context)), (name, premises, context)
+
+
+def _builds_without_parameters(name):
+    try:
+        make_rule(name)
+    except RuleParameterError:
+        return False
+    return True
+
+
+BARE_RULES = [name for name in builtin_rule_names() if _builds_without_parameters(name)]
+
+# name: (arity, parameter_kinds, requires_connectives) of make_rule(name)
+SHAPES = {
+    "modus_ponens": (2, (), {IMPLIES}),
+    "substitution": (1, (("variable", "variable"), ("formula", "formula")), set()),
+    "extension": (1, (("psi", "formula"),), {OR}),
+    "cancellation": (1, (), {OR}),
+    "associativity_left": (1, (), {OR}),
+    "associativity_right": (1, (), {OR}),
+    "cut": (2, (), {OR, NOT}),
+    "exists_introduction": (1, (), {IMPLIES, EXISTS}),
+    "identity": (1, (), set()),
+}
+
+
+def test_each_builtin_declares_its_shape():
+    assert sorted(SHAPES) == BARE_RULES
+    for name, (arity, kinds, required) in SHAPES.items():
+        rule = make_rule(name)
+        assert (rule.arity, rule.parameter_kinds, rule.requires_connectives) == (
+            arity, kinds, required), name
+
+
 class TestImmutability:
     def test_a_rule_refuses_assignment(self):
         rule = make_rule("modus_ponens")
@@ -219,11 +339,18 @@ class TestImmutability:
             del rule.arity
         assert rule.identifier == "modus_ponens" and rule.arity == 2
 
-    def test_copies_and_pickles_of_a_rule_work(self):
-        rule = make_rule("modus_ponens")
+    @pytest.mark.parametrize("name", BARE_RULES)
+    def test_copies_and_pickles_of_a_rule_work(self, name):
+        rule = make_rule(name)
+        samples = [wff(t) for t in ("P", "(P -> Q)", "(P | P)", "((P | Q) | R)",
+                                    "(P | (Q | R))", "(~P | R)")]
+        values = {"formula": wff("~Q"), "variable": "P"}
+        context = {slot: values[kind] for slot, kind in rule.parameter_kinds} or None
         for twin in (copy.copy(rule), copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
             assert twin == rule
-            assert conclusions(twin, wff("P"), wff("(P -> Q)")) == {"Q"}
+            for premises in itertools.product(samples, repeat=rule.arity):
+                assert twin.conclusions(premises, context) == rule.conclusions(
+                    premises, context)
             with pytest.raises(AttributeError):
                 twin.arity = 1
 

@@ -486,6 +486,13 @@ class TestSchemas:
         target = parse_formula("(P & (Q & P))", pq_alphabet)
         assert match_schema(self.schema, target) is None
 
+    def test_match_extends_a_given_binding(self, pq_alphabet):
+        target = parse_formula("(P -> (Q -> P))", pq_alphabet)
+        binding = {"phi": Atom("P"), "psi": Atom("Q")}
+        assert match_schema(self.schema, target, binding) is binding
+        assert binding == {"phi": Atom("P"), "chi": Atom("Q"), "psi": Atom("Q")}
+        assert match_schema(self.schema, target, {"phi": Atom("Q")}) is None
+
     def test_instantiate_then_match_round_trips(self, pq_alphabet):
         assignment = {
             "phi": parse_formula("~P", pq_alphabet),
