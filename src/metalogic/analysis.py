@@ -38,6 +38,7 @@ from .engine import (
     enumerate_body,
     fixed_axioms,
     instantiation_pool,
+    pool_for,
     value_key,
 )
 from .errors import BudgetExceededError, MetalogicError, RuleParameterError, check_count
@@ -304,7 +305,7 @@ def _check_consistent(calculus, body, strict=False) -> Verdict:
                     f"semantically unsatisfiable member {print_formula(theorem)}",
                 )
     found = holds({"theorems_scanned": len(body)},
-                  "no contradiction pattern among the saturated theorems")
+                  "no contradiction pattern among the theorems within the size cap")
     return _settled(body, found,
                     "no contradiction found, but the enumeration did not saturate",
                     theorems_scanned=len(body))
@@ -366,9 +367,10 @@ def _check_complete_wrt_rules(calculus, body, targets=None, rules=None) -> Verdi
             "complete-wrt-rules needs targets (a formula collection)"
         )
     targets = canonical_sorted(set(targets))
+    rules = calculus.rules if rules is None else rules
     layer = _within_budget(body, "the one-step layer", lambda: consequence_step(
-        calculus.rules if rules is None else rules, body.theorems,
-        parameter_pool=instantiation_pool(calculus, body.bounds),
+        rules, body.theorems,
+        parameter_pool=pool_for(calculus, rules, body.bounds),
         variables=calculus.alphabet.variables,
         node_budget=body.bounds.node_budget,
     ))

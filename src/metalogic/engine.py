@@ -211,7 +211,8 @@ class Calculus:
 
     ``pool_variables`` names the propositional variables the instantiation
     pool ranges over; leave it empty to make enumeration pools empty and
-    derivation pools goal-directed (the goal's subformulas).
+    derivation pools goal-directed (the goal's subformulas). A calculus
+    with no on-demand schema and no formula parameter never builds it.
     """
 
     alphabet: Alphabet
@@ -289,8 +290,25 @@ class AxiomStage:
 
 def instantiation_pool(calculus: Calculus, bounds: Bounds,
                        extra: Iterable[Formula] = ()) -> list:
-    """The finite formula universe that schema metavariables and rule
-    parameters range over, in canonical order."""
+    """The finite formula universe that on-demand schemata and formula
+    parameters range over, in canonical order: ``pool_for`` its own rules."""
+    return pool_for(calculus, calculus.rules, bounds, extra)
+
+
+def _reads_pool(calculus: Calculus, rules: RuleSystem) -> bool:
+    """Only an on-demand schema and a formula parameter read the pool; a
+    wrapper rule declares its inner rule's parameters as its own."""
+    return (bool(calculus.schemata) and calculus.schema_mode == ON_DEMAND_MODE
+            or any(kind == PARAM_FORMULA
+                   for rule in rules for _, kind in rule.parameter_kinds))
+
+
+def pool_for(calculus: Calculus, rules: RuleSystem, bounds: Bounds,
+             extra: Iterable[Formula] = ()) -> list:
+    """The pool of a run of ``rules`` on the calculus; empty, and never
+    enumerated, when the run does not read it."""
+    if not _reads_pool(calculus, rules):
+        return []
     restricted = replace(calculus.alphabet, variables=calculus.pool_variables)
     pool = set(enumerate_wffs(restricted, bounds.instantiation_pool_size,
                               limit=bounds.node_budget))

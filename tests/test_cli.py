@@ -439,6 +439,48 @@ class TestCheck:
         assert "R is not derivable in one step" in capsys.readouterr().out
 
 
+class TestUnreadPool:
+    """A pool that no schema and no formula parameter reads is never
+    enumerated, so its size cannot outgrow the budget and end the run."""
+
+    ARGV = ["--max-stage", "4", "--max-size", "5", "--budget", "20",
+            "--pool-size", "5"]
+
+    @pytest.fixture
+    def unread_file(self, tmp_path):
+        # 66 formulas over P, Q up to size 5: over the budget of 20
+        data = {"language": {"variables": ["P", "Q"], "connectives": ["implies", "not"]},
+                "axioms": ["P", "P -> Q"], "rules": [{"name": "modus_ponens"}],
+                "pool_variables": ["P", "Q"]}
+        path = tmp_path / "unread.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return str(path)
+
+    def test_check_holds(self, capsys, unread_file):
+        assert main(["check", "--calc", unread_file, "--property",
+                     "transitively-closed", *self.ARGV]) == 0
+        assert "verdict: holds" in capsys.readouterr().out
+
+    def test_derive_finds_a_three_node_derivation(self, capsys, unread_file):
+        assert main(["derive", "--json", "--calc", unread_file, "--goal", "Q",
+                     *self.ARGV]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "goal-found"
+        assert [node["formula"] for node in report["derivation"]] == [
+            "P", "(P -> Q)", "Q"]
+
+    def test_a_read_pool_still_ends_the_run_at_the_budget(self, capsys, tmp_path):
+        # extension's psi ranges over the pool
+        data = {"language": {"variables": ["P", "Q"], "connectives": ["or"]},
+                "axioms": ["P"], "rules": [{"name": "extension"}],
+                "pool_variables": ["P", "Q"]}
+        path = tmp_path / "read.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["check", "--calc", str(path), "--property",
+                     "transitively-closed", *self.ARGV]) == 4
+        assert "outgrew its ceiling of 20" in capsys.readouterr().err
+
+
 class TestRelation:
     def test_sample_and_check_round_trip(self, capsys, chain_file, tmp_path):
         out_path = str(tmp_path / "rel.jsonl")
