@@ -1,18 +1,28 @@
 """Finite automata that accept exactly a finite theorem body.
 
-A finite body T becomes an acceptor of the set {print(w) : w in T}: one
-linear chain of states per formula, a fresh start state, and an epsilon
-edge from the start to each chain (so the machine chooses a formula
-nondeterministically and then verifies it character by character). The
-deterministic variant shares common prefixes in a trie and uses no epsilon
-edges at all.
+A finite body T is accepted by a machine whose language is
+{print(w) : w in T}. Two shapes are defined: one linear chain of states
+per formula, a fresh start state, and an epsilon edge from the start to
+each chain (the machine chooses a formula nondeterministically and then
+verifies it character by character); or, deterministic, a trie that
+shares common prefixes and uses no epsilon edges at all.
 
 The printed canonical form makes the body language well-defined: two equal
 formulas print identically, so the automaton's language has exactly one
 word per theorem.
 
-An automaton stores its transition relation once, as one row per symbol:
-``row[source] -> targets``, with the epsilon edges in the row of
+A body acceptor (``BodyAcceptor``) is its word list: the printed theorems
+in canonical order, which fixes every state name of both shapes (Daciuk,
+Mihov, Watson & Watson, "Incremental construction of minimal acyclic
+finite-state automata", Computational Linguistics 26(1), 2000). Acceptance
+is word membership, the language up to a length is a filter of the words,
+and the state count has a closed form; none of them builds a state. The
+explicit ``EpsilonNFA`` is built once, on the first read of its states,
+transitions, start, accepting states, symbols or ``is_deterministic()``,
+or by ``automaton_to_text``, and then kept.
+
+An ``EpsilonNFA`` stores its transition relation once, as one row per
+symbol: ``row[source] -> targets``, with the epsilon edges in the row of
 ``EPSILON``. Simulation reads the rows directly, so a step costs one
 dictionary lookup per current state, not a pass over every transition.
 The ``transitions`` attribute is a view derived from the rows: a frozenset
@@ -33,6 +43,7 @@ collides with a real symbol.
 from __future__ import annotations
 
 from itertools import chain
+from os.path import commonprefix
 from typing import Iterable
 
 from .errors import MetalogicError, check_count
@@ -139,18 +150,51 @@ class EpsilonNFA:
             len(targets) == 1
             for row in self._rows.values() for targets in row.values())
 
+    def _accepts(self, word: str) -> bool:
+        rows = self._rows
+        epsilon_row = rows.get(EPSILON)
+        current = _epsilon_closure(epsilon_row, {self.start})
+        for char in word:
+            row = rows.get(char)
+            if row is None:
+                return False
+            current = _epsilon_closure(epsilon_row, _step(row, current))
+            if not current:
+                return False
+        return not current.isdisjoint(self.accepting)
 
-def _sorted_words(body: Iterable[Formula]) -> list:
-    return [print_formula(f) for f in canonical_sorted(set(body))]
+    def _language_upto(self, max_length: int) -> frozenset:
+        # breadth-first over epsilon-closed state sets; a branch whose set
+        # goes empty is pruned
+        rows = self._rows
+        epsilon_row = rows.get(EPSILON)
+        symbol_rows = [(symbol, rows[symbol])
+                       for symbol in sorted(self.symbols) if symbol in rows]
+        accepted = set()
+        start = _epsilon_closure(epsilon_row, {self.start})
+        frontier = {"": start}
+        if not start.isdisjoint(self.accepting):
+            accepted.add("")
+        for _ in range(max_length):
+            next_frontier = {}
+            for word, states in frontier.items():
+                for symbol, row in symbol_rows:
+                    closed = _epsilon_closure(epsilon_row, _step(row, states))
+                    if not closed:
+                        continue
+                    extended = word + symbol
+                    next_frontier[extended] = closed
+                    if not closed.isdisjoint(self.accepting):
+                        accepted.add(extended)
+            if not next_frontier:
+                break
+            frontier = next_frontier
+        return frozenset(accepted)
 
 
-def build_body_automaton(body: Iterable[Formula]) -> EpsilonNFA:
-    """One chain per formula, epsilon edges from a fresh start.
-
-    The state count is 1 + the sum of (word length + 1) over the printed
-    formulas. An empty body yields a one-state automaton accepting nothing.
-    """
-    words = _sorted_words(body)
+def _chain_nfa(words) -> EpsilonNFA:
+    """One chain per word, ``w<index>.<position>``, and an epsilon edge to
+    each from the start ``q0``."""
     chains = [[f"w{index}.{position}" for position in range(len(word) + 1)]
               for index, word in enumerate(words)]
 
@@ -165,9 +209,9 @@ def build_body_automaton(body: Iterable[Formula]) -> EpsilonNFA:
     )
 
 
-def build_deterministic_body_automaton(body: Iterable[Formula]) -> EpsilonNFA:
-    """A trie over the printed formulas: shared prefixes, no epsilon edges."""
-    words = _sorted_words(body)
+def _trie_nfa(words) -> EpsilonNFA:
+    """A trie over the words: the root ``q0``, then ``t<i>`` for the i-th
+    prefix in (length, text) order."""
     prefixes = {""}
     for word in words:
         for end in range(1, len(word) + 1):
@@ -181,6 +225,113 @@ def build_deterministic_body_automaton(body: Iterable[Formula]) -> EpsilonNFA:
          for prefix in ordered if prefix),
         "q0", [name_of[word] for word in words],
     )
+
+
+def _from_nfa(name: str) -> property:
+    return property(lambda self: getattr(self.nfa(), name),
+                    doc=f"The explicit automaton's ``{name}``; builds it.")
+
+
+class BodyAcceptor:
+    """The acceptor of a finite body, held as its printed words.
+
+    ``words`` are the printed theorems in canonical order, which names the
+    states; ``deterministic`` chooses the trie over the chains. Acceptance,
+    the language up to a length and ``state_count`` are read from the
+    words. ``nfa()`` builds the explicit ``EpsilonNFA`` on its first call
+    and keeps it; ``states``, ``transitions``, ``start``, ``accepting``,
+    ``symbols`` and ``is_deterministic()`` read that automaton. Two body
+    acceptors are equal when their words and shape are. Instances are
+    immutable.
+    """
+
+    __slots__ = ("words", "deterministic", "_members", "_nfa")
+
+    def __init__(self, words, deterministic=False):
+        words = tuple(words)
+        for name, value in (("words", words),
+                            ("deterministic", bool(deterministic)),
+                            ("_members", frozenset(words)), ("_nfa", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, BodyAcceptor):
+            return NotImplemented
+        return (self.deterministic == other.deterministic
+                and self.words == other.words)
+
+    def __hash__(self):
+        return hash((self.words, self.deterministic))
+
+    def __reduce__(self):
+        return (BodyAcceptor, (self.words, self.deterministic))
+
+    def __repr__(self):
+        return (f"BodyAcceptor(words={self.words!r}, "
+                f"deterministic={self.deterministic!r})")
+
+    @property
+    def state_count(self) -> int:
+        """``len(self.states)`` without building them: 1 + the sum of
+        (length + 1) over the chains; for the trie, 1 + the sum over the
+        words in lexicographic order of the length past the common prefix
+        with the word before."""
+        if not self.deterministic:
+            return 1 + sum(map(len, self.words)) + len(self.words)
+        count, previous = 1, ""
+        for word in sorted(self.words):
+            count += len(word) - len(commonprefix((word, previous)))
+            previous = word
+        return count
+
+    def nfa(self) -> EpsilonNFA:
+        """The explicit automaton, built on the first call and kept."""
+        if self._nfa is None:
+            build = _trie_nfa if self.deterministic else _chain_nfa
+            object.__setattr__(self, "_nfa", build(self.words))
+        return self._nfa
+
+    states = _from_nfa("states")
+    symbols = _from_nfa("symbols")
+    start = _from_nfa("start")
+    accepting = _from_nfa("accepting")
+    transitions = _from_nfa("transitions")
+
+    def is_deterministic(self) -> bool:
+        return self.nfa().is_deterministic()
+
+    def _triples(self):
+        return self.nfa()._triples()
+
+    def _accepts(self, word: str) -> bool:
+        return word in self._members
+
+    def _language_upto(self, max_length: int) -> frozenset:
+        return frozenset(word for word in self.words if len(word) <= max_length)
+
+
+def _sorted_words(body: Iterable[Formula]) -> list:
+    return [print_formula(f) for f in canonical_sorted(set(body))]
+
+
+def build_body_automaton(body: Iterable[Formula]) -> BodyAcceptor:
+    """One chain per formula, epsilon edges from a fresh start.
+
+    The state count is 1 + the sum of (word length + 1) over the printed
+    formulas. An empty body yields a one-state automaton accepting nothing.
+    """
+    return BodyAcceptor(_sorted_words(body))
+
+
+def build_deterministic_body_automaton(body: Iterable[Formula]) -> BodyAcceptor:
+    """A trie over the printed formulas: shared prefixes, no epsilon edges."""
+    return BodyAcceptor(_sorted_words(body), deterministic=True)
 
 
 # ==========================================================================
@@ -210,52 +361,25 @@ def _step(row: dict, states) -> set:
     return moved
 
 
-def nfa_accepts(nfa: EpsilonNFA, word: str) -> bool:
-    """Standard epsilon-closure simulation; unknown symbols simply fail."""
-    rows = nfa._rows
-    epsilon_row = rows.get(EPSILON)
-    current = _epsilon_closure(epsilon_row, {nfa.start})
-    for char in word:
-        row = rows.get(char)
-        if row is None:
-            return False
-        current = _epsilon_closure(epsilon_row, _step(row, current))
-        if not current:
-            return False
-    return not current.isdisjoint(nfa.accepting)
+def nfa_accepts(nfa: EpsilonNFA | BodyAcceptor, word: str) -> bool:
+    """Whether the acceptor accepts ``word``; unknown symbols simply fail.
+
+    An ``EpsilonNFA`` runs the standard epsilon-closure simulation; a
+    ``BodyAcceptor`` looks the word up.
+    """
+    return nfa._accepts(word)
 
 
-def nfa_language_upto(nfa: EpsilonNFA, max_length: int) -> frozenset:
+def nfa_language_upto(nfa: EpsilonNFA | BodyAcceptor,
+                      max_length: int) -> frozenset:
     """Every accepted word of length at most max_length.
 
-    Breadth-first over epsilon-closed state sets; branches whose state set
-    goes empty are pruned, so finite body languages enumerate quickly.
+    An ``EpsilonNFA`` is explored breadth-first over epsilon-closed state
+    sets, so finite body languages enumerate quickly; a ``BodyAcceptor``
+    keeps its words that are short enough.
     """
     check_count(max_length, 0, "max_length")
-    rows = nfa._rows
-    epsilon_row = rows.get(EPSILON)
-    symbol_rows = [(symbol, rows[symbol])
-                   for symbol in sorted(nfa.symbols) if symbol in rows]
-    accepted = set()
-    start = _epsilon_closure(epsilon_row, {nfa.start})
-    frontier = {"": start}
-    if not start.isdisjoint(nfa.accepting):
-        accepted.add("")
-    for _ in range(max_length):
-        next_frontier = {}
-        for word, states in frontier.items():
-            for symbol, row in symbol_rows:
-                closed = _epsilon_closure(epsilon_row, _step(row, states))
-                if not closed:
-                    continue
-                extended = word + symbol
-                next_frontier[extended] = closed
-                if not closed.isdisjoint(nfa.accepting):
-                    accepted.add(extended)
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return frozenset(accepted)
+    return nfa._language_upto(max_length)
 
 
 # ==========================================================================
@@ -265,7 +389,7 @@ def nfa_language_upto(nfa: EpsilonNFA, max_length: int) -> frozenset:
 _EPSILON_TOKEN = "eps"
 
 
-def automaton_to_text(nfa: EpsilonNFA) -> str:
+def automaton_to_text(nfa: EpsilonNFA | BodyAcceptor) -> str:
     """Serialize deterministically: counts, start, accepting, sorted triples."""
     lines = [
         f"states\t{len(nfa.states)}",

@@ -403,7 +403,7 @@ def _cmd_automaton(args) -> tuple:
         "bounds": asdict(bounds),
         "body_status": body.status,
         "deterministic": bool(args.deterministic),
-        "state_count": len(nfa.states),
+        "state_count": nfa.state_count,
     }
     if args.accept is not None:
         accepted = nfa_accepts(nfa, args.accept)

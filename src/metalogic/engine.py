@@ -258,6 +258,12 @@ class Calculus:
                        else "connectives or quantifiers")
             raise AlphabetError(f"rules need undeclared {symbols}: {sorted(missing)}")
 
+    @functools.cached_property
+    def pool_alphabet(self) -> Alphabet:
+        """The alphabet restricted to the pool variables, built and
+        validated on the first read and kept."""
+        return replace(self.alphabet, variables=self.pool_variables)
+
     def schema_by_id(self, schema_id: str) -> Schema:
         for schema in self.schemata:
             if schema.schema_id == schema_id:
@@ -309,8 +315,8 @@ def pool_for(calculus: Calculus, rules: RuleSystem, bounds: Bounds,
     enumerated, when the run does not read it."""
     if not _reads_pool(calculus, rules):
         return []
-    restricted = replace(calculus.alphabet, variables=calculus.pool_variables)
-    pool = set(enumerate_wffs(restricted, bounds.instantiation_pool_size,
+    pool = set(enumerate_wffs(calculus.pool_alphabet,
+                              bounds.instantiation_pool_size,
                               limit=bounds.node_budget))
     # Goal subformulas stay usable even when larger than the pool size bound.
     pool.update(extra)

@@ -19,6 +19,7 @@ import pytest
 from conftest import random_formula
 from metalogic import (
     IMPLIES,
+    Alphabet,
     NOT,
     ON_DEMAND_MODE,
     OR,
@@ -213,3 +214,28 @@ def test_an_override_rule_system_decides_whether_complete_wrt_rules_reads_the_po
                              targets=[parse_formula("P | Q", alphabet)],
                              rules=rule_system(make_rule("extension")))
     assert verdict.is_holds, verdict
+
+
+def test_bodies_of_one_calculus_share_one_validated_pool_alphabet(monkeypatch):
+    """The alphabet restricted to the pool variables is built and validated
+    on the first body that reads it, then reused; the pools are unchanged."""
+    kleene = replace(kleene_calculus(), pool_variables=("P",))
+    small, large = Bounds(2, 7, 5000, 2), Bounds(2, 9, 5000, 3)
+    validated = []
+    post_init = Alphabet.__post_init__
+
+    def counted(alphabet):
+        post_init(alphabet)
+        if alphabet.variables == kleene.pool_variables:
+            validated.append(alphabet)
+
+    monkeypatch.setattr(Alphabet, "__post_init__", counted)
+    pools = [instantiation_pool(kleene, bounds) for bounds in (small, large)]
+    bodies = [enumerate_body(kleene, bounds) for bounds in (small, large)]
+    assert len(validated) == 1
+    monkeypatch.undo()
+    assert validated[0] is kleene.pool_alphabet
+    assert pools == [whole_pool(kleene, small), whole_pool(kleene, large)]
+    assert [body.theorems for body in bodies] == [
+        enumerate_body(kleene, bounds, pool=pool).theorems
+        for bounds, pool in zip((small, large), pools)]
