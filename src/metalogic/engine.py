@@ -64,6 +64,7 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -353,37 +354,36 @@ def positional_realization(schema: Schema, alphabet: Alphabet) -> tuple:
 
 def schema_instances(schemata: Sequence[Schema], pool: Sequence[Formula],
                      max_size: int) -> Iterator[tuple]:
-    """Stream (formula, schema) in ascending instance size.
+    """Stream (formula, schema) in ascending instance size, then schema
+    position, then metavariable size vector in lexicographic order, then
+    pool order, so truncating the stream keeps the smallest instances.
 
-    Instances of all schemata are interleaved so that truncating the stream
-    after N items keeps the N smallest instances overall (ties broken by
-    schema position, then metavariable size vector, then pool order).
-    An item names only the ``Schema`` it instantiates: a body stores that,
+    Before the first item, each schema's size vectors are walked once, by
+    one ``size_vectors`` call up to the budget the size cap leaves it, and
+    bucketed by instance size. Each instance is one call of the schema's
+    builder, which reads metavariable leaves inline. An item names only the ``Schema`` it instantiates: a body stores that,
     and builds the instance's ``SchemaJustification`` when asked for it.
     """
     pool_by_size = {}
     for f in pool:
         pool_by_size.setdefault(f.size, []).append(f)
     available_sizes = sorted(pool_by_size)
-    prepared = []
+    by_size = {}  # instance size -> [(schema, the pool formulas of each slot)]
     for schema in schemata:
         occurrences = atom_occurrences(schema.pattern)
-        prepared.append((schema, [occurrences[m] for m in schema.metavariables]))
-    # a schema's largest instance sets every metavariable to a largest pool
-    # formula; a schema with metavariables has no instance on an empty pool
-    largest = max(available_sizes, default=1)
-    reach = [schema.pattern.size + sum(weights) * (largest - 1)
-             for schema, weights in prepared if available_sizes or not weights]
-    if not reach:
-        return
-    base_min = min(schema.pattern.size for schema, _ in prepared)
-    for target in range(base_min, min(max_size, max(reach)) + 1):
-        for schema, weights in prepared:
+        weights = [occurrences[m] for m in schema.metavariables]
+        if weights and not available_sizes:
+            continue  # a schema with metavariables has no instance on an empty pool
+        base = schema.pattern.size - sum(weights)
+        for vector in size_vectors(weights, available_sizes, max_size - schema.pattern.size,
+                                   exact=False):
+            by_size.setdefault(base + sum(map(operator.mul, weights, vector)), []).append(
+                (schema, [pool_by_size[s] for s in vector]))
+    for size in sorted(by_size):
+        for schema, buckets in by_size[size]:
             build = schema.build
-            for vector in size_vectors(weights, available_sizes, target - schema.pattern.size):
-                buckets = [pool_by_size[s] for s in vector]
-                for combo in itertools.product(*buckets):
-                    yield build(combo), schema
+            for combo in itertools.product(*buckets):
+                yield build(combo), schema
 
 
 def fixed_axioms(calculus: Calculus) -> Iterator[tuple]:

@@ -49,8 +49,9 @@ is the same order as a sort key.
 ``enumerate_wffs`` builds the language in one pass up the sizes, and its
 ceiling or the language, not the size bound, bounds the work. ``size_vectors`` is the one
 enumerator of size compositions: the argument sizes of terms and atoms and
-the part sizes of equalities and binary formulas here, and the metavariable
-sizes of schema instances in ``engine``.
+the part sizes of equalities and binary formulas here at exact budgets, and
+the metavariable sizes of schema instances in ``engine``, each schema's
+walked once up to the budget the size cap leaves.
 """
 
 from __future__ import annotations
@@ -979,16 +980,18 @@ def validate_formula(formula, alphabet: Alphabet):
 # Enumeration
 # ==========================================================================
 
-def size_vectors(weights: Sequence[int], sizes: Sequence[int], budget: int) -> Iterator[tuple]:
+def size_vectors(weights: Sequence[int], sizes: Sequence[int], budget: int,
+                 exact: bool = True) -> Iterator[tuple]:
     """All tuples (s_1..s_k) over the ascending ``sizes`` with
-    sum(w_i * (s_i - 1)) == budget, in lexicographic order; each weight is
-    positive. No weights give the empty tuple when the budget is 0."""
+    sum(w_i * (s_i - 1)) == budget, or <= budget when not ``exact``, in
+    lexicographic order; each weight is positive. No weights give the empty
+    tuple when the budget is 0, or any budget >= 0 when not exact."""
     if not weights:
-        if not budget:
+        if budget == 0 or budget > 0 and not exact:
             yield ()
         return
     head, rest = weights[0], weights[1:]
-    if not rest:
+    if not rest and exact:
         # the last size is fixed by what is left of the budget
         spent, left = divmod(budget, head)
         if not left and spent + 1 in sizes:
@@ -998,7 +1001,7 @@ def size_vectors(weights: Sequence[int], sizes: Sequence[int], budget: int) -> I
         spent = head * (s - 1)
         if spent > budget:
             break
-        for tail in size_vectors(rest, sizes, budget - spent):
+        for tail in size_vectors(rest, sizes, budget - spent, exact):
             yield (s,) + tail
 
 
@@ -1069,7 +1072,8 @@ def enumerate_wffs(alphabet: Alphabet, max_size: int, limit: Optional[int] = Non
                 for v in alphabet.individual_variables:
                     if v in free:
                         emit(Quantified(q, v, body))
-        for left_size, right_size in size_vectors((1, 1), range(1, size), size - 3):
+        pairs = size_vectors((1, 1), range(1, size), size - 3) if binary_ops else ()
+        for left_size, right_size in pairs:
             for op in binary_ops:
                 for left in by_size[left_size]:
                     for right in by_size[right_size]:
@@ -1091,6 +1095,10 @@ class Schema:
     ``build`` is the pattern compiled once: ``build(formulas)`` is the
     instance under a tuple of formulas, one per metavariable in declared
     order. Subtrees of the pattern with no metavariable are shared with it.
+    Each node above a metavariable is one builder call that reads its
+    metavariable children inline as ``formulas[i]``: a ``(phi -> (chi ->
+    phi))`` instance is two calls. ``engine.schema_instances`` streams the
+    instances over a pool in a fixed order, walking size vectors once.
     """
 
     schema_id: str
@@ -1141,27 +1149,41 @@ def parse_schema(schema_id: str, text: str, alphabet: Alphabet) -> Schema:
 
 
 def _node_builder(node, parts: list, slots: dict):
-    """The builder of one pattern node from its children's builders, or None
-    when no metavariable occurs below it."""
+    """The builder of one pattern node from its children's: None with no
+    metavariable below it, the slot of a metavariable leaf, which its parent
+    reads inline as ``formulas[i]``, or else a function of the formulas."""
     kind = type(node)
     if kind is Atom:
-        i = slots.get(node.name)
-        return None if i is None else (lambda formulas: formulas[i])
-    if not any(parts):
+        return slots.get(node.name)
+    if all(part is None for part in parts):
         return None
     if kind is Negation:
         (operand,) = parts
+        if type(operand) is int:
+            return lambda formulas: Negation(formulas[operand])
         return lambda formulas: Negation(operand(formulas))
     if kind is Quantified:
         quant, variable, (body,) = node.quant, node.variable, parts
+        if type(body) is int:
+            return lambda formulas: Quantified(quant, variable, formulas[body])
         return lambda formulas: Quantified(quant, variable, body(formulas))
     op, (left, right) = node.op, parts
     if left is None:
         fixed = node.left
+        if type(right) is int:
+            return lambda formulas: Binary(op, fixed, formulas[right])
         return lambda formulas: Binary(op, fixed, right(formulas))
     if right is None:
         fixed = node.right
+        if type(left) is int:
+            return lambda formulas: Binary(op, formulas[left], fixed)
         return lambda formulas: Binary(op, left(formulas), fixed)
+    if type(left) is int:
+        if type(right) is int:
+            return lambda formulas: Binary(op, formulas[left], formulas[right])
+        return lambda formulas: Binary(op, formulas[left], right(formulas))
+    if type(right) is int:
+        return lambda formulas: Binary(op, left(formulas), formulas[right])
     return lambda formulas: Binary(op, left(formulas), right(formulas))
 
 
@@ -1172,7 +1194,7 @@ def _compile_pattern(pattern: Formula, metavariables: tuple) -> Callable:
     be constructed; building an instance recurses once per pattern level.
     """
     slots = {m: i for i, m in enumerate(metavariables)}
-    compiled = {}  # id(node) -> builder of that node, or None
+    compiled = {}  # id(node) -> builder of that node, its slot, or None
     stack = [pattern]
     while stack:
         node = stack[-1]
@@ -1184,7 +1206,10 @@ def _compile_pattern(pattern: Formula, metavariables: tuple) -> Callable:
         stack.pop()
         compiled[id(node)] = _node_builder(node, [compiled[id(c)] for c in children], slots)
     root = compiled[id(pattern)]
-    return root if root is not None else (lambda formulas: pattern)
+    if root is None:
+        return lambda formulas: pattern
+    # a bare metavariable is the pattern: its builder reads its one slot
+    return root if callable(root) else (lambda formulas: formulas[root])
 
 
 def match_schema(schema: Schema, formula: Formula,

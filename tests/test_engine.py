@@ -224,26 +224,33 @@ class TestRealizedAxioms:
         assert sizes and sizes[-1] <= 9
 
     def test_an_empty_pool_walks_no_size(self, kleene, monkeypatch):
-        calls = []
-        monkeypatch.setattr(engine, "size_vectors", lambda *args: calls.append(args) or iter(()))
+        walks = []
+        monkeypatch.setattr(engine, "size_vectors",
+                            lambda *args, **kwargs: walks.append(args) or iter(()))
         assert list(schema_instances(kleene.schemata, [], 10**6)) == []
-        assert calls == []
+        assert walks == []
 
     def test_the_stream_stops_at_the_largest_reachable_size(self, kleene, monkeypatch):
         pool = [Atom("P"), Negation(Atom("P"))]
         reach = max(schema.pattern.size
                     + sum(atom_occurrences(schema.pattern)[m] for m in schema.metavariables)
                     for schema in kleene.schemata)
-        budgets = []
+        walks = []  # the vectors each walk gave
 
-        def counted(weights, sizes, budget):
-            budgets.append(budget)
-            return size_vectors(weights, sizes, budget)
+        def counted(weights, sizes, budget, exact=True):
+            walks.append(list(size_vectors(weights, sizes, budget, exact)))
+            return iter(walks[-1])
 
         monkeypatch.setattr(engine, "size_vectors", counted)
         stream = list(schema_instances(kleene.schemata, pool, 10**4))
         assert max(f.size for f, _ in stream) == reach
-        assert len(budgets) < len(kleene.schemata) * reach
+        # one walk per schema, and every vector it gives is one the stream uses
+        assert len(walks) <= len(kleene.schemata)
+        used = set()
+        for f, schema in stream:
+            binding = match_schema(schema, f)
+            used.add((schema.schema_id, tuple(binding[m].size for m in schema.metavariables)))
+        assert sum(map(len, walks)) == len(used)
         assert stream == list(schema_instances(kleene.schemata, pool, reach))
 
 

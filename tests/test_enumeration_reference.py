@@ -38,6 +38,7 @@ from metalogic import (
     propositional_alphabet,
     shoenfield_fragment_calculus,
 )
+from metalogic import syntax
 
 
 def _free(node):
@@ -184,3 +185,23 @@ def test_shoenfield_fragment_counts_by_size():
     formulas = enumerate_wffs(alphabet, 6)
     assert dict(collections.Counter(f.size for f in formulas)) == SHOENFIELD_SIZE_COUNTS
     assert formulas == reference_wffs(alphabet, 6)
+
+
+@pytest.mark.parametrize("alphabet, walks", [
+    (propositional_alphabet(("P",), connectives=(NOT,)), False),
+    (propositional_alphabet(("p", "q"), connectives=(NOT,), constants=("f",)), False),
+    (propositional_alphabet(("p",), connectives=()), False),
+    (propositional_alphabet(("p",), connectives=(NOT, IMPLIES)), True),
+], ids=["free", "not-with-constant", "atoms-only", "implication"])
+def test_a_binary_free_alphabet_walks_no_size_pair(alphabet, walks, monkeypatch):
+    calls = []
+    walk = syntax.size_vectors
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(syntax, "size_vectors", counted)
+    formulas = enumerate_wffs(alphabet, 9)
+    assert bool(calls) is walks
+    assert formulas == reference_wffs(alphabet, 9)

@@ -112,13 +112,65 @@ def test_schema_instances_match_the_reference(name, pool_size):
     calculus = builtin_calculus(name)
     calculus = replace(calculus, pool_variables=calculus.alphabet.variables[:2])
     pool = instantiation_pool(calculus, Bounds(instantiation_pool_size=pool_size))
-    got = itertools.islice(schema_instances(calculus.schemata, pool, 13), 20000)
-    expected = itertools.islice(reference_schema_instances(calculus.schemata, pool, 13), 20000)
+    assert compare_with_the_reference(calculus.schemata, pool, 13) > 0 or not pool
+
+
+def compare_with_the_reference(schemata, pool, max_size):
+    """Compare the first 20,000 items of both streams, order included, and
+    return how many were compared."""
+    got = itertools.islice(schema_instances(schemata, pool, max_size), 20000)
+    expected = itertools.islice(reference_schema_instances(schemata, pool, max_size), 20000)
     count = 0
     for item, ref_item in itertools.zip_longest(got, expected):
         assert as_record(item) == ref_item
         count += 1
-    assert count > 0 or not pool
+    return count
+
+
+# derive's pool: the pool formulas plus the goal's subformulas, whose sizes
+# leave gaps (the first goal gives sizes 1, 3 and 7 at pool size 1)
+DERIVE_GOALS = ("((P & Q) -> (P & Q))", "~(P | ~~Q)",
+                "((P -> Q) -> ((Q -> R) -> (P -> R)))")
+
+
+@pytest.mark.parametrize("max_size", [7, 21, 35, 44])
+@pytest.mark.parametrize("pool_size", [1, 2])
+@pytest.mark.parametrize("goal", DERIVE_GOALS)
+def test_schema_instances_on_derive_pools_match_the_reference(goal, pool_size, max_size):
+    calculus = builtin_calculus("kleene")
+    goal = parse_formula(goal, calculus.alphabet)
+    pool = instantiation_pool(calculus, Bounds(instantiation_pool_size=pool_size),
+                              subformulas(goal))
+    sizes = sorted({f.size for f in pool})
+    assert any(larger - smaller > 1 for smaller, larger in zip(sizes, sizes[1:]))
+    assert compare_with_the_reference(calculus.schemata, pool, max_size) > 0
+
+
+PHI, CHI, PSI = Atom("phi"), Atom("chi"), Atom("psi")
+FX = PredApp("F", (Var("x"),))
+EDGE_SCHEMATA = (
+    Schema("negated", Negation(PHI), ("phi",)),
+    Schema("quantified", Quantified(FORALL, "x", PHI), ("phi",)),
+    Schema("bare", PHI, ("phi",)),
+    Schema("closed", Binary(IMPLIES, FX, Negation(FX)), ()),
+    Schema("mixed", Binary(AND, Negation(CHI), Quantified(EXISTS, "x", Binary(OR, PHI, FX))),
+           ("chi", "phi")),
+    Schema("twice", Binary(IFF, PHI, Negation(PHI)), ("phi",)),
+    Schema("scoped", Binary(IMPLIES, PHI, Binary(OR, Negation(CHI), Quantified(FORALL, "x", PSI))),
+           ("phi", "chi", "psi")),
+)
+
+
+@pytest.mark.parametrize("max_size", [0, 1, 5, 13, 44])
+def test_edge_patterns_on_a_gapped_pool_match_the_reference(max_size):
+    alphabet = propositional_alphabet(("P", "Q"))
+    pool = [parse_formula(text, alphabet)
+            for text in ("P", "Q", "(P & Q)", "(Q | P)", "((P & Q) -> (P & Q))")]
+    assert sorted({f.size for f in pool}) == [1, 3, 7]
+    count = compare_with_the_reference(EDGE_SCHEMATA, pool, max_size)
+    assert count == 0 if max_size == 0 else count > 0
+    built = {schema.schema_id for _, schema in schema_instances(EDGE_SCHEMATA, pool, 44)}
+    assert built == {schema.schema_id for schema in EDGE_SCHEMATA}
 
 
 ON_DEMAND = ("kleene", "shoenfield_fragment", "lv")
@@ -245,3 +297,14 @@ def test_builder_agrees_with_replace_atoms(pattern, data):
     assert built == _replace_atoms(pattern, assignment)
     if not metas:
         assert built is pattern
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(patterns(), min_size=1, max_size=3),
+       st.lists(values(), min_size=1, max_size=6, unique=True),
+       st.integers(min_value=0, max_value=44))
+def test_random_patterns_and_pools_match_the_reference(patterns_drawn, pool, max_size):
+    schemata = [Schema(f"s{i}", pattern,
+                       tuple(m for m in METAVARIABLES if _occurrences(pattern, m)))
+                for i, pattern in enumerate(patterns_drawn)]
+    compare_with_the_reference(schemata, pool, max_size)
