@@ -361,8 +361,9 @@ def schema_instances(schemata: Sequence[Schema], pool: Sequence[Formula],
     Before the first item, each schema's size vectors are walked once, by
     one ``size_vectors`` call up to the budget the size cap leaves it, and
     bucketed by instance size. Each instance is one call of the schema's
-    builder, which reads metavariable leaves inline. An item names only the ``Schema`` it instantiates: a body stores that,
-    and builds the instance's ``SchemaJustification`` when asked for it.
+    builder (see ``Schema``). An item names only the ``Schema`` it
+    instantiates: a body stores that, and builds the instance's
+    ``SchemaJustification`` when asked for it.
     """
     pool_by_size = {}
     for f in pool:

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -1095,9 +1095,9 @@ class Schema:
     ``build`` is the pattern compiled once: ``build(formulas)`` is the
     instance under a tuple of formulas, one per metavariable in declared
     order. Subtrees of the pattern with no metavariable are shared with it.
-    Each node above a metavariable is one builder call that reads its
-    metavariable children inline as ``formulas[i]``: a ``(phi -> (chi ->
-    phi))`` instance is two calls. ``engine.schema_instances`` streams the
+    Each node above a metavariable is one builder closure, and a metavariable
+    leaf is ``operator.itemgetter`` of its slot: a ``(phi -> (chi -> phi))``
+    instance is two closure calls. ``engine.schema_instances`` streams the
     instances over a pool in a fixed order, walking size vectors once.
     """
 
@@ -1150,40 +1150,27 @@ def parse_schema(schema_id: str, text: str, alphabet: Alphabet) -> Schema:
 
 def _node_builder(node, parts: list, slots: dict):
     """The builder of one pattern node from its children's: None with no
-    metavariable below it, the slot of a metavariable leaf, which its parent
-    reads inline as ``formulas[i]``, or else a function of the formulas."""
+    metavariable below it, ``itemgetter`` of the slot of a metavariable
+    leaf, or else one closure per node shape."""
     kind = type(node)
     if kind is Atom:
-        return slots.get(node.name)
+        slot = slots.get(node.name)
+        return None if slot is None else itemgetter(slot)
     if all(part is None for part in parts):
         return None
     if kind is Negation:
         (operand,) = parts
-        if type(operand) is int:
-            return lambda formulas: Negation(formulas[operand])
         return lambda formulas: Negation(operand(formulas))
     if kind is Quantified:
         quant, variable, (body,) = node.quant, node.variable, parts
-        if type(body) is int:
-            return lambda formulas: Quantified(quant, variable, formulas[body])
         return lambda formulas: Quantified(quant, variable, body(formulas))
     op, (left, right) = node.op, parts
     if left is None:
         fixed = node.left
-        if type(right) is int:
-            return lambda formulas: Binary(op, fixed, formulas[right])
         return lambda formulas: Binary(op, fixed, right(formulas))
     if right is None:
         fixed = node.right
-        if type(left) is int:
-            return lambda formulas: Binary(op, formulas[left], fixed)
         return lambda formulas: Binary(op, left(formulas), fixed)
-    if type(left) is int:
-        if type(right) is int:
-            return lambda formulas: Binary(op, formulas[left], formulas[right])
-        return lambda formulas: Binary(op, formulas[left], right(formulas))
-    if type(right) is int:
-        return lambda formulas: Binary(op, left(formulas), formulas[right])
     return lambda formulas: Binary(op, left(formulas), right(formulas))
 
 
@@ -1194,7 +1181,7 @@ def _compile_pattern(pattern: Formula, metavariables: tuple) -> Callable:
     be constructed; building an instance recurses once per pattern level.
     """
     slots = {m: i for i, m in enumerate(metavariables)}
-    compiled = {}  # id(node) -> builder of that node, its slot, or None
+    compiled = {}  # id(node) -> builder of that node, or None
     stack = [pattern]
     while stack:
         node = stack[-1]
@@ -1206,10 +1193,7 @@ def _compile_pattern(pattern: Formula, metavariables: tuple) -> Callable:
         stack.pop()
         compiled[id(node)] = _node_builder(node, [compiled[id(c)] for c in children], slots)
     root = compiled[id(pattern)]
-    if root is None:
-        return lambda formulas: pattern
-    # a bare metavariable is the pattern: its builder reads its one slot
-    return root if callable(root) else (lambda formulas: formulas[root])
+    return (lambda formulas: pattern) if root is None else root
 
 
 def match_schema(schema: Schema, formula: Formula,

@@ -13,6 +13,7 @@ import copy
 import io
 import json
 import pickle
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -144,6 +145,38 @@ class TestBuildsOnlyWhenAsked:
         view = build_body_automaton(reversed(self.BODY))
         assert view == BodyAcceptor(
             ("P", "~P", "(P -> P)", "(P -> Q)", "((P -> Q) -> P)"))
+
+
+class TestTrie:
+    def test_names_follow_length_then_text_order(self):
+        # a word that is a prefix of another, a repeated word, and words
+        # given out of text order
+        view = BodyAcceptor(("Q", "P", "PQ", "PQ", "(P)"), True)
+        assert automaton_to_text(view) == (
+            "states\t7\n"
+            "start\tq0\n"
+            "accept\tt2\tt3\tt5\tt6\n"
+            "trans\tq0\t(\tt1\n"
+            "trans\tq0\tP\tt2\n"
+            "trans\tq0\tQ\tt3\n"
+            "trans\tt1\tP\tt4\n"
+            "trans\tt2\tQ\tt5\n"
+            "trans\tt4\t)\tt6\n"
+        )
+
+    def test_memory_is_linear_in_the_characters(self):
+        # keeping each prefix as a string costs the sum of the squared
+        # word lengths: 8.8 times the chains' peak on these words (CPython 3.11)
+        words = tuple(chr(65 + k) + "~" * 3000 for k in range(10))
+        peaks = {}
+        for deterministic in (True, False):
+            tracemalloc.start()
+            try:
+                BodyAcceptor(words, deterministic).nfa()
+                peaks[deterministic] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[True] <= 3 * peaks[False], peaks
 
 
 KLEENE = ["--calc", "builtin:kleene", "--max-stage", "2", "--max-size", "9",
