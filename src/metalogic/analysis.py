@@ -25,7 +25,7 @@ import inspect
 import itertools
 import json
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .engine import (
@@ -36,8 +36,8 @@ from .engine import (
     SATURATED,
     consequence_step,
     enumerate_body,
+    extension_runs,
     fixed_axioms,
-    instantiation_pool,
     pool_for,
     value_key,
 )
@@ -616,31 +616,20 @@ def relation_from_calculus(calculus: Calculus, premise_pool: Iterable[Formula],
     For every subset S of the pool with at most max_premises elements, the
     pairs (S, z) collect every theorem z of the calculus extended with S as
     extra axioms. Premises seed their own closure, so (S, s) holds for every
-    s in S.
+    s in S. One ``extension_runs`` call saturates every subset, so the
+    calculus, its pool and each premise are checked or built once.
     """
     check_count(max_premises, 0, "max_premises")
     pool = canonical_sorted(set(premise_pool))
-    # the extra axioms leave the instantiation pool as it is
-    instances = instantiation_pool(calculus, bounds)
-    pairs = set()
-    statuses = []
-    tokens = set(pool)
     # no subset is larger than the pool
-    for count in range(0, min(max_premises, len(pool)) + 1):
-        for subset in itertools.combinations(pool, count):
-            extended = replace(
-                calculus, axioms=calculus.axioms + tuple(subset)
-            )
-            body = enumerate_body(extended, bounds, pool=instances)
-            premises = frozenset(subset)
-            statuses.append((premises, body.status))
-            for theorem in body.theorems:
-                tokens.add(theorem)
-                pairs.add((premises, theorem))
-    return RelationSample(
-        FiniteRelation(frozenset(tokens), frozenset(pairs)),
-        tuple(statuses),
-    )
+    subsets = [subset for count in range(min(max_premises, len(pool)) + 1)
+               for subset in itertools.combinations(pool, count)]
+    runs = extension_runs(calculus, subsets, bounds)
+    statuses = tuple((frozenset(subset), status) for subset, (status, _) in zip(subsets, runs))
+    pairs = frozenset((premises, theorem) for (premises, _), (_, members) in zip(statuses, runs)
+                      for theorem in members)
+    tokens = frozenset(pool).union(*(members for _, members in runs))
+    return RelationSample(FiniteRelation(tokens, pairs), statuses)
 
 
 # ==========================================================================

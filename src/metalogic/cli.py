@@ -15,7 +15,8 @@ Subcommands:
 
 Exit codes: 0 holds/success, 1 fails/counterexample (including a goal
 proven underivable and a rejected --accept word), 2 inconclusive or not
-found within bounds, 3 usage or parse errors, 4 node budget exceeded.
+found within bounds, 3 usage or parse errors, 4 node budget exceeded. A
+reader that closes standard output early changes none of them.
 
 Reports go to standard output; ``--json`` switches to a machine-readable
 form with schema id "metalogic-report/1". Machine reports are byte-stable:
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields, replace
 from functools import cache
@@ -125,13 +127,18 @@ def _jsonable(value):
 
 def _emit(args, report: dict, text_lines: list):
     """Print a subcommand's report once, as built: ``--json`` adds what
-    every machine report carries, otherwise the text lines are printed."""
+    every machine report carries, otherwise the text lines are printed.
+    A reader that closes the pipe stops the printing, not the command."""
     if args.json:
         report.update(command=args.subcommand, schema=REPORT_SCHEMA, timing_ms=None)
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
+        text_lines = [json.dumps(report, indent=2, sort_keys=True)]
+    try:
         for line in text_lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "wb") as devnull:  # the exit flush writes the rest here
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 # Each bounds flag sets the Bounds field named by its dest.

@@ -40,23 +40,23 @@ the stream's first schema for a formula is the one its entry holds. Members
 of later stages each hold their own ``RuleJustification``.
 
 Every body is built with CPython's cyclic garbage collector paused
-(``_collector_paused`` on ``enumerate_body``, ``inference_closure`` and
-``derive``): the pool, stage 1, every application layer, the canonical sort
-and the derivation. The built-in layers make no reference cycles: formula
-nodes are immutable and built from existing children, and the members dict,
-its justifications and the comparison keys hold only formulas, strings and
-tuples of them. So reference counting frees all that a build discards, and
-the collector would only traverse the growing body again and again and find
-no garbage. As the outermost build starts, the young generations are
-collected, so cyclic garbage the caller made before the build is freed then,
-unless it had already aged into the oldest generation. As it exits,
-everything the collector tracks is promoted to its oldest generation
-(``gc.freeze()`` then ``gc.unfreeze()``, two list splices), so the first
-young collection after a build does not walk the whole body the build kept.
-A cycle that a caller's own rule or validator makes during the build is
-collected at the next full collection. A collector the caller turned off
-stays off, so a nested build (a validator that builds a body) leaves it as
-it was, collects nothing and promotes nothing.
+(``_collector_paused`` on ``enumerate_body``, ``extension_runs``,
+``inference_closure`` and ``derive``): the pool, stage 1, every application
+layer, the canonical sort and the derivation. The built-in layers make no
+reference cycles: formula nodes are immutable and built from existing
+children, and the members dict, its justifications and the comparison keys
+hold only formulas, strings and tuples of them. So reference counting frees
+all that a build discards, and the collector would only traverse the growing
+body again and again and find no garbage. As the outermost build starts, the
+young generations are collected, so cyclic garbage the caller made before
+the build is freed then, unless it had already aged into the oldest
+generation. As it exits, everything the collector tracks is promoted to its
+oldest generation (``gc.freeze()`` then ``gc.unfreeze()``, two list
+splices), so the first young collection after a build does not walk the
+whole body the build kept. A cycle that a caller's own rule or validator
+makes during the build is collected at the next full collection. A collector
+the caller turned off stays off, so a nested build (a validator that builds
+a body) leaves it as it was, collects nothing and promotes nothing.
 """
 
 from __future__ import annotations
@@ -198,7 +198,14 @@ def justification_premises(justification) -> tuple:
 # ==========================================================================
 
 def _validate_pattern(schema: Schema, alphabet: Alphabet):
-    """Patterns must be wffs of the alphabet once metavariables count as atoms."""
+    """Patterns must be wffs of the alphabet once metavariables count as atoms.
+    Only a pattern whose ``Schema.symbols`` or metavariables do not fit the
+    alphabet is walked, to report its first error as a walk would."""
+    symbols = schema.symbols
+    if (symbols is not None and symbols[0].issubset(alphabet.connectives)
+            and not symbols[1].difference(alphabet.variables, alphabet.constants)
+            and not any(map(alphabet.declares, schema.metavariables))):
+        return
     augmented = schema_alphabet(alphabet, schema.metavariables)
     try:
         validate_formula(schema.pattern, augmented)
@@ -214,6 +221,7 @@ class Calculus:
     pool ranges over; leave it empty to make enumeration pools empty and
     derivation pools goal-directed (the goal's subformulas). A calculus
     with no on-demand schema and no formula parameter never builds it.
+    Construction checks each distinct axiom node once and each schema's symbols.
     """
 
     alphabet: Alphabet
@@ -230,8 +238,9 @@ class Calculus:
         object.__setattr__(self, "pool_variables", tuple(self.pool_variables))
         if self.schema_mode not in (SUBSTITUTION_RULE_MODE, ON_DEMAND_MODE):
             raise SchemaError(f"unknown schema mode: {self.schema_mode!r}")
+        checked = set()  # the axioms share subtrees: each is checked once
         for axiom in self.axioms:
-            validate_formula(axiom, self.alphabet)
+            validate_formula(axiom, self.alphabet, checked)
         seen_schema_ids = set()
         for schema in self.schemata:
             if schema.schema_id in seen_schema_ids:
@@ -387,27 +396,27 @@ def schema_instances(schemata: Sequence[Schema], pool: Sequence[Formula],
                 yield build(combo), schema
 
 
-def fixed_axioms(calculus: Calculus) -> Iterator[tuple]:
-    """The stage-1 axioms that need no instantiation pool, at any size: each
-    concrete axiom with one shared ``AxiomJustification``, then in
-    substitution-rule mode each schema's positional realization with its
-    ``Schema``, as ``schema_instances`` gives it."""
+def fixed_axioms(calculus: Calculus, extra: Sequence[Formula] = ()) -> Iterator[tuple]:
+    """The stage-1 axioms that need no instantiation pool, at any size: the
+    concrete axioms, then ``extra`` ones, with one shared ``AxiomJustification``,
+    then in substitution-rule mode each schema's positional realization with
+    its ``Schema``, as ``schema_instances`` gives it."""
     justification = AxiomJustification()
-    for axiom in calculus.axioms:
+    for axiom in itertools.chain(calculus.axioms, extra):
         yield axiom, justification
     if calculus.schema_mode == SUBSTITUTION_RULE_MODE:
         for schema in calculus.schemata:
             yield positional_realization(schema, calculus.alphabet)[0], schema
 
 
-def realized_axiom_stream(calculus: Calculus, bounds: Bounds,
-                          pool: Sequence[Formula]) -> Iterator[tuple]:
-    """Stage-1 content: the fixed axioms, then on-demand schema instances.
+def realized_axiom_stream(calculus: Calculus, bounds: Bounds, pool: Sequence[Formula],
+                          extra: Sequence[Formula] = ()) -> Iterator[tuple]:
+    """Stage-1 content: ``fixed_axioms`` with ``extra``, then on-demand schema instances.
 
     Axioms larger than the size cap are dropped here; the bounded body can
     only ever contain formulas within the cap.
     """
-    for formula, justification in fixed_axioms(calculus):
+    for formula, justification in fixed_axioms(calculus, extra):
         if formula.size <= bounds.max_formula_size:
             yield formula, justification
     if calculus.schemata and calculus.schema_mode != SUBSTITUTION_RULE_MODE:
@@ -819,6 +828,24 @@ def enumerate_body(calculus: Calculus, bounds: Bounds = DEFAULT_BOUNDS, *,
         calculus.rules, pool, calculus.alphabet.variables, bounds,
     )
     return BoundedBody(run.members, run.stages, run.status, bounds)
+
+
+@_collector_paused
+def extension_runs(calculus: Calculus, premise_sets, bounds: Bounds = DEFAULT_BOUNDS) -> list:
+    """``(status, members)`` of ``enumerate_body`` for the calculus
+    extended by each premise set as extra axioms, with no sort and no body.
+    The pool is built, and each premise checked, once for all sets; the
+    first bad premise raises what the extended calculus would."""
+    pool = instantiation_pool(calculus, bounds)
+    checked = set()
+    runs = []
+    for premises in premise_sets:
+        for premise in premises:
+            validate_formula(premise, calculus.alphabet, checked)
+        run = _saturate(realized_axiom_stream(calculus, bounds, pool, premises),
+                        calculus.rules, pool, calculus.alphabet.variables, bounds)
+        runs.append((run.status, tuple(run.members)))
+    return runs
 
 
 def consequence_step(rules: RuleSystem, premises: Iterable[Formula], *,

@@ -907,15 +907,18 @@ _FIRST_ORDER_ONLY = {
 }
 
 
-def validate_formula(formula, alphabet: Alphabet):
+def validate_formula(formula, alphabet: Alphabet, checked: Optional[set] = None):
     """Check that every symbol of a formula or a term is declared and every
     node is well formed.
 
     The walk keeps one explicit stack of formulas and terms, so any depth
     can be checked; it goes in pre-order, left to right, and reports the
-    first bad node it meets.
+    first bad node it meets. A node whose ``id`` is in ``checked`` (which
+    the walk extends; a caller may share it across calls over one alphabet
+    until one raises) is checked only for its place, formula or term.
     """
     first_order = alphabet.kind == FIRST_ORDER
+    checked = set() if checked is None else checked
     stack = [formula]
     # Terms have only terms below them, so the term arguments pushed and not
     # yet checked are always the top ``terms`` entries of the stack.
@@ -929,6 +932,9 @@ def validate_formula(formula, alphabet: Alphabet):
                 raise TypeError(f"not a term: {node!r}")
         elif kind is Var or kind is FuncApp:
             raise TypeError(f"not a formula: {node!r}")
+        if id(node) in checked:
+            continue
+        checked.add(id(node))
         if kind is Binary:
             if node.op not in alphabet.connectives:
                 raise AlphabetError(f"connective {node.op!r} is not declared in this alphabet")
@@ -1099,12 +1105,17 @@ class Schema:
     leaf is ``operator.itemgetter`` of its slot: a ``(phi -> (chi -> phi))``
     instance is two closure calls. ``engine.schema_instances`` streams the
     instances over a pool in a fixed order, walking size vectors once.
+
+    ``symbols``, read off once, is what a calculus checks of the pattern: its
+    connective names and non-metavariable atoms; None (walk the pattern) for a
+    first-order node or a metavariable other than phi, chi and psi.
     """
 
     schema_id: str
     pattern: Formula
     metavariables: tuple
     build: Callable = field(init=False, repr=False, compare=False)
+    symbols: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.schema_id, str):
@@ -1119,6 +1130,12 @@ class Schema:
                     f"metavariable {m!r} does not occur in the pattern of schema {self.schema_id!r}"
                 )
         object.__setattr__(self, "build", _compile_pattern(self.pattern, self.metavariables))
+        parts = subformulas(self.pattern)
+        plain = (set(self.metavariables).issubset(METAVARIABLES)
+                 and all(type(f) in (Atom, Negation, Binary) for f in parts))
+        object.__setattr__(self, "symbols", (
+            frozenset(NOT if type(f) is Negation else f.op for f in parts if type(f) is not Atom),
+            present.difference(self.metavariables)) if plain else None)
 
     def __reduce__(self):
         # the builder's closures cannot be pickled; unpickling compiles anew

@@ -1,5 +1,7 @@
 """Verdicts, calculus comparison, the property battery, finite relations."""
 
+import itertools
+import random
 import re
 
 import pytest
@@ -7,18 +9,29 @@ from dataclasses import replace
 
 from metalogic import analysis
 from metalogic import (
+    AND,
+    AlphabetError,
+    Atom,
+    Binary,
     Bounds,
     Calculus,
     FiniteRelation,
     IMPLIES,
     MetalogicError,
+    NOT,
     OR,
+    RelationSample,
     RuleParameterError,
     TranslationMap,
     Verdict,
+    canonical_sorted,
     check_boundedness,
     check_property,
+    church_p1_calculus,
     compare_calculi,
+    enumerate_body,
+    instantiation_pool,
+    kleene_calculus,
     make_rule,
     parse_formula,
     print_formula,
@@ -29,7 +42,8 @@ from metalogic import (
     rule_system,
     translation_map,
 )
-from conftest import small_bounds
+from conftest import random_formula, small_bounds
+from test_differential import random_calculus
 
 PQ = propositional_alphabet(("P", "Q"))
 
@@ -461,6 +475,91 @@ class TestRelationSampling:
         with pytest.raises(RuleParameterError, match="max_premises"):
             relation_from_calculus(mp_calculus(), pool, max_premises,
                                    small_bounds())
+
+
+def reference_sample(calculus, premise_pool, max_premises, bounds):
+    """The sampler as one whole body per subset: ``enumerate_body`` of the
+    calculus with the subset appended to its axioms."""
+    pool = canonical_sorted(set(premise_pool))
+    instances = instantiation_pool(calculus, bounds)
+    pairs = set()
+    statuses = []
+    tokens = set(pool)
+    for count in range(0, min(max_premises, len(pool)) + 1):
+        for subset in itertools.combinations(pool, count):
+            extended = replace(calculus, axioms=calculus.axioms + tuple(subset))
+            body = enumerate_body(extended, bounds, pool=instances)
+            premises = frozenset(subset)
+            statuses.append((premises, body.status))
+            for theorem in body.theorems:
+                tokens.add(theorem)
+                pairs.add((premises, theorem))
+    return RelationSample(FiniteRelation(frozenset(tokens), frozenset(pairs)),
+                          tuple(statuses))
+
+
+def sample_outcome(sampler, *args):
+    """What a sampler gives: its statuses, pairs and carrier, or the type
+    and message of the package error it raises."""
+    try:
+        sample = sampler(*args)
+    except MetalogicError as exc:
+        return type(exc), str(exc)
+    return sample.statuses, sample.relation.pairs, sample.relation.carrier
+
+
+def assert_same_sample(calculus, premise_pool, max_premises, bounds):
+    args = (calculus, premise_pool, max_premises, bounds)
+    outcome = sample_outcome(relation_from_calculus, *args)
+    assert outcome == sample_outcome(reference_sample, *args)
+    return outcome
+
+
+class TestSamplerMatchesOneBodyPerSubset:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_calculi(self, seed):
+        rng = random.Random(seed)
+        calculus = random_calculus(rng)
+        premises = [random_formula(rng, ("P", "Q"), (NOT, OR, IMPLIES), 2)
+                    for _ in range(rng.randint(1, 5))]
+        bounds = Bounds(rng.randint(1, 3), rng.choice((5, 7, 9)),
+                        rng.choice((3, 5, 8, 5000)), rng.choice((1, 2)))
+        assert_same_sample(calculus, premises, rng.randint(0, 3), bounds)
+
+    def test_substitution_mode_church_p1(self):
+        calculus = church_p1_calculus()
+        text = ("p", "(p -> q)", "(q -> s)", "f")
+        premises = [parse_formula(t, calculus.alphabet) for t in text]
+        statuses, _, _ = assert_same_sample(calculus, premises, 2, Bounds(3, 7, 20000, 1))
+        assert len(statuses) == 11
+
+    def test_a_node_budget_that_cuts_stage_one(self):
+        # the base axioms, then the premises, then the schema instances fill
+        # stage 1 in that order until the budget stops it
+        calculus = replace(kleene_calculus(), pool_variables=("P",))
+        premises = [parse_formula(t, calculus.alphabet)
+                    for t in ("Q", "(Q -> R)", "R", "~P")]
+        statuses, _, _ = assert_same_sample(calculus, premises, 3, Bounds(3, 9, 12, 2))
+        assert {status for _, status in statuses} == {"budget-exceeded"}
+        statuses, _, _ = assert_same_sample(mp_calculus("P", "(P -> Q)"),
+                                            [wff("Q"), wff("(Q -> P)"), wff("~P")], 3,
+                                            small_bounds(node_budget=3))
+        assert "budget-exceeded" in {status for _, status in statuses}
+
+    def test_a_premise_over_the_size_cap_and_one_equal_to_an_axiom(self):
+        big = wff("((P -> Q) -> (Q -> P))")
+        _, pairs, _ = assert_same_sample(mp_calculus("P", "(P -> Q)"),
+                                         [big, wff("P"), wff("Q")], 2,
+                                         small_bounds(max_formula_size=5))
+        assert all(conclusion != big for _, conclusion in pairs)
+        assert (frozenset({wff("P")}), wff("Q")) in pairs
+
+    def test_an_undeclared_premise_raises_what_the_reference_raises(self):
+        premises = [wff("P"), Atom("Z"), Binary(AND, Atom("P"), Atom("Y"))]
+        raised = assert_same_sample(mp_calculus(), premises, 2, small_bounds())
+        assert raised == (AlphabetError, "undeclared atom: 'Z'")
+        statuses, _, _ = assert_same_sample(mp_calculus("P"), premises, 0, small_bounds())
+        assert statuses == ((frozenset(), "saturated-within-size-cap"),)
 
 
 class TestRelationInterchange:

@@ -149,6 +149,21 @@ class TestEnumLang:
     def test_missing_size_is_a_usage_error(self, capsys):
         assert main(["enum-lang", "--calc", "builtin:kleene"]) == 3
 
+    def test_a_reader_that_closes_the_pipe_changes_no_exit_code(self):
+        """``enum-lang ... | head -1``: the report was complete when the
+        reader stopped, so the exit code is the command's own and nothing is
+        printed on standard error. The 400 kB report outgrows the pipe, so
+        the writer is still writing when the reader closes it."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        argv = [sys.executable, "-m", "metalogic.cli", "enum-lang",
+                "--calc", "builtin:kleene", "--size", "7"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=src)) as child:
+            assert child.stdout.readline() == b"count: 22107\n"
+            child.stdout.close()
+            assert child.wait(timeout=60) == 0
+            assert child.stderr.read() == b""
+
     def test_negative_size_exits_3(self, capsys):
         assert main(["enum-lang", "--calc", "builtin:kleene", "--size", "-1"]) == 3
         assert "max_size must be an integer >= 0, got -1" in capsys.readouterr().err

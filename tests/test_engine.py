@@ -7,12 +7,19 @@ import re
 import sys
 import weakref
 
+import hypothesis.strategies as st
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
 
 from metalogic import (
+    AND,
+    EXISTS,
+    NOT,
+    OR,
     AlphabetError,
     Atom,
+    Binary,
     AxiomJustification,
     AxiomStage,
     BUDGET_EXCEEDED,
@@ -52,6 +59,9 @@ from metalogic import (
     match_schema,
     parse_formula,
     positional_realization,
+    PredApp,
+    Quantified,
+    Var,
     print_formula,
     propositional_alphabet,
     realized_axiom_stream,
@@ -63,7 +73,13 @@ from metalogic import (
     validate_derivation,
 )
 from metalogic import engine
-from metalogic.syntax import atom_occurrences, size_vectors
+from metalogic.syntax import (
+    atom_occurrences,
+    formula_atoms,
+    schema_alphabet,
+    size_vectors,
+    validate_formula,
+)
 from conftest import small_bounds
 
 CHAIN_ALPHABET = propositional_alphabet(("P", "Q", "R"), connectives=(IMPLIES,))
@@ -179,6 +195,65 @@ class TestCalculusValidation:
         with pytest.raises(SchemaError,
                            match=f"metavariable '{meta}' collides with an object symbol"):
             Calculus(alphabet=alphabet, schemata=(schema,))
+
+
+PATTERN_ATOMS = ("phi", "chi", "P", "Q", "x", "R", "forall", "A")
+PATTERN_ALPHABETS = (
+    propositional_alphabet(("P", "Q"), connectives=(NOT, IMPLIES)),
+    propositional_alphabet(("P",), connectives=(AND, OR, IMPLIES), constants=("Q",)),
+    propositional_alphabet(("phi", "Q")),
+    first_order_alphabet(("x",), variables=("P",), predicates=(("R", 1),),
+                         connectives=(NOT, OR), quantifiers=(EXISTS,)),
+)
+
+
+def patterns(first_order=False):
+    """Propositional patterns, or with first-order nodes mixed in."""
+    leaves = st.sampled_from(PATTERN_ATOMS).map(Atom)
+    if first_order:
+        leaves = st.one_of(leaves, st.just(PredApp("R", (Var("x"),))))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        inner.map(Negation),
+        st.builds(Binary, st.sampled_from((AND, OR, IMPLIES)), inner, inner),
+        *([inner.map(lambda body: Quantified(EXISTS, "x", body))] if first_order else [])),
+        max_leaves=8)
+
+
+def walked_pattern_check(schema, alphabet):
+    """The check as a walk of the pattern over its schema alphabet."""
+    augmented = schema_alphabet(alphabet, schema.metavariables)
+    try:
+        validate_formula(schema.pattern, augmented)
+    except AlphabetError as exc:
+        raise SchemaError(f"schema {schema.schema_id!r}: {exc}") from exc
+
+
+def failure(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:  # every failure is compared, whatever its type
+        return type(exc), str(exc)
+    return None
+
+
+class TestPatternCheck:
+    @given(st.one_of(patterns(), patterns(first_order=True)),
+           st.sets(st.sampled_from(PATTERN_ATOMS)),
+           st.sampled_from(PATTERN_ALPHABETS))
+    @settings(max_examples=400, deadline=None)
+    def test_recorded_symbols_fail_as_the_walk_does(self, pattern, names, alphabet):
+        metas = tuple(sorted(names & formula_atoms(pattern)))
+        schema = Schema("s", pattern, metas)
+        assert (failure(Calculus, alphabet, (), (schema,))
+                == failure(walked_pattern_check, schema, alphabet))
+
+    def test_a_replace_walks_no_pattern(self, kleene, monkeypatch):
+        walks = []
+        monkeypatch.setattr(engine, "validate_formula",
+                            lambda *args: walks.append(args))
+        replace(kleene, pool_variables=("P",))
+        assert walks == []
+        assert all(schema.symbols is not None for schema in kleene.schemata)
 
 
 class TestRealizedAxioms:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from metalogic import (
     AND,
@@ -594,3 +594,182 @@ class TestFirstOrder:
     def test_predicate_atoms_are_not_terms(self):
         with pytest.raises(ParseError):
             parse_formula("(P(x) = y)", self.alphabet)
+
+
+# ==========================================================================
+# validate_formula checks each node object once: the walk it replaced
+# ==========================================================================
+
+_REFERENCE_FIRST_ORDER_ONLY = {
+    Var: "terms require a first-order alphabet",
+    FuncApp: "terms require a first-order alphabet",
+    PredApp: "predicate application in a propositional language",
+    Equality: "equality in a propositional language",
+    Quantified: "quantifier in a propositional language",
+}
+
+
+def reference_validate(formula, alphabet):
+    """``validate_formula`` with no memo: every occurrence of every node is
+    checked, in pre-order, left to right."""
+    first_order = alphabet.kind == FIRST_ORDER
+    stack = [formula]
+    terms = 1 if isinstance(formula, (Var, FuncApp)) else 0
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if terms:
+            terms -= 1
+            if kind is not Var and kind is not FuncApp:
+                raise TypeError(f"not a term: {node!r}")
+        elif kind is Var or kind is FuncApp:
+            raise TypeError(f"not a formula: {node!r}")
+        if kind is Binary:
+            if node.op not in alphabet.connectives:
+                raise AlphabetError(f"connective {node.op!r} is not declared in this alphabet")
+            stack.append(node.right)
+            stack.append(node.left)
+        elif kind is Negation:
+            if NOT not in alphabet.connectives:
+                raise AlphabetError("negation is not declared in this alphabet")
+            stack.append(node.operand)
+        elif kind is Atom:
+            if node.name not in alphabet.variables and node.name not in alphabet.constants:
+                raise AlphabetError(f"undeclared atom: {node.name!r}")
+        elif kind not in _REFERENCE_FIRST_ORDER_ONLY:
+            raise TypeError(f"not a formula or term: {node!r}")
+        elif not first_order:
+            raise AlphabetError(_REFERENCE_FIRST_ORDER_ONLY[kind])
+        elif kind is Var:
+            if not alphabet.is_individual_variable(node.name):
+                raise AlphabetError(f"undeclared individual variable: {node.name!r}")
+        elif kind is FuncApp or kind is PredApp:
+            symbol, arities = (("function", dict(alphabet.functions)) if kind is FuncApp
+                               else ("predicate", dict(alphabet.predicates)))
+            arity = arities.get(node.name)
+            if arity is None:
+                raise AlphabetError(f"undeclared {symbol} symbol: {node.name!r}")
+            if len(node.args) != arity:
+                raise AlphabetError(
+                    f"{symbol} {node.name!r} expects {arity} argument(s), got {len(node.args)}")
+            stack.extend(reversed(node.args))
+            terms += len(node.args)
+        elif kind is Equality:
+            stack.append(node.right)
+            stack.append(node.left)
+            terms += 2
+        else:
+            if node.quant not in alphabet.quantifiers:
+                raise AlphabetError(f"quantifier {node.quant!r} is not declared in this alphabet")
+            if not alphabet.is_individual_variable(node.variable):
+                raise AlphabetError(f"undeclared individual variable: {node.variable!r}")
+            if node.variable not in free_variables(node.body):
+                raise AlphabetError(
+                    f"bound variable {node.variable!r} does not occur free in the quantifier body")
+            stack.append(node.body)
+
+
+def check_outcome(check, *args):
+    """None, or the type and message of what ``check`` raised."""
+    try:
+        check(*args)
+    except Exception as exc:  # every failure is compared, whatever its type
+        return type(exc), str(exc)
+    return None
+
+
+VALIDATION_ALPHABETS = (
+    propositional_alphabet(("P", "Q"), connectives=(NOT, AND, OR)),
+    propositional_alphabet(("P",), connectives=(AND,), constants=("Q",)),
+    first_order_alphabet(("x",), variables=("P",), functions=(("g", 1),),
+                         predicates=(("R", 1),), quantifiers=(EXISTS,),
+                         connectives=(NOT, AND)),
+)
+DAG_LEAVES = (Atom("P"), Atom("Q"), Atom("Z"), Var("x"), Var("w"))
+DAG_NODES = ("not", AND, OR, "exists", "forall", "predicate", "equality", "function")
+
+
+@st.composite
+def shared_dags(draw, max_size=400):
+    """Formulas and terms, well sorted or not, whose nodes reuse earlier
+    node objects as children: subtrees are shared, not copied."""
+    nodes = list(draw(st.lists(st.sampled_from(DAG_LEAVES), min_size=1, max_size=4)))
+    for kind in draw(st.lists(st.sampled_from(DAG_NODES), max_size=25)):
+        first, second = (nodes[draw(st.integers(0, len(nodes) - 1))] for _ in range(2))
+        if kind == "not":
+            node = Negation(first)
+        elif kind in (AND, OR):
+            node = Binary(kind, first, second)
+        elif kind in ("exists", "forall"):
+            node = Quantified(kind, draw(st.sampled_from(("x", "w"))), first)
+        elif kind == "predicate":
+            node = PredApp("R", (first,))
+        elif kind == "equality":
+            node = Equality(first, second)
+        else:
+            node = FuncApp("g", (first,))
+        if node.size <= max_size:  # the walk without a memo visits every occurrence
+            nodes.append(node)
+    return nodes[draw(st.integers(0, len(nodes) - 1))]
+
+
+@st.composite
+def deep_chains(draw):
+    """A negation chain thousands deep over one leaf, whose levels the top
+    joins again and again."""
+    chain = [draw(st.sampled_from(DAG_LEAVES[:3]))]
+    for _ in range(draw(st.integers(1, 3000))):
+        chain.append(Negation(chain[-1]))
+    top = chain[-1]
+    for _ in range(draw(st.integers(0, 5))):
+        level = chain[draw(st.integers(0, len(chain) - 1))]
+        top = Binary(draw(st.sampled_from((AND, OR))), top, level)
+    return top
+
+
+# one node object in a term place and then in a formula place, and back
+_X, _P = Var("x"), Atom("P")
+
+
+class TestMemoizedValidation:
+    @given(shared_dags(), st.sampled_from(VALIDATION_ALPHABETS))
+    @example(Binary(AND, PredApp("R", (_X,)), _X), VALIDATION_ALPHABETS[2])
+    @example(Binary(AND, _P, PredApp("R", (_P,))), VALIDATION_ALPHABETS[2])
+    @settings(max_examples=400, deadline=None)
+    def test_shared_subtrees_raise_as_the_full_walk_does(self, formula, alphabet):
+        assert (check_outcome(validate_formula, formula, alphabet)
+                == check_outcome(reference_validate, formula, alphabet))
+
+    @given(deep_chains(), st.sampled_from(VALIDATION_ALPHABETS[:2]))
+    @settings(max_examples=60, deadline=None)
+    def test_deep_chains_raise_as_the_full_walk_does(self, formula, alphabet):
+        assert (check_outcome(validate_formula, formula, alphabet)
+                == check_outcome(reference_validate, formula, alphabet))
+
+    @given(st.lists(shared_dags(max_size=60), min_size=1, max_size=6),
+           st.sampled_from(VALIDATION_ALPHABETS))
+    @settings(max_examples=200, deadline=None)
+    def test_one_memo_across_calls_stops_at_the_same_formula(self, formulas, alphabet):
+        def each_alone(check):
+            for index, formula in enumerate(formulas):
+                outcome = check_outcome(check, formula, alphabet)
+                if outcome is not None:
+                    return index, outcome
+            return None
+
+        checked = set()
+        assert (each_alone(lambda f, a: validate_formula(f, a, checked))
+                == each_alone(reference_validate))
+
+    def test_the_memo_skips_what_it_has_checked(self):
+        alphabet = propositional_alphabet(("P",), connectives=(NOT,))
+        chain = negation_chain("P", 50)
+        checked = set()
+        validate_formula(chain, alphabet, checked)
+        assert len(checked) == 51
+        validate_formula(Negation(chain), alphabet, checked)
+        assert len(checked) == 52
+        # a checked node is still checked for its place
+        atom = Atom("P")
+        with pytest.raises(TypeError, match="not a term: P"):
+            validate_formula(PredApp("R", (atom,)), VALIDATION_ALPHABETS[2], {id(atom)})
