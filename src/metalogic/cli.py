@@ -11,7 +11,7 @@ Subcommands:
     check           decide a property of a calculus's body
     relation        sample the inference relation over premise subsets
     relation-check  boundedness properties of a relation file
-    automaton       body acceptor construction and simulation
+    automaton       body acceptor: its dump, a word test, or its language
 
 Exit codes: 0 holds/success, 1 fails/counterexample (including a goal
 proven underivable and a rejected --accept word), 2 inconclusive or not

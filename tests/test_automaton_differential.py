@@ -7,7 +7,7 @@ import itertools
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from metalogic import (
+from reference_automaton import (
     EPSILON,
     EpsilonNFA,
     automaton_to_text,

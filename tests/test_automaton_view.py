@@ -1,11 +1,12 @@
 """Body acceptors as views of their printed words.
 
 A ``BodyAcceptor`` answers acceptance, the language up to a length and its
-state count from the body's words, and builds its explicit ``EpsilonNFA``
-at most once, only when something reads states or transitions. The view
-must agree with that automaton on random small bodies, for the chains and
-the trie; the ``automaton`` command must build no ``EpsilonNFA`` for
-``--accept`` or ``--language-upto``.
+state count from the body's words, and derives its named edges only for
+the dump and for reads of states, transitions and accepting states. Every
+answer must agree with the explicit ``EpsilonNFA`` of
+``reference_automaton`` built from the same words, for the chains and the
+trie; the ``automaton`` command must derive no edge for ``--accept`` or
+``--language-upto``.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from metalogic import (
     AND,
@@ -27,7 +28,6 @@ from metalogic import (
     Atom,
     Binary,
     BodyAcceptor,
-    EpsilonNFA,
     Negation,
     automaton_to_text,
     build_body_automaton,
@@ -38,7 +38,10 @@ from metalogic import (
     print_formula,
     propositional_alphabet,
 )
+from metalogic import automaton
 from metalogic.cli import main
+
+import reference_automaton as reference
 
 BUILDERS = {"chain": build_body_automaton,
             "trie": build_deterministic_body_automaton}
@@ -67,17 +70,31 @@ def changed(word, position):
 
 
 @pytest.fixture
-def constructions(monkeypatch):
-    """A list that gets one entry per ``EpsilonNFA`` built from now on."""
-    built = []
-    init = EpsilonNFA.__init__
+def derivations(monkeypatch):
+    """A list that gets one entry per derivation of named edges from now on."""
+    derived = []
+    edges = automaton._edges
 
-    def counting(self, *args, **kwargs):
-        built.append(None)
-        init(self, *args, **kwargs)
+    def counting(*args, **kwargs):
+        derived.append(None)
+        return edges(*args, **kwargs)
 
-    monkeypatch.setattr(EpsilonNFA, "__init__", counting)
-    return built
+    monkeypatch.setattr(automaton, "_edges", counting)
+    return derived
+
+
+def materialized(view):
+    """The reference ``EpsilonNFA`` of ``view``'s shape over its words."""
+    build = reference._trie_nfa if view.deterministic else reference._chain_nfa
+    return build(view.words)
+
+
+# words over few symbols, so that prefixes, repeats and shared prefixes
+# are common; eleven words or more order ``w1.*`` before ``w10.*`` and
+# ``t10`` before ``t2``
+WORD_LISTS = st.lists(st.text("PQ~(", min_size=1, max_size=6), max_size=16)
+ELEVEN = ("P", "Q", "~P", "~Q", "(P", "(Q", "PP", "PQ", "QP", "QQ", "~~P",
+          "~(P", "P~Q")
 
 
 class TestAgreesWithTheMaterializedAutomaton:
@@ -86,20 +103,37 @@ class TestAgreesWithTheMaterializedAutomaton:
     @given(body=st.lists(FORMULAS, max_size=8))
     def test_acceptance_language_and_state_count(self, kind, body):
         view = BUILDERS[kind](body)
-        nfa = view.nfa()
-        assert isinstance(nfa, EpsilonNFA)
+        nfa = materialized(view)
         words = {print_formula(f) for f in body}
         probes = set(words)
         for word in words:
             probes.update(word[:end] for end in range(len(word)))
             probes.update(changed(word, i) for i in range(len(word)))
         for word in probes:
-            assert nfa_accepts(view, word) == nfa_accepts(nfa, word), word
+            assert nfa_accepts(view, word) == reference.nfa_accepts(nfa, word), word
         longest = max(map(len, words), default=0)
         for n in range(longest + 2):
-            assert nfa_language_upto(view, n) == nfa_language_upto(nfa, n), n
+            assert nfa_language_upto(view, n) == \
+                reference.nfa_language_upto(nfa, n), n
         assert view.state_count == len(nfa.states)
         assert len(nfa.accepting) == len(words)
+
+    @pytest.mark.parametrize("deterministic", [False, True],
+                             ids=["chain", "trie"])
+    @SETTINGS
+    @given(words=WORD_LISTS)
+    @example(words=[])
+    @example(words=["PQ", "P", "PQ"])
+    @example(words=["(P", "(", "(PQ"])
+    @example(words=list(ELEVEN))
+    def test_dump_and_named_views(self, deterministic, words):
+        view = BodyAcceptor(words, deterministic)
+        nfa = materialized(view)
+        assert automaton_to_text(view) == reference.automaton_to_text(nfa)
+        assert view.states == nfa.states
+        assert view.transitions == nfa.transitions
+        assert view.accepting == nfa.accepting
+        assert view.is_deterministic() == nfa.is_deterministic()
 
 
 class TestBuildsOnlyWhenAsked:
@@ -107,25 +141,24 @@ class TestBuildsOnlyWhenAsked:
                  ("P", "~P", "(P -> Q)", "(P -> P)", "((P -> Q) -> P)"))
 
     @pytest.mark.parametrize("kind", BUILDERS)
-    def test_words_answer_without_a_state(self, kind, constructions):
+    def test_words_answer_without_a_state(self, kind, derivations):
         view = BUILDERS[kind](self.BODY)
         assert nfa_accepts(view, "(P -> Q)")
         assert not nfa_accepts(view, "(P -> ")
         assert nfa_language_upto(view, 2) == frozenset({"P", "~P"})
         assert view.state_count > 1
-        assert constructions == []
+        assert view.is_deterministic() == (kind == "trie")
+        assert derivations == []
 
     @pytest.mark.parametrize("kind", BUILDERS)
-    def test_the_automaton_is_built_once(self, kind, constructions):
+    def test_each_read_derives_the_edges_anew(self, kind, derivations):
         view = BUILDERS[kind](self.BODY)
-        text = automaton_to_text(view)
-        nfa = view.nfa()
-        assert (view.states, view.transitions, view.start, view.accepting,
-                view.symbols) == (nfa.states, nfa.transitions, nfa.start,
-                                  nfa.accepting, nfa.symbols)
-        assert view.is_deterministic() == (kind == "trie")
-        assert automaton_to_text(nfa) == text
-        assert len(constructions) == 1
+        automaton_to_text(view)
+        assert len(derivations) == 1
+        for _ in range(2):
+            view.states, view.transitions, view.accepting
+        assert len(derivations) == 7
+        assert vars(view).keys() == {"words", "deterministic", "_members"}
 
     @pytest.mark.parametrize("kind", BUILDERS)
     def test_copies_and_pickles_are_equal_and_frozen(self, kind):
@@ -170,9 +203,10 @@ class TestTrie:
         words = tuple(chr(65 + k) + "~" * 3000 for k in range(10))
         peaks = {}
         for deterministic in (True, False):
+            acceptor = BodyAcceptor(words, deterministic)
             tracemalloc.start()
             try:
-                BodyAcceptor(words, deterministic).nfa()
+                automaton_to_text(acceptor)
                 peaks[deterministic] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -196,11 +230,10 @@ class TestCommandBuildsNoStates:
     @pytest.mark.parametrize("action", [["--accept", "(P -> (P -> P))"],
                                         ["--language-upto", "20"]],
                              ids=["accept", "language-upto"])
-    def test_queries_construct_no_epsilon_nfa(self, flag, action,
-                                              constructions):
+    def test_queries_derive_no_edges(self, flag, action, derivations):
         code, _ = run(["automaton", *KLEENE, *flag, *action])
         assert code == 0
-        assert constructions == []
+        assert derivations == []
 
     @pytest.mark.parametrize("kind", BUILDERS)
     def test_reported_state_count_is_the_acceptors(self, kind):
